@@ -158,19 +158,21 @@ fn timeout_mid_plan_leaves_no_partial_stream() {
         Err(sr_engine::EngineError::Timeout { .. }) => {}
         other => panic!("expected timeout, got {other:?}"),
     }
-    // Multi-query (mid-plan) execution: every stream reports the timeout;
-    // none comes back partially decoded.
-    let queries = vec![
-        "SELECT a.id AS id FROM A a ORDER BY id".to_string(),
-        "SELECT a.g AS g FROM A a ORDER BY g".to_string(),
-    ];
-    let results = server.execute_all_parallel(&queries);
-    assert_eq!(results.len(), 2);
-    for r in &results {
+    // Multi-query (mid-plan) execution, every stream submitted before any
+    // is read: each reports the timeout from its first read; none comes
+    // back partially decoded.
+    let streams = [
+        "SELECT a.id AS id FROM A a ORDER BY id",
+        "SELECT a.g AS g FROM A a ORDER BY g",
+    ]
+    .map(|q| server.execute_sql_streaming(q).unwrap());
+    for mut stream in streams {
+        let first = stream.next_row();
         assert!(
-            matches!(r, Err(sr_engine::EngineError::Timeout { .. })),
-            "expected timeout, got {r:?}"
+            matches!(first, Err(sr_engine::EngineError::Timeout { .. })),
+            "expected timeout, got {first:?}"
         );
+        assert_eq!(stream.rows_decoded, 0);
     }
     // The registry counted each trip.
     assert_eq!(server.metrics().snapshot().counter("server.timeouts"), 3);

@@ -529,6 +529,54 @@ fn frame_bytes(opcode: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// A retained buffer that CHUNK frames are assembled in and shipped from:
+/// frame header, channel and payload sit back to back, so a frame leaves
+/// in one `write_all` (one syscall on a `TCP_NODELAY` socket) with the
+/// payload copied once — into here — and nothing allocated per frame.
+/// Produces exactly the bytes of [`Response::Chunk`]'s `encode`.
+pub struct ChunkFrame {
+    /// Header placeholder, then the payload gathered so far.
+    buf: Vec<u8>,
+}
+
+/// `u32` length + opcode + `u16` channel.
+const CHUNK_HEADER: usize = 7;
+
+impl ChunkFrame {
+    /// An empty frame with room for `payload` bytes.
+    pub fn with_capacity(payload: usize) -> ChunkFrame {
+        let mut buf = Vec::with_capacity(CHUNK_HEADER + payload);
+        buf.resize(CHUNK_HEADER, 0);
+        ChunkFrame { buf }
+    }
+
+    /// Payload bytes gathered and not yet shipped.
+    pub fn payload_len(&self) -> usize {
+        self.buf.len() - CHUNK_HEADER
+    }
+
+    /// Append to the payload.
+    pub fn extend(&mut self, data: &[u8]) {
+        self.buf.extend_from_slice(data);
+    }
+
+    /// Ship the gathered payload as one CHUNK frame on `channel`, leaving
+    /// the frame empty. Ships nothing if there is no payload.
+    pub fn write_to<W: Write>(&mut self, channel: u16, out: &mut W) -> std::io::Result<()> {
+        if self.payload_len() == 0 {
+            return Ok(());
+        }
+        let len = self.buf.len() - 4;
+        debug_assert!(len <= MAX_FRAME_LEN);
+        self.buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
+        self.buf[4] = OP_CHUNK;
+        self.buf[5..CHUNK_HEADER].copy_from_slice(&channel.to_be_bytes());
+        let shipped = out.write_all(&self.buf);
+        self.buf.truncate(CHUNK_HEADER);
+        shipped
+    }
+}
+
 /// One raw frame off the wire: opcode + payload, header already validated.
 #[derive(Debug)]
 pub struct RawFrame {
@@ -612,6 +660,28 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chunk_frame_ships_the_bytes_of_an_encoded_chunk_and_is_reusable() {
+        let mut frame = ChunkFrame::with_capacity(8);
+        let mut wire = Vec::new();
+        frame.write_to(3, &mut wire).unwrap();
+        assert!(wire.is_empty(), "no payload, no frame");
+        for (channel, parts) in [
+            (3u16, vec![&b"ab"[..], b"cde"]),
+            (DOC_CHANNEL, vec![b"<x>"]),
+        ] {
+            for part in &parts {
+                frame.extend(part);
+            }
+            let data = parts.concat();
+            assert_eq!(frame.payload_len(), data.len());
+            wire.clear();
+            frame.write_to(channel, &mut wire).unwrap();
+            assert_eq!(wire, Response::Chunk { channel, data }.encode());
+            assert_eq!(frame.payload_len(), 0);
+        }
+    }
 
     #[test]
     fn request_roundtrip() {

@@ -19,7 +19,7 @@ use sr_sqlgen::{generate_queries, PlanSpec, QueryStyle};
 use sr_tagger::{tag_streams_traced, RowSource, StreamInput, TagError};
 use sr_viewtree::{EdgeSet, ViewTree};
 
-use crate::frame::{DoneStats, ErrorCode, Format, Response, ViewRef, DOC_CHANNEL};
+use crate::frame::{ChunkFrame, DoneStats, ErrorCode, Format, ViewRef, DOC_CHANNEL};
 
 /// Named views the server is willing to materialize. Built by the caller
 /// (the CLI registers the paper's `query1` / `query2`); sr-serve itself has
@@ -306,7 +306,7 @@ const CHUNK_ROWS: usize = 1024;
 /// underlying writer. The tagger writes the XML document into this.
 struct FrameChunkWriter<'a, W: Write> {
     out: &'a mut W,
-    buf: Vec<u8>,
+    frame: ChunkFrame,
     shipped: u64,
     /// Time spent inside the underlying writer (frame encode + socket
     /// write, i.e. client backpressure) — the `encode_ms` of the request's
@@ -318,25 +318,16 @@ impl<'a, W: Write> FrameChunkWriter<'a, W> {
     fn new(out: &'a mut W) -> Self {
         FrameChunkWriter {
             out,
-            buf: Vec::with_capacity(CHUNK_BYTES),
+            frame: ChunkFrame::with_capacity(CHUNK_BYTES),
             shipped: 0,
             write_ns: 0,
         }
     }
 
-    fn ship(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        self.shipped += self.buf.len() as u64;
+    fn ship(&mut self, channel: u16) -> std::io::Result<()> {
+        self.shipped += self.frame.payload_len() as u64;
         let started = Instant::now();
-        let frame = Response::Chunk {
-            channel: DOC_CHANNEL,
-            data: std::mem::take(&mut self.buf),
-        }
-        .encode();
-        self.buf = Vec::with_capacity(CHUNK_BYTES);
-        let r = self.out.write_all(&frame);
+        let r = self.frame.write_to(channel, self.out);
         self.write_ns += started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         r
     }
@@ -344,15 +335,15 @@ impl<'a, W: Write> FrameChunkWriter<'a, W> {
 
 impl<W: Write> Write for FrameChunkWriter<'_, W> {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        if self.buf.len() >= CHUNK_BYTES {
-            self.ship()?;
+        self.frame.extend(data);
+        if self.frame.payload_len() >= CHUNK_BYTES {
+            self.ship(DOC_CHANNEL)?;
         }
         Ok(data.len())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.ship()?;
+        self.ship(DOC_CHANNEL)?;
         self.out.flush()
     }
 }
@@ -459,9 +450,11 @@ pub fn run_query<W: Write>(
             }
         }
         Format::Tuples => {
+            // FIXME(ROADMAP: one request pipeline): this arm never fills
+            // `per_stream_rows`, so tuple requests never reach
+            // `recoster.observe`.
             let mut tuples = 0u64;
-            let mut bytes = 0u64;
-            let mut write_ns = 0u64;
+            let mut writer = FrameChunkWriter::new(out);
             for (i, q) in queries.into_iter().enumerate() {
                 let mut stream = engine.execute_sql_streaming(&q.sql).map_err(engine_err)?;
                 cancels.register(stream.cancel_handle());
@@ -469,44 +462,32 @@ pub fn run_query<W: Write>(
                     stream.set_trace(t, &format!("stream {i}"));
                 }
                 sqls.push(q.sql);
-                let mut batch = Vec::with_capacity(CHUNK_ROWS);
-                loop {
-                    let row = stream.next_row().map_err(engine_err)?;
-                    let done = row.is_none();
-                    if let Some(r) = row {
-                        batch.push(r);
-                    }
-                    if batch.len() >= CHUNK_ROWS || (done && !batch.is_empty()) {
-                        tuples += batch.len() as u64;
-                        let enc_started = Instant::now();
-                        let data = sr_engine::wire::encode_rows(&batch).to_vec();
-                        batch.clear();
-                        bytes += data.len() as u64;
-                        let frame = Response::Chunk {
-                            channel: i as u16,
-                            data,
-                        }
-                        .encode();
-                        let r = out.write_all(&frame);
-                        write_ns += enc_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                        r.map_err(PipelineError::ClientGone)?;
-                    }
-                    if done {
-                        break;
+                // The engine's chunks are already the response's bytes:
+                // forward them as they are, cut on row boundaries so that
+                // no frame carries more than `CHUNK_ROWS` rows.
+                while let Some(chunk) = stream.next_chunk().map_err(engine_err)? {
+                    let mut rest: &[u8] = &chunk;
+                    while !rest.is_empty() {
+                        let (len, rows) =
+                            sr_engine::wire::row_prefix(rest, CHUNK_ROWS).map_err(engine_err)?;
+                        tuples += rows as u64;
+                        writer.frame.extend(&rest[..len]);
+                        writer.ship(i as u16).map_err(PipelineError::ClientGone)?;
+                        rest = &rest[len..];
                     }
                 }
             }
-            out.flush().map_err(PipelineError::ClientGone)?;
+            writer.out.flush().map_err(PipelineError::ClientGone)?;
             RunStats {
                 done: DoneStats {
                     tuples,
                     elements: 0,
-                    bytes,
+                    bytes: writer.shipped,
                     streams,
                     elapsed_us: started.elapsed().as_micros().min(u64::MAX as u128) as u64,
                 },
                 plan_ms,
-                encode_ms: write_ns as f64 / 1e6,
+                encode_ms: writer.write_ns as f64 / 1e6,
                 cache_hit: false,
                 sqls: Vec::new(),
                 per_stream_rows: Vec::new(),
@@ -561,6 +542,79 @@ mod tests {
         };
         assert!(resolve_plan(&tree, "greedy", Some(&ctx)).is_ok());
         assert_eq!(recoster.plan_count("v"), 1);
+    }
+
+    #[test]
+    fn tuple_responses_forward_engine_chunks_cut_on_row_boundaries() {
+        let db = Arc::new(sr_tpch::generate(sr_tpch::Scale::mb(0.5)).expect("tpch"));
+        let tree = silkroute::query1_tree(&db);
+        let spec = resolve_plan(&tree, "partitioned", None).expect("plan");
+        let sqls: Vec<String> = generate_queries(&tree, &db, spec)
+            .expect("component queries")
+            .into_iter()
+            .map(|q| q.sql)
+            .collect();
+        // Cold, the engine streams chunks of at most `CHUNK_ROWS` rows;
+        // primed through the buffered path, the fragment cache hands each
+        // stream back as one chunk however long. Same frames either way.
+        let cold = Server::new(Arc::clone(&db));
+        let primed = Server::new(Arc::clone(&db)).with_fragment_cache(64 << 20);
+        let mut expect = Vec::new();
+        for sql in &sqls {
+            let rows = primed
+                .execute_sql(sql)
+                .expect("prime")
+                .collect_rows()
+                .expect("rows");
+            expect.push(sr_engine::wire::encode_rows(&rows).to_vec());
+        }
+        assert!(
+            expect
+                .iter()
+                .any(|e| sr_engine::wire::row_prefix(e, usize::MAX).unwrap().1 > CHUNK_ROWS),
+            "the fixture must have a stream longer than one frame"
+        );
+
+        for engine in [&cold, &primed] {
+            let mut wire = Vec::new();
+            let cancels = CancelRegistry::new();
+            let stats = run_query(
+                engine,
+                &tree,
+                Format::Tuples,
+                spec,
+                &cancels,
+                &mut wire,
+                None,
+            )
+            .expect("tuple request");
+            let mut got = vec![Vec::new(); sqls.len()];
+            let mut frames = &wire[..];
+            while let Some(resp) = crate::frame::read_response(&mut frames).expect("frame") {
+                let crate::frame::Response::Chunk { channel, data } = resp else {
+                    panic!("only chunk frames are written here");
+                };
+                let (len, rows) = sr_engine::wire::row_prefix(&data, usize::MAX).expect("rows");
+                assert_eq!(len, data.len(), "a frame holds whole rows");
+                assert!((1..=CHUNK_ROWS).contains(&rows), "{rows} rows in one frame");
+                got[channel as usize].extend_from_slice(&data);
+            }
+            assert!(
+                got == expect,
+                "forwarded payload differs from the re-encoded rows"
+            );
+            let total: usize = expect.iter().map(Vec::len).sum();
+            assert_eq!(stats.done.bytes, total as u64);
+            let rows = |e: &Vec<u8>| sr_engine::wire::row_prefix(e, usize::MAX).unwrap().1 as u64;
+            assert_eq!(stats.done.tuples, expect.iter().map(rows).sum::<u64>());
+            assert_eq!(stats.done.streams, sqls.len() as u64);
+        }
+        let hits = primed.metrics().snapshot().counter("cache.fragment.hits");
+        assert_eq!(
+            hits,
+            sqls.len() as u64,
+            "the primed engine served from its cache"
+        );
     }
 
     #[test]

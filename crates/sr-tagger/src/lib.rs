@@ -11,11 +11,10 @@
 //! with the `ReducedComponent` metadata produced by `sr-sqlgen`, so the
 //! tagger can map `L{p}` / `v{p}_{q}` columns back to elements and text.
 
-pub mod lift;
+mod program;
 pub mod tagger;
 pub mod xml;
 
-pub use lift::{GlobalLayout, StreamLift};
 pub use tagger::{
     tag_streams, tag_streams_traced, RowSource, StreamInput, StreamTagStats, TagError, TagStats,
 };

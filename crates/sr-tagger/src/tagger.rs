@@ -3,28 +3,33 @@
 //! "The tagging algorithm merges the partitioned tuple streams into one
 //! tuple stream, nests the tuples, and tags their values. The required
 //! memory size depends only on the number of nodes and Skolem-term
-//! variables in the view tree" — here: one lifted head row per stream plus
-//! an open-element stack bounded by the view-tree depth, each entry holding
-//! one lifted snapshot.
+//! variables in the view tree" — here: per stream one bounded cell arena
+//! and one head key, plus an open-element stack as deep as the view tree,
+//! each entry retaining the few cells its element still has to emit. No
+//! tuple is owned between the wire and the XML sink, and once the buffers
+//! have grown to the view tree's size the loop allocates nothing
+//! (`tests/constant_space.rs`).
 //!
-//! Mechanics: every tuple is lifted into the global §3.2 sort layout; a
-//! k-way merge pops tuples in document order; each tuple's non-NULL `L`
-//! prefix identifies a root-to-node path whose instances are opened/closed
-//! against a stack. Merged (`1`-labeled) class members and literal/variable
-//! text are emitted by a per-element cursor over the element's content
-//! layout, so interleaved text and out-of-order sibling branches come out
-//! in document order.
+//! Mechanics: every stream's head tuple is reduced to its [`PathKey`]; a
+//! k-way merge takes tuples in key order, which is document order; a
+//! tuple's non-NULL `L` prefix names a root-to-node path whose instances
+//! are opened/closed against the stack. Merged (`1`-labeled) class members
+//! and literal/variable text are emitted by a per-element cursor over the
+//! element's content layout, so interleaved text and out-of-order sibling
+//! branches come out in document order.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::io::Write;
 use std::time::Duration;
 
-use sr_data::{Row, Schema, Value};
+use sr_data::{Row, Schema};
+use sr_engine::wire::{Cell, CellArena, Slot};
 use sr_engine::{EngineError, TupleStream};
 use sr_obs::{TraceSpan, Tracer};
 use sr_viewtree::{NodeContent, NodeId, ReducedComponent, TextSource, ViewTree};
 
-use crate::lift::{GlobalLayout, StreamLift};
+use crate::program::{Program, StreamColumns};
 use crate::xml::{XmlError, XmlWriter};
 
 /// Tagger errors.
@@ -84,15 +89,6 @@ pub enum RowSource {
     /// materialized iterator, and there is only one `RowSource` per
     /// component stream.
     Stream(Box<TupleStream>),
-}
-
-impl RowSource {
-    fn next_row(&mut self) -> Result<Option<Row>, EngineError> {
-        match self {
-            RowSource::Materialized(it) => Ok(it.next()),
-            RowSource::Stream(s) => s.next_row(),
-        }
-    }
 }
 
 /// One input stream: rows, their schema, and the component metadata that
@@ -155,87 +151,229 @@ impl TagStats {
     }
 }
 
-struct StreamState {
+/// A tuple's place in document order: its *structural path* flattened to
+/// `L1, keys of the level-1 node, L2, keys of the level-2 node, …`, the `L`
+/// prefix ending where the tuple's path does.
+///
+/// Two tuples compare by these cells left to right, a path that ends
+/// sorting before one that goes on (parents before children). Two keys
+/// agree on layout for as long as they agree on content — the same `L`
+/// prefix names the same nodes, hence the same key variables — so the walk
+/// never compares cells of different meaning. Comparing whole tuples
+/// column-by-column would be wrong across streams: a reduced component
+/// carries merged members' keys and content on every row, while other
+/// components lack those columns; path keys are carried by every stream
+/// whose tuples pass through the node.
+///
+/// All buffers are reused: a key is rebuilt in place for every tuple.
+#[derive(Default)]
+struct PathKey {
+    cells: Vec<Slot>,
+    /// String bytes of `cells`.
+    bytes: Vec<u8>,
+    /// The node at each level of the path.
+    path: Vec<NodeId>,
+    /// `ends[d]` = how many of `cells` belong to levels `..=d`.
+    ends: Vec<usize>,
+}
+
+/// [`Slot::keep`], its one failure typed.
+#[inline]
+fn retain(cell: Cell<'_>, store: &mut Vec<u8>) -> Result<Slot, TagError> {
+    Slot::keep(cell, store)
+        .ok_or_else(|| TagError::Structure("a tuple's strings exceed 4 GiB".into()))
+}
+
+impl PathKey {
+    /// Compare with `other`: how many leading cells agree, and the order
+    /// from there on.
+    #[inline]
+    fn diverge(&self, other: &PathKey) -> (usize, Ordering) {
+        let n = self.cells.len().min(other.cells.len());
+        for i in 0..n {
+            let ord = self.cells[i].order(&self.bytes, other.cells[i], &other.bytes);
+            if ord != Ordering::Equal {
+                return (i, ord);
+            }
+        }
+        (n, self.cells.len().cmp(&other.cells.len()))
+    }
+
+    #[inline]
+    fn push(&mut self, cell: Cell<'_>) -> Result<(), TagError> {
+        self.cells.push(retain(cell, &mut self.bytes)?);
+        Ok(())
+    }
+
+    /// Rebuild the key for the tuple whose cell at column `c` is `cell(c)`,
+    /// following its non-NULL `L` prefix down the tree. A tuple whose
+    /// labels name no path through the tree is malformed.
+    #[inline]
+    fn rebuild<'c>(
+        &mut self,
+        prog: &Program<'_>,
+        cols: &StreamColumns,
+        cell: impl Fn(usize) -> Cell<'c>,
+    ) -> Result<(), TagError> {
+        self.cells.clear();
+        self.bytes.clear();
+        self.path.clear();
+        self.ends.clear();
+        for (p, &col) in cols.level.iter().enumerate() {
+            let label = match cell(col) {
+                Cell::Null => break,
+                Cell::Int(i) => i,
+                other => {
+                    return Err(TagError::Structure(format!(
+                        "non-integer level label L{}: {other}",
+                        p + 1
+                    )));
+                }
+            };
+            let Some(node) = prog.step(self.path.last().copied(), label) else {
+                let mut sfi: Vec<i64> = self.path.iter().map(|&n| prog.ordinal(n).into()).collect();
+                sfi.push(label);
+                return Err(TagError::Structure(format!(
+                    "no view-tree node with SFI {sfi:?}"
+                )));
+            };
+            self.push(Cell::Int(label))?;
+            for &col in cols.keys(node) {
+                self.push(cell(col))?;
+            }
+            self.path.push(node);
+            self.ends.push(self.cells.len());
+        }
+        if self.path.is_empty() {
+            return Err(TagError::Structure("tuple with NULL L1".into()));
+        }
+        Ok(())
+    }
+}
+
+/// One stream's position in the merge: its source, the tuple at its head,
+/// and where its schema puts the columns the tagger reads. The head is
+/// never an owned tuple on the wire path — it is a row index into the
+/// stream's cell arena — and both kinds of source are read through
+/// [`Cursor::cell`] alone, so everything downstream is one code path.
+struct Cursor {
     rows: RowSource,
-    lift: StreamLift,
-    /// member node → class index (within this stream's component).
-    class_of: Vec<Option<usize>>,
+    /// Head of a [`RowSource::Materialized`].
+    row: Option<Row>,
+    /// Bound rows of a [`RowSource::Stream`], and the head's index in them.
+    arena: CellArena,
+    at: usize,
+    cols: StreamColumns,
+    /// The head tuple's key.
+    key: PathKey,
 }
 
-/// One stream's current head in the merge heap: its lifted key and the
-/// stream it came from. Ordered by `(lifted key, stream index)` — the
-/// stream-index tie-break keeps equal keys in component preorder, exactly
-/// as the previous linear best-pick scan did.
-struct HeapEntry {
-    key: Vec<Value>,
-    si: usize,
+/// A materialized row's cell at `col`; NULL past its arity.
+#[inline]
+fn cell_of(row: &Row, col: usize) -> Cell<'_> {
+    row.values().get(col).map_or(Cell::Null, Cell::from)
 }
 
-/// Strict `a < b` under the merge order. [`GlobalLayout::cmp_lifted`] is
-/// layout-dependent, so the heap cannot use `Ord` + `BinaryHeap`; these
-/// free functions thread the layout through a hand-rolled binary min-heap.
-fn heap_less(layout: &GlobalLayout, a: &HeapEntry, b: &HeapEntry) -> bool {
-    match layout.cmp_lifted(&a.key, &b.key) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.si < b.si,
+impl Cursor {
+    /// Move to the next tuple and work out its key; `false` once the
+    /// stream is exhausted.
+    fn advance(&mut self, prog: &Program<'_>) -> Result<bool, TagError> {
+        match &mut self.rows {
+            RowSource::Materialized(it) => {
+                self.row = it.next();
+                let Some(row) = &self.row else {
+                    return Ok(false);
+                };
+                self.key.rebuild(prog, &self.cols, |c| cell_of(row, c))?;
+            }
+            RowSource::Stream(stream) => {
+                self.at += 1;
+                if self.at >= self.arena.rows() {
+                    self.at = 0;
+                    if !stream.bind_next(&mut self.arena)? {
+                        return Ok(false);
+                    }
+                }
+                let (arena, at) = (&self.arena, self.at);
+                self.key.rebuild(prog, &self.cols, |c| arena.cell(at, c))?;
+            }
+        }
+        Ok(true)
     }
-}
 
-/// Push onto the min-heap: O(log k).
-fn heap_push(heap: &mut Vec<HeapEntry>, layout: &GlobalLayout, entry: HeapEntry) {
-    heap.push(entry);
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if heap_less(layout, &heap[i], &heap[parent]) {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
-            break;
+    /// The head tuple's cell at `col`; NULL for a column the stream lacks
+    /// (`program::ABSENT`).
+    fn cell(&self, col: usize) -> Cell<'_> {
+        match &self.rows {
+            RowSource::Materialized(_) => {
+                (self.row.as_ref()).map_or(Cell::Null, |r| cell_of(r, col))
+            }
+            RowSource::Stream(_) => self.arena.cell(self.at, col),
         }
     }
 }
 
-/// Pop the minimum off the heap: O(log k).
-fn heap_pop(heap: &mut Vec<HeapEntry>, layout: &GlobalLayout) -> Option<HeapEntry> {
-    if heap.is_empty() {
-        return None;
-    }
-    let last = heap.len() - 1;
-    heap.swap(0, last);
-    let top = heap.pop();
-    let mut i = 0;
-    loop {
-        let l = 2 * i + 1;
-        if l >= heap.len() {
-            break;
+/// The k-way merge's binary min-heap, over stream indices. The caller owns
+/// the keys (the streams' heads) and passes the strict order in; the heap
+/// only remembers positions. A tuple costs one sift-down from the top, not
+/// a pop and a push, and the sift stops at once while the stream that just
+/// advanced still precedes the runner-up — the common case, a run of
+/// tuples from one stream.
+struct MergeHeap(Vec<usize>);
+
+impl MergeHeap {
+    fn new(members: Vec<usize>, less: &impl Fn(usize, usize) -> bool) -> MergeHeap {
+        let mut heap = MergeHeap(members);
+        for i in (0..heap.0.len() / 2).rev() {
+            heap.sift_down(i, less);
         }
-        let r = l + 1;
-        let child = if r < heap.len() && heap_less(layout, &heap[r], &heap[l]) {
-            r
-        } else {
-            l
-        };
-        if heap_less(layout, &heap[child], &heap[i]) {
+        heap
+    }
+
+    /// The stream whose head is smallest.
+    fn top(&self) -> Option<usize> {
+        self.0.first().copied()
+    }
+
+    /// The top stream ran dry: drop it.
+    fn remove_top(&mut self, less: &impl Fn(usize, usize) -> bool) {
+        self.0.swap_remove(0);
+        self.sift_down(0, less);
+    }
+
+    /// Restore the heap after the stream at position `i` moved to a later
+    /// tuple.
+    fn sift_down(&mut self, mut i: usize, less: &impl Fn(usize, usize) -> bool) {
+        let heap = &mut self.0;
+        loop {
+            let l = 2 * i + 1;
+            if l >= heap.len() {
+                break;
+            }
+            let r = l + 1;
+            let child = if r < heap.len() && less(heap[r], heap[l]) {
+                r
+            } else {
+                l
+            };
+            if !less(heap[child], heap[i]) {
+                break;
+            }
             heap.swap(i, child);
             i = child;
-        } else {
-            break;
         }
     }
-    top
 }
 
-/// The sortedness-contract error for a tuple whose lifted key regressed
-/// behind the previously merged one. Two distinct contracts can break:
+/// The sortedness-contract error for a tuple whose key regressed behind
+/// the previously merged one. Two distinct contracts can break:
 ///
 /// * `si == prev_si` — the stream violated its **intra-stream order**
 ///   contract: the server shipped it out of document order.
-/// * `si != prev_si` — each stream may well be sorted, but their lifted
-///   keys disagree about document order: a **merge layout** mismatch
-///   between the streams' lift mappings. Blaming only `si` here (as the
-///   tagger used to) sent people debugging the wrong stream's ORDER BY.
+/// * `si != prev_si` — each stream may well be sorted, but their keys
+///   disagree about document order: a **merge layout** mismatch between
+///   the streams' column mappings. Blaming only `si` would send people
+///   debugging the wrong stream's ORDER BY.
 fn order_violation(si: usize, prev_si: usize) -> TagError {
     if si == prev_si {
         TagError::Structure(format!(
@@ -252,26 +390,36 @@ fn order_violation(si: usize, prev_si: usize) -> TagError {
     }
 }
 
+/// One open element. The stack keeps `max_level` of these for the whole
+/// run and reuses their buffers, so an element outlives the wire chunk its
+/// opening tuple came from without the loop allocating: the cells its text
+/// and merged members will read are copied in, string bytes into `bytes`,
+/// cleared rather than freed.
+#[derive(Default)]
 struct Open {
     node: NodeId,
-    key: Vec<Value>,
+    /// Which stream opened it (for class metadata and column positions).
+    stream: usize,
     /// Cursor into the node's content layout.
     cursor: usize,
     /// Highest child ordinal already opened as a streamed instance.
     last_child_ordinal: u32,
-    /// Lifted snapshot from the opening tuple (payload for text and merged
-    /// members).
-    snapshot: Vec<Value>,
-    /// Which stream opened it (for class metadata).
-    stream: usize,
+    /// The opening tuple's cells, by the opening stream's column; only the
+    /// columns in that stream's payload for `node` are current.
+    cells: Vec<Slot>,
+    bytes: Vec<u8>,
 }
 
 /// The tagging machine; holds the pieces every emission step needs.
 struct Tagger<'t, W: Write> {
-    tree: &'t ViewTree,
-    layout: GlobalLayout,
-    streams: Vec<StreamState>,
+    prog: Program<'t>,
+    streams: Vec<Cursor>,
+    /// `stack[..depth]` are the open elements, outermost first.
     stack: Vec<Open>,
+    depth: usize,
+    /// The key of the last tuple tagged. Its path is what `stack[..depth]`
+    /// holds open.
+    last: PathKey,
     writer: XmlWriter<W>,
     stats: TagStats,
     /// Trace sink and the driver's lane for merge-progress counters.
@@ -299,40 +447,35 @@ pub fn tag_streams_traced<W: Write>(
     pretty: bool,
     tracer: Option<&Tracer>,
 ) -> Result<(TagStats, W), TagError> {
-    let layout = GlobalLayout::new(tree);
+    let prog = Program::compile(tree)?;
     let mut writer = XmlWriter::new(out);
     writer.pretty = pretty;
 
-    let mut streams: Vec<StreamState> = Vec::with_capacity(inputs.len());
+    let widest = inputs.iter().map(|i| i.schema.arity()).max().unwrap_or(0);
+    let mut streams: Vec<Cursor> = Vec::with_capacity(inputs.len());
     for input in inputs {
-        let lift = StreamLift::new(tree, &layout, &input.schema);
-        let mut class_of = vec![None; tree.nodes.len()];
-        for (ci, class) in input.reduced.nodes.iter().enumerate() {
-            for &m in &class.members {
-                // A reduced component is caller-supplied; a member id past
-                // the tree is a malformed input, not an internal invariant.
-                if m >= class_of.len() {
-                    return Err(TagError::MalformedTree(format!(
-                        "reduced class {ci} references view node {m}, but the tree has {} node(s)",
-                        tree.nodes.len()
-                    )));
-                }
-                class_of[m] = Some(ci);
-            }
-        }
-        streams.push(StreamState {
+        streams.push(Cursor {
+            cols: StreamColumns::compile(tree, &input.schema, &input.reduced)?,
+            arena: CellArena::new(input.schema.arity()),
             rows: input.rows,
-            lift,
-            class_of,
+            row: None,
+            at: 0,
+            key: PathKey::default(),
         });
     }
 
     let n = streams.len();
     let mut t = Tagger {
-        tree,
-        layout,
+        stack: std::iter::repeat_with(|| Open {
+            cells: vec![Slot::default(); widest],
+            ..Open::default()
+        })
+        .take(prog.max_level)
+        .collect(),
+        depth: 0,
+        last: PathKey::default(),
+        prog,
         streams,
-        stack: Vec::new(),
         writer,
         stats: TagStats {
             per_stream: vec![StreamTagStats::default(); n],
@@ -361,40 +504,41 @@ pub fn tag_streams_traced<W: Write>(
     Ok((stats, out))
 }
 
-impl<'t, W: Write> Tagger<'t, W> {
+/// The merge order over stream indices: by head key, ties broken by stream
+/// index, which keeps equal keys in component preorder.
+fn by_head(streams: &[Cursor]) -> impl Fn(usize, usize) -> bool + '_ {
+    |a, b| {
+        let by_key = streams[a].key.diverge(&streams[b].key).1;
+        by_key.then(a.cmp(&b)).is_lt()
+    }
+}
+
+impl<W: Write> Tagger<'_, W> {
     fn run(&mut self) -> Result<(), TagError> {
-        // The k-way merge heap, one entry per non-exhausted stream, ordered
-        // by `(lifted key, stream index)`. O(log k) per tuple instead of the
-        // former O(k) linear best-pick scan — shard fan-out multiplies
-        // stream counts, so k is no longer always small.
-        let mut heap: Vec<HeapEntry> = Vec::with_capacity(self.streams.len());
+        let mut live = Vec::with_capacity(self.streams.len());
         for (si, s) in self.streams.iter_mut().enumerate() {
-            if let Some(row) = s.rows.next_row()? {
-                let key = s.lift.lift(&row);
-                heap_push(&mut heap, &self.layout, HeapEntry { key, si });
+            if s.advance(&self.prog)? {
+                live.push(si);
             }
         }
+        let mut heap = MergeHeap::new(live, &by_head(&self.streams));
 
-        // Guard against servers that violate the sortedness contract: the
-        // merged sequence of lifted keys must be non-decreasing, otherwise
-        // the constant-space re-nesting would silently emit a corrupted
-        // document. `last` remembers which stream produced the previous
-        // tuple so a violation can name both parties; it is updated by
-        // *moving* the popped key in — no per-tuple clone on the hot loop.
-        let mut last: Option<(Vec<Value>, usize)> = None;
-
-        while let Some(HeapEntry { key: lifted, si }) = heap_pop(&mut heap, &self.layout) {
-            if let Some((prev, prev_si)) = &last {
-                if self.layout.cmp_lifted(&lifted, prev) == std::cmp::Ordering::Less {
-                    return Err(order_violation(si, *prev_si));
-                }
+        // Which stream the last tuple tagged came from.
+        let mut prev = 0;
+        while let Some(si) = heap.top() {
+            // The sortedness guard: the merged sequence must be
+            // non-decreasing, otherwise the constant-space re-nesting would
+            // silently emit a corrupted document. The same walk says how
+            // much of the open path this tuple keeps.
+            let (shared, order) = self.streams[si].key.diverge(&self.last);
+            if order == Ordering::Less {
+                return Err(order_violation(si, prev));
             }
-            if let Some(row) = self.streams[si].rows.next_row()? {
-                let key = self.streams[si].lift.lift(&row);
-                heap_push(&mut heap, &self.layout, HeapEntry { key, si });
-            }
+            prev = si;
+            self.tag_tuple(si, shared)?;
             self.stats.tuples += 1;
             self.stats.per_stream[si].tuples += 1;
+            self.stats.max_open_depth = self.stats.max_open_depth.max(self.depth);
             if let Some((tr, lane)) = self.trace {
                 // Periodic progress counter — one sample per chunk-worth of
                 // tuples keeps the trace small on large documents.
@@ -402,181 +546,141 @@ impl<'t, W: Write> Tagger<'t, W> {
                     tr.counter(lane, "tagger.tuples", self.stats.tuples as f64);
                 }
             }
-            self.process_tuple(si, &lifted)?;
-            self.stats.max_open_depth = self.stats.max_open_depth.max(self.stack.len());
-            // Retire the tuple's key into `last` by move (the buffer was
-            // allocated by `lift` anyway; the previous one is dropped).
-            match &mut last {
-                Some((prev, prev_si)) => {
-                    *prev = lifted;
-                    *prev_si = si;
-                }
-                None => last = Some((lifted, si)),
+            if self.streams[si].advance(&self.prog)? {
+                heap.sift_down(0, &by_head(&self.streams));
+            } else {
+                heap.remove_top(&by_head(&self.streams));
             }
         }
 
         // Close everything left open.
-        while let Some(mut open) = self.stack.pop() {
-            self.advance_cursor(&mut open, None)?;
-            self.writer.close(&self.tree.node(open.node).tag)?;
-        }
-        Ok(())
+        self.close_down_to(0)
     }
 
-    fn process_tuple(&mut self, si: usize, lifted: &[Value]) -> Result<(), TagError> {
-        // Decode the tuple's node path from its non-NULL L prefix.
-        let mut path: Vec<(NodeId, Vec<Value>)> = Vec::new();
-        let mut sfi: Vec<u32> = Vec::new();
-        for p in 1..=self.tree.max_level() {
-            let ord = match self.layout.level_value(lifted, p) {
-                Value::Null => break,
-                Value::Int(i) => *i as u32,
-                other => {
-                    return Err(TagError::Structure(format!(
-                        "non-integer level label L{p}: {other}"
-                    )));
-                }
-            };
-            sfi.push(ord);
-            let node = self.layout.node_by_sfi(&sfi).ok_or_else(|| {
-                TagError::Structure(format!("no view-tree node with SFI {sfi:?}"))
-            })?;
-            let key: Vec<Value> = self
-                .tree
-                .node(node)
-                .key_args
-                .iter()
-                .map(|&v| self.layout.var_value(lifted, v).clone())
-                .collect();
-            path.push((node, key));
-        }
-        if path.is_empty() {
-            return Err(TagError::Structure("tuple with NULL L1".into()));
-        }
+    /// Tag the head tuple of stream `si`, whose key agrees with the last
+    /// tuple's in its first `shared` cells: close the open elements its
+    /// path leaves, open the ones it enters.
+    fn tag_tuple(&mut self, si: usize, shared: usize) -> Result<(), TagError> {
+        // The open stack is the last tuple's path: the levels whose cells
+        // all lie in the shared prefix stay open.
+        let key = &self.streams[si].key;
+        let levels = key.path.len();
+        let open = key.ends.iter().take(self.depth);
+        let keep = open.take_while(|&&end| end <= shared).count();
 
-        // Longest common prefix with the open stack.
-        let mut cpl = 0;
-        while cpl < self.stack.len()
-            && cpl < path.len()
-            && self.stack[cpl].node == path[cpl].0
-            && self.stack[cpl].key == path[cpl].1
-        {
-            cpl += 1;
-        }
-
-        // Close elements beyond the common prefix.
-        while self.stack.len() > cpl {
-            let mut open = self.stack.pop().ok_or_else(|| {
-                TagError::MalformedTree("open-element stack underflow while closing".into())
-            })?;
-            self.advance_cursor(&mut open, None)?;
-            self.writer.close(&self.tree.node(open.node).tag)?;
-        }
+        self.close_down_to(keep)?;
 
         // Open the remainder of the path.
-        for (node, key) in path.into_iter().skip(cpl) {
-            let ordinal = *self.tree.node(node).sfi.last().ok_or_else(|| {
-                TagError::MalformedTree(format!(
-                    "node <{}> has an empty SFI path",
-                    self.tree.node(node).tag
-                ))
-            })?;
-            if let Some(mut parent) = self.stack.pop() {
-                self.advance_cursor(&mut parent, Some(ordinal))?;
+        for d in keep..levels {
+            let node = self.streams[si].key.path[d];
+            if d > 0 {
+                let ordinal = self.prog.ordinal(node);
+                self.advance_cursor(d - 1, Some(ordinal))?;
+                let parent = &mut self.stack[d - 1];
                 parent.last_child_ordinal = parent.last_child_ordinal.max(ordinal);
-                self.stack.push(parent);
             }
-            self.writer.open(&self.tree.node(node).tag)?;
+            self.writer.open(&self.prog.tree.node(node).tag)?;
             self.stats.elements += 1;
-            self.stack.push(Open {
-                node,
-                key,
-                cursor: 0,
-                last_child_ordinal: 0,
-                snapshot: lifted.to_vec(),
-                stream: si,
-            });
+
+            let (cur, open) = (&self.streams[si], &mut self.stack[d]);
+            open.node = node;
+            open.stream = si;
+            open.cursor = 0;
+            open.last_child_ordinal = 0;
+            open.bytes.clear();
+            for &col in cur.cols.payload(node) {
+                open.cells[col] = retain(cur.cell(col), &mut open.bytes)?;
+            }
+            self.depth = d + 1;
+        }
+
+        // The stream rebuilds its key when it advances, which is next; take
+        // this one instead of copying it.
+        std::mem::swap(&mut self.last, &mut self.streams[si].key);
+        Ok(())
+    }
+
+    /// Close the innermost open elements until `depth` remain.
+    fn close_down_to(&mut self, depth: usize) -> Result<(), TagError> {
+        while self.depth > depth {
+            let d = self.depth - 1;
+            self.advance_cursor(d, None)?;
+            self.writer
+                .close(&self.prog.tree.node(self.stack[d].node).tag)?;
+            self.depth = d;
         }
         Ok(())
     }
 
-    /// Advance an element's content cursor up to (but excluding) the child
-    /// slot with ordinal `target`; `None` means to the end. Emits text and
-    /// fully materializes merged class members along the way.
-    fn advance_cursor(&mut self, open: &mut Open, target: Option<u32>) -> Result<(), TagError> {
-        let layout_len = self.tree.node(open.node).content.len();
-        while open.cursor < layout_len {
-            let item = self.tree.node(open.node).content[open.cursor].clone();
+    /// Advance the content cursor of the element at stack depth `d` up to
+    /// (but excluding) the child slot with ordinal `target`; `None` means
+    /// to the end. Emits text and fully materializes merged class members
+    /// along the way.
+    fn advance_cursor(&mut self, d: usize, target: Option<u32>) -> Result<(), TagError> {
+        let node = self.stack[d].node;
+        let content = &self.prog.tree.node(node).content;
+        while let Some(item) = content.get(self.stack[d].cursor) {
             match item {
-                NodeContent::Text(src) => {
-                    self.emit_text(&src, &open.snapshot)?;
-                    open.cursor += 1;
-                }
+                NodeContent::Text(src) => self.emit_text(src, d)?,
                 NodeContent::Child(c) => {
-                    let ord = *self.tree.node(c).sfi.last().ok_or_else(|| {
-                        TagError::MalformedTree(format!(
-                            "node <{}> has an empty SFI path",
-                            self.tree.node(c).tag
-                        ))
-                    })?;
-                    if let Some(t) = target {
-                        if ord >= t {
-                            return Ok(());
-                        }
+                    let ord = self.prog.ordinal(*c);
+                    if target.is_some_and(|t| ord >= t) {
+                        return Ok(());
                     }
-                    if ord > open.last_child_ordinal && self.same_class(open.stream, open.node, c) {
+                    let open = &self.stack[d];
+                    if ord > open.last_child_ordinal
+                        && self.streams[open.stream].cols.same_class(node, *c)
+                    {
                         // A merged (`1`-labeled) member with no streamed
                         // instances of its own: materialize it from the
-                        // snapshot. Non-member children with no streamed
-                        // instances are simply absent (`*`/`?` semantics).
-                        let snapshot = open.snapshot.clone();
-                        self.emit_member(open.stream, c, &snapshot)?;
+                        // opening tuple. Non-member children with no
+                        // streamed instances are simply absent (`*`/`?`
+                        // semantics).
+                        self.emit_member(*c, d)?;
                     }
-                    open.cursor += 1;
                 }
             }
+            self.stack[d].cursor += 1;
         }
         Ok(())
     }
 
-    fn same_class(&self, stream: usize, a: NodeId, b: NodeId) -> bool {
-        let s = &self.streams[stream];
-        s.class_of[a].is_some() && s.class_of[a] == s.class_of[b]
-    }
-
-    /// Emit a merged member subtree entirely from a snapshot.
-    fn emit_member(
-        &mut self,
-        stream: usize,
-        node: NodeId,
-        snapshot: &[Value],
-    ) -> Result<(), TagError> {
-        self.writer.open(&self.tree.node(node).tag)?;
+    /// Emit a merged member subtree entirely from the cells retained by
+    /// the open element at stack depth `d`.
+    fn emit_member(&mut self, node: NodeId, d: usize) -> Result<(), TagError> {
+        let view = self.prog.tree.node(node);
+        self.writer.open(&view.tag)?;
         self.stats.elements += 1;
-        for item in self.tree.node(node).content.clone() {
+        for item in &view.content {
             match item {
-                NodeContent::Text(src) => self.emit_text(&src, snapshot)?,
+                NodeContent::Text(src) => self.emit_text(src, d)?,
                 NodeContent::Child(c) => {
-                    if self.same_class(stream, node, c) {
-                        self.emit_member(stream, c, snapshot)?;
+                    if self.streams[self.stack[d].stream].cols.same_class(node, *c) {
+                        self.emit_member(*c, d)?;
                     }
                 }
             }
         }
-        self.writer.close(&self.tree.node(node).tag)?;
+        self.writer.close(&view.tag)?;
         Ok(())
     }
 
-    fn emit_text(&mut self, src: &TextSource, snapshot: &[Value]) -> Result<(), TagError> {
-        match src {
-            TextSource::Lit(s) => self.writer.text(s)?,
-            TextSource::Var(v) => match self.layout.var_value(snapshot, *v) {
-                Value::Null => {}
-                value => {
-                    let s = value.to_string();
-                    self.writer.text(&s)?;
-                }
-            },
+    fn emit_text(&mut self, src: &TextSource, d: usize) -> Result<(), TagError> {
+        let open = &self.stack[d];
+        let cell = match src {
+            TextSource::Lit(s) => Cell::Str(s.as_bytes()),
+            TextSource::Var(v) => {
+                let col = self.streams[open.stream].cols.var[*v];
+                open.cells
+                    .get(col)
+                    .map_or(Cell::Null, |c| c.view(&open.bytes))
+            }
+        };
+        match cell {
+            Cell::Null => {}
+            Cell::Int(i) => self.writer.int(i)?,
+            Cell::Float(x) => self.writer.float(x)?,
+            Cell::Str(s) => self.writer.text_bytes(s)?,
         }
         Ok(())
     }
@@ -585,19 +689,6 @@ impl<'t, W: Write> Tagger<'t, W> {
 #[cfg(test)]
 mod merge_tests {
     use super::*;
-    use sr_data::{row, DataType, Database, Schema, Table};
-    use sr_viewtree::build;
-
-    fn layout() -> GlobalLayout {
-        let mut db = Database::new();
-        let mut t = Table::new("T", Schema::of(&[("x", DataType::Int)]));
-        t.insert_all([row![1i64]]).unwrap();
-        db.add_table(t);
-        db.declare_key("T", &["x"]).unwrap();
-        let q = sr_rxl::parse("from T $t construct <a>$t.x</a>").unwrap();
-        let tree = build(&q, &db).unwrap();
-        GlobalLayout::new(&tree)
-    }
 
     #[test]
     fn intra_stream_violation_names_the_stream_and_contract() {
@@ -617,58 +708,42 @@ mod merge_tests {
         assert!(!msg.contains("not sorted"), "{msg}");
     }
 
+    /// Merge sorted runs of integers through the heap, as `run` does.
+    fn merge(runs: &[&[i64]]) -> Vec<(i64, usize)> {
+        let at = std::cell::RefCell::new(vec![0usize; runs.len()]);
+        let less = |a: usize, b: usize| {
+            let at = at.borrow();
+            (runs[a][at[a]], a) < (runs[b][at[b]], b)
+        };
+        let live = (0..runs.len()).filter(|&i| !runs[i].is_empty()).collect();
+        let mut heap = MergeHeap::new(live, &less);
+        let mut out = Vec::new();
+        while let Some(si) = heap.top() {
+            out.push((runs[si][at.borrow()[si]], si));
+            at.borrow_mut()[si] += 1;
+            if at.borrow()[si] < runs[si].len() {
+                heap.sift_down(0, &less);
+            } else {
+                heap.remove_top(&less);
+            }
+        }
+        out
+    }
+
     #[test]
-    fn heap_pops_in_key_order_with_stream_index_tie_break() {
-        let layout = layout();
-        // Keys are (L1, x): L1 ordinal first, then the node's key variable.
-        let key = |l: i64, x: i64| vec![Value::Int(l), Value::Int(x)];
-        let mut heap = Vec::new();
-        heap_push(
-            &mut heap,
-            &layout,
-            HeapEntry {
-                key: key(1, 5),
-                si: 0,
-            },
-        );
-        heap_push(
-            &mut heap,
-            &layout,
-            HeapEntry {
-                key: key(1, 2),
-                si: 2,
-            },
-        );
-        heap_push(
-            &mut heap,
-            &layout,
-            HeapEntry {
-                key: key(1, 2),
-                si: 1,
-            },
-        );
-        heap_push(
-            &mut heap,
-            &layout,
-            HeapEntry {
-                key: key(1, 9),
-                si: 3,
-            },
-        );
-        heap_push(
-            &mut heap,
-            &layout,
-            HeapEntry {
-                key: key(1, 1),
-                si: 4,
-            },
-        );
-        let order: Vec<(Vec<Value>, usize)> =
-            std::iter::from_fn(|| heap_pop(&mut heap, &layout).map(|e| (e.key, e.si))).collect();
-        let got: Vec<usize> = order.iter().map(|(_, si)| *si).collect();
-        // Equal keys (streams 1 and 2) must come out lowest-stream-first,
-        // matching the old linear scan's tie-break.
-        assert_eq!(got, vec![4, 1, 2, 0, 3]);
-        assert!(heap_pop(&mut heap, &layout).is_none());
+    fn heap_merges_in_key_order_with_stream_index_tie_break() {
+        // Equal keys (2 in streams 1 and 2, 5 in 0 and 3) must come out
+        // lowest-stream-first; long runs from one stream stay in order.
+        let runs: [&[i64]; 6] = [&[5, 6, 7, 8, 40], &[2, 2, 9], &[2, 30], &[5], &[], &[1, 50]];
+        let got = merge(&runs);
+        let mut want: Vec<(i64, usize)> = runs
+            .iter()
+            .enumerate()
+            .flat_map(|(si, r)| r.iter().map(move |&k| (k, si)))
+            .collect();
+        want.sort();
+        assert_eq!(got, want);
+        assert_eq!(merge(&[&[1, 2, 3]]), [(1, 0), (2, 0), (3, 0)]);
+        assert!(merge(&[]).is_empty());
     }
 }

@@ -209,6 +209,53 @@ fn unsorted_second_stream_is_blamed_by_index() {
 }
 
 #[test]
+fn violation_in_the_first_row_of_a_later_chunk_is_rejected() {
+    // A wire stream, so the tuples reach the tagger chunk by chunk. The
+    // server sorts by `alt`, which agrees with `pid` everywhere but at the
+    // chunk boundary: pid 1025 is the last row of the first 1024-row chunk
+    // and pid 1024 the first row of the second. The predecessor it must be
+    // checked against left with the chunk that was released.
+    let mut db = Database::new();
+    let mut p = Table::new(
+        "Parent",
+        Schema::of(&[("pid", DataType::Int), ("alt", DataType::Int)]),
+    );
+    for pid in 1..=1500i64 {
+        let alt = if pid == 1025 { 2 * 1024 - 1 } else { 2 * pid };
+        p.insert(row![pid, alt]).unwrap();
+    }
+    db.add_table(p);
+    db.declare_key("Parent", &["pid"]).unwrap();
+    let q = sr_rxl::parse("from Parent $p construct <parent>$p.pid</parent>").unwrap();
+    let tree = build(&q, &db).unwrap();
+    let q = generate_queries(&tree, &db, PlanSpec::unified(&tree))
+        .unwrap()
+        .remove(0);
+    let server = sr_engine::Server::new(std::sync::Arc::new(db));
+    let tag = |sql: &str| {
+        let stream = server.execute_sql_streaming(sql).unwrap();
+        let input = StreamInput {
+            schema: stream.schema.clone(),
+            rows: RowSource::Stream(Box::new(stream)),
+            reduced: q.reduced.clone(),
+        };
+        tag_streams(&tree, vec![input], Vec::new(), false)
+    };
+    let by = |order: &str| format!("SELECT 1 AS L1, p.pid AS v1_1 FROM Parent p ORDER BY {order}");
+    let (stats, _) = tag(&by("v1_1")).unwrap();
+    assert_eq!(stats.tuples, 1500, "sorted by the key, the stream tags");
+
+    let unsorted = "SELECT 1 AS L1, p.pid AS v1_1, p.alt AS alt FROM Parent p ORDER BY alt";
+    match tag(unsorted).unwrap_err() {
+        TagError::Structure(m) => {
+            assert!(m.contains("not sorted"), "{m}");
+            assert!(m.contains("stream 0"), "{m}");
+        }
+        other => panic!("expected structure error, got {other}"),
+    }
+}
+
+#[test]
 fn writer_misuse_surfaces_as_malformed_tree_not_panic() {
     // Pre-fix, a mismatched close or an unclosed element at finish was a
     // panic!/assert! inside XmlWriter — fatal for a serve worker fed a
