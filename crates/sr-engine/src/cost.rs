@@ -8,7 +8,7 @@
 //! equivalent for our engine: textbook System-R-style estimation from table
 //! statistics (row counts, per-column distinct counts and widths).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use sr_data::{DataType, Database, Value};
 
@@ -33,8 +33,9 @@ pub struct Estimate {
     /// Abstract evaluation work units (rows touched, with an n·log n term
     /// for sorts).
     pub eval_cost: f64,
-    /// Per-output-column statistics.
-    pub columns: HashMap<String, ColInfo>,
+    /// Per-output-column statistics, in name order so every sum over them
+    /// (row width, distinct products) adds up in the same order each time.
+    pub columns: BTreeMap<String, ColInfo>,
 }
 
 impl Estimate {
@@ -149,7 +150,7 @@ fn estimate_op(
         Plan::Project { input, items } => {
             let inner = estimate_env(input, db, env, id + 1, nodes)?;
             let schema = plan.schema(db)?;
-            let mut columns = HashMap::with_capacity(items.len());
+            let mut columns = BTreeMap::new();
             for ((name, expr), col) in items.iter().zip(schema.columns()) {
                 let info = match expr {
                     Expr::Col(c) => inner.columns.get(c).copied().unwrap_or(ColInfo {
@@ -160,7 +161,8 @@ fn estimate_op(
                         distinct: 1.0,
                         width: v.wire_width() as f64,
                     },
-                    Expr::TypedNull(_) => ColInfo {
+                    // Slots are comparison operands and never projected.
+                    Expr::TypedNull(_) | Expr::Param(..) => ColInfo {
                         distinct: 1.0,
                         width: 1.0,
                     },

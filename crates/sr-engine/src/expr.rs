@@ -20,6 +20,9 @@ pub enum Expr {
     /// A typed NULL (`CAST(NULL AS t)`), needed so projected NULL columns
     /// still carry a type for schema construction.
     TypedNull(DataType),
+    /// Slot `i` for a literal of type `t` in a prepared plan: planned as a
+    /// literal whose value is unknown, bound before the plan executes.
+    Param(usize, DataType),
 }
 
 impl Expr {
@@ -43,7 +46,7 @@ impl Expr {
             Expr::Lit(v) => v.data_type().ok_or_else(|| {
                 EngineError::Bind("untyped NULL literal; use CAST(NULL AS t)".into())
             }),
-            Expr::TypedNull(t) => Ok(*t),
+            Expr::TypedNull(t) | Expr::Param(_, t) => Ok(*t),
         }
     }
 
@@ -56,6 +59,7 @@ impl Expr {
                 .unwrap_or(true),
             Expr::Lit(v) => v.is_null(),
             Expr::TypedNull(_) => true,
+            Expr::Param(..) => false,
         }
     }
 
@@ -65,6 +69,7 @@ impl Expr {
             Expr::Col(name) => Ok(BoundExpr::Col(schema.require(name)?)),
             Expr::Lit(v) => Ok(BoundExpr::Lit(v.clone())),
             Expr::TypedNull(_) => Ok(BoundExpr::Lit(Value::Null)),
+            Expr::Param(i, _) => Err(EngineError::Bind(format!("parameter slot {i} is unbound"))),
         }
     }
 }
@@ -76,6 +81,7 @@ impl fmt::Display for Expr {
             Expr::Lit(Value::Str(s)) => write!(f, "'{}'", s.replace('\'', "''")),
             Expr::Lit(v) => write!(f, "{v}"),
             Expr::TypedNull(t) => write!(f, "CAST(NULL AS {t})"),
+            Expr::Param(i, _) => write!(f, "${i}"),
         }
     }
 }

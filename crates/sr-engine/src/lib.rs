@@ -26,6 +26,7 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod faults;
+pub mod lru;
 pub mod optimize;
 pub mod ordering;
 pub mod plan;
@@ -45,6 +46,7 @@ pub use exec::{
 };
 pub use expr::{CmpOp, Expr, Predicate};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, FaultTrigger};
+pub use lru::{lock_recover, Lru};
 pub use optimize::push_filters;
 pub use ordering::{elide_sorts, order_info, OrderInfo};
 pub use plan::{JoinKind, Plan};

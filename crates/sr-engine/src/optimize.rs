@@ -94,9 +94,7 @@ fn through_project(p: &Predicate, items: &[(String, Expr)]) -> Option<Predicate>
         match e {
             Expr::Col(name) => {
                 let (_, def) = items.iter().find(|(n, _)| n == name)?;
-                match def {
-                    Expr::Col(_) | Expr::Lit(_) | Expr::TypedNull(_) => Some(def.clone()),
-                }
+                Some(def.clone())
             }
             other => Some(other.clone()),
         }

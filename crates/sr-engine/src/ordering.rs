@@ -48,10 +48,9 @@ pub struct OrderInfo {
     pub fds: Vec<FunctionalDependency>,
     /// Whether the output provably contains no duplicate rows.
     pub no_dup: bool,
-    /// Known literal values for constant columns (a subset of
-    /// [`Self::constants`] whose single value is statically known, e.g.
-    /// `4 AS L2`). Used to order `UNION ALL` branches by their
-    /// discriminator literals.
+    /// Known literal values for constant columns projected from a constant
+    /// (a subset of [`Self::constants`], e.g. `4 AS L2`). Used to order
+    /// `UNION ALL` branches by their discriminator literals.
     pub lits: BTreeMap<String, Value>,
     /// Per-branch order properties of a `UNION ALL` ancestor: within each
     /// group of rows agreeing on all of [`Self::ordering`] (plus the
@@ -280,7 +279,8 @@ fn derive(plan: &Plan, db: &Database) -> (OrderInfo, Option<Schema>) {
 
 /// Propagate equality predicates into an [`OrderInfo`] — and into its
 /// union segments, since a predicate holding on all rows holds within each
-/// branch.
+/// branch. `col = literal` pins `col` but leaves [`OrderInfo::lits`] alone:
+/// one prepared plan serves every value of that literal.
 fn apply_filter_predicates(info: &mut OrderInfo, predicates: &[Predicate]) {
     for p in predicates {
         if p.op != CmpOp::Eq {
@@ -288,9 +288,9 @@ fn apply_filter_predicates(info: &mut OrderInfo, predicates: &[Predicate]) {
         }
         match (&p.left, &p.right) {
             (Expr::Col(a), Expr::Col(b)) => info.add_equiv(a, b),
-            (Expr::Col(c), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(c)) => {
+            (Expr::Col(c), Expr::Lit(_) | Expr::Param(..))
+            | (Expr::Lit(_) | Expr::Param(..), Expr::Col(c)) => {
                 info.constants.insert(c.clone());
-                info.lits.insert(c.clone(), v.clone());
             }
             _ => {}
         }
@@ -357,6 +357,9 @@ fn project_over(inner: &OrderInfo, in_schema: &Schema, items: &[(String, Expr)])
             Expr::TypedNull(_) => {
                 constants.insert(name.clone());
                 lits.insert(name.clone(), Value::Null);
+            }
+            Expr::Param(..) => {
+                constants.insert(name.clone());
             }
         }
     }

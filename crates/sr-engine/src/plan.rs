@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use sr_data::{Column, Database, Schema};
+use sr_data::{Column, Database, Schema, Value};
 
 use crate::error::EngineError;
 use crate::expr::{Expr, Predicate};
@@ -348,6 +348,60 @@ impl Plan {
                 kids
             }
         }
+    }
+
+    fn children_mut(&mut self) -> Vec<&mut Plan> {
+        match self {
+            Plan::Scan { .. } | Plan::CteScan { .. } => Vec::new(),
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Distinct { input } => vec![input],
+            Plan::Join { left, right, .. } => vec![left, right],
+            Plan::OuterUnion { inputs } => inputs.iter_mut().collect(),
+            Plan::With { ctes, body } => ctes
+                .iter_mut()
+                .map(|(_, d)| d)
+                .chain(std::iter::once(&mut **body))
+                .collect(),
+        }
+    }
+
+    /// Replace each parameter slot (they sit only in filters) with its value
+    /// in `params`; one without a value stays, to fail at execution.
+    pub(crate) fn bind_params(&mut self, params: &[Value]) {
+        if let Plan::Filter { predicates, .. } = self {
+            for p in predicates {
+                for e in [&mut p.left, &mut p.right] {
+                    if let Expr::Param(i, _) = *e {
+                        if let Some(v) = params.get(i) {
+                            *e = Expr::Lit(v.clone());
+                        }
+                    }
+                }
+            }
+        }
+        for child in self.children_mut() {
+            child.bind_params(params);
+        }
+    }
+
+    /// Does every parameter slot face a column? Only then is the estimate
+    /// blind to slot values: a literal facing a literal, which push-down
+    /// through a constant projection can produce, is priced by value.
+    pub(crate) fn slots_face_columns(&self) -> bool {
+        let mut ok = true;
+        self.visit(&mut |p| {
+            if let Plan::Filter { predicates, .. } = p {
+                ok &= predicates.iter().all(|q| match (&q.left, &q.right) {
+                    (Expr::Param(..), other) | (other, Expr::Param(..)) => {
+                        matches!(other, Expr::Col(_))
+                    }
+                    _ => true,
+                });
+            }
+        });
+        ok
     }
 
     /// Does the plan use a left outer join anywhere?

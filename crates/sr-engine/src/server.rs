@@ -10,14 +10,13 @@
 //! 3. hands back a [`TupleStream`] that the client decodes row by row (the
 //!    "bind and transfer" phase of the paper's *total time*).
 
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sr_data::{Database, Row, Schema};
+use sr_data::{Database, Row, Schema, Value};
 use sr_obs::{MetricsRegistry, TraceSpan, Tracer};
 
 use crate::analyze::ExplainAnalysis;
@@ -26,21 +25,16 @@ use crate::cost::{estimate, estimate_with_nodes, Estimate};
 use crate::error::EngineError;
 use crate::exec::{execute_analyzed, execute_profiled_with, ExecProfile, ResultSet};
 use crate::faults::{FaultInjector, FaultPlan, FaultSite};
+use crate::lru::{lock_recover, Lru};
 use crate::ordering::elide_sorts;
 use crate::plan::Plan;
 use crate::shard::split_plan;
-use crate::sql::binder::plan_sql;
+use crate::sql::binder::bind;
+use crate::sql::lexer::{lex, Spanned};
+use crate::sql::parser::parse_tokens;
+use crate::sql::shape::shape;
 use crate::vexec::{execute_vectorized_profiled_with, ExecMode, VecResultSet};
 use crate::wire::{decode_row, encode_batch, encode_batch_into, encode_rows, CellArena};
-
-/// Lock a mutex, recovering the data from a poisoned one. Every mutex in
-/// this module guards state that is updated atomically *under* the lock
-/// (a permit count, a cache map), so the data is consistent even when the
-/// thread that held the lock died — propagating the poison would turn one
-/// failed query into a permanently wedged server.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Render a caught panic payload for an [`EngineError::Internal`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -625,13 +619,13 @@ pub struct Server {
     sort_elision: bool,
     stream_workers: bool,
     plan_cache_enabled: bool,
-    /// Prepared-plan cache: SQL text → optimized plan. The middle-ware
-    /// re-submits the same component queries on every materialization, so
-    /// after the first execution parse/bind/push-down/elision all collapse
-    /// into one lookup and a plan clone. Sound while the database behind
-    /// `db` is unchanged; [`Server::set_database`] and
+    /// Prepared-plan cache: statement shape (see [`crate::sql::shape`]) →
+    /// the shape prepared once, so every later statement of the shape —
+    /// the same component query, or one with other literals — costs a
+    /// lookup, a plan clone and the binding of its literals. Sound while
+    /// the database behind `db` is unchanged; [`Server::set_database`] and
     /// [`Server::invalidate_plan_cache`] flush it when the catalog moves.
-    plan_cache: Mutex<PlanCache>,
+    plan_cache: Mutex<Lru<Arc<Prepared>>>,
     /// Deterministic fault injector shared by every execution path; `None`
     /// in production (the common case pays one branch per site).
     faults: Option<Arc<FaultInjector>>,
@@ -654,81 +648,22 @@ pub struct Server {
     fragment_cache: Option<Arc<Mutex<FragmentCache>>>,
 }
 
-struct CachedPlan {
+/// A statement prepared once: parse → bind → push-down → estimate → sort
+/// elision → schema, with its shape's parameter slots still in the plan.
+struct Prepared {
     plan: Plan,
     schema: Schema,
     elided: usize,
-    /// Logical timestamp of the last hit (or the insert), for LRU eviction.
-    last_used: u64,
+    /// Taken before elision, as the estimate endpoint always has.
+    estimate: Result<Estimate, EngineError>,
 }
 
 /// Entry cap for the prepared-plan cache; on overflow the least-recently
-/// used entry is evicted (`cache.evictions` counts them). The workload's
-/// query set is small and hot, so the O(n) victim scan on the rare
-/// overflow is cheaper than maintaining an ordered structure on every hit.
+/// used shape is evicted (`cache.evictions` counts them).
 const PLAN_CACHE_CAP: usize = 256;
 
 /// Default number of transient-failure retries per query.
 const DEFAULT_TRANSIENT_RETRIES: u32 = 2;
-
-/// The prepared-plan cache: a bounded map with LRU eviction driven by a
-/// logical clock stamped on every hit and insert.
-struct PlanCache {
-    map: HashMap<String, CachedPlan>,
-    clock: u64,
-    cap: usize,
-}
-
-impl PlanCache {
-    fn new(cap: usize) -> PlanCache {
-        PlanCache {
-            map: HashMap::new(),
-            clock: 0,
-            cap,
-        }
-    }
-
-    fn get(&mut self, sql: &str) -> Option<(Plan, Schema, usize)> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(sql).map(|c| {
-            c.last_used = clock;
-            (c.plan.clone(), c.schema.clone(), c.elided)
-        })
-    }
-
-    /// Insert, evicting the least-recently-used entry if at capacity.
-    /// Returns the number of evictions (0 or 1).
-    fn insert(&mut self, sql: String, plan: Plan, schema: Schema, elided: usize) -> u64 {
-        let mut evictions = 0;
-        if !self.map.contains_key(&sql) && self.map.len() >= self.cap {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, c)| c.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                evictions = 1;
-            }
-        }
-        self.clock += 1;
-        self.map.insert(
-            sql,
-            CachedPlan {
-                plan,
-                schema,
-                elided,
-                last_used: self.clock,
-            },
-        );
-        evictions
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-    }
-}
 
 /// One cached materialized fragment: the wire-encoded chunks of a component
 /// query's full result, plus the stream metadata a warm hit must replay.
@@ -741,21 +676,17 @@ struct CachedFragment {
     chunks: Vec<Bytes>,
     row_count: usize,
     byte_size: usize,
-    /// Logical timestamp of the last hit (or the insert), for LRU eviction.
-    last_used: u64,
 }
 
-/// The materialized-fragment cache: a byte-budgeted map with the same
-/// logical-clock LRU discipline as [`PlanCache`], holding encoded results
-/// instead of plans. Keyed by exec mode + shard spec + SQL — the three
-/// inputs that determine the produced chunk sequence. Invalidated together
-/// with the plan cache ([`Server::set_database`] /
-/// [`Server::invalidate_plan_cache`]): a fragment is only sound while the
-/// database is unchanged.
+/// The materialized-fragment cache: an [`Lru`] held to a byte budget,
+/// holding encoded results instead of plans. Keyed by exec mode + shard
+/// spec + SQL — the three inputs that determine the produced chunk
+/// sequence. Invalidated together with the plan cache
+/// ([`Server::set_database`] / [`Server::invalidate_plan_cache`]): a
+/// fragment is only sound while the database is unchanged.
 #[derive(Debug)]
 struct FragmentCache {
-    map: HashMap<String, CachedFragment>,
-    clock: u64,
+    map: Lru<CachedFragment>,
     budget: usize,
     bytes: usize,
 }
@@ -774,22 +705,17 @@ pub struct FragmentCacheInfo {
 impl FragmentCache {
     fn new(budget: usize) -> FragmentCache {
         FragmentCache {
-            map: HashMap::new(),
-            clock: 0,
+            map: Lru::new(usize::MAX),
             budget,
             bytes: 0,
         }
     }
 
     fn get(&mut self, key: &str) -> Option<(Schema, Vec<Bytes>, usize, usize)> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(key).map(|f| {
-            f.last_used = clock;
-            // `Bytes` clones are refcounted slices — a hit copies pointers,
-            // not payload.
-            (f.schema.clone(), f.chunks.clone(), f.row_count, f.byte_size)
-        })
+        // `Bytes` clones are refcounted slices — a hit copies pointers,
+        // not payload.
+        let f = self.map.get(key)?;
+        Some((f.schema.clone(), f.chunks.clone(), f.row_count, f.byte_size))
     }
 
     /// Insert a fully captured fragment, evicting least-recently-used
@@ -804,28 +730,14 @@ impl FragmentCache {
         }
         let mut evictions = 0;
         while self.bytes + frag.byte_size > self.budget {
-            let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(k, _)| k.clone())
-            else {
+            let Some(gone) = self.map.pop_lru() else {
                 break;
             };
-            if let Some(gone) = self.map.remove(&victim) {
-                self.bytes -= gone.byte_size;
-            }
+            self.bytes -= gone.byte_size;
             evictions += 1;
         }
-        self.clock += 1;
         self.bytes += frag.byte_size;
-        self.map.insert(
-            key,
-            CachedFragment {
-                last_used: self.clock,
-                ..frag
-            },
-        );
+        self.map.insert(key, frag);
         evictions
     }
 
@@ -874,7 +786,6 @@ impl FragmentCapture {
                 chunks: self.chunks,
                 row_count,
                 byte_size,
-                last_used: 0,
             },
         );
         self.metrics
@@ -906,7 +817,7 @@ impl Server {
             sort_elision: true,
             stream_workers: parallel,
             plan_cache_enabled: true,
-            plan_cache: Mutex::new(PlanCache::new(PLAN_CACHE_CAP)),
+            plan_cache: Mutex::new(Lru::new(PLAN_CACHE_CAP)),
             faults: None,
             fault_plan: None,
             transient_retries: DEFAULT_TRANSIENT_RETRIES,
@@ -1124,7 +1035,7 @@ impl Server {
     /// The registry all queries record into. Counters: `server.queries`,
     /// `server.streams`, `server.analyze`, `server.rows`, `server.bytes`,
     /// `server.estimates`, `server.timeouts`, `server.plan_cache_hits`,
-    /// `server.panics`, `server.cancelled`, `server.retries`,
+    /// `server.plan_cache_prepared`, `server.panics`, `server.cancelled`, `server.retries`,
     /// `cache.evictions`, `exec.sorts_elided`, `exec.{calls,rows}.<op>`.
     /// Histograms: `server.<phase>_ns`, `server.query_ns`,
     /// `server.estimate_ns`, `oracle.qerror` (Q-error ×1000).
@@ -1145,35 +1056,75 @@ impl Server {
         Ok((plan, elided))
     }
 
-    /// Plan `sql` through the prepared-plan cache: a hit clones the stored
-    /// optimized plan; a miss runs parse → bind → predicate push-down →
-    /// sort elision and stores the result. `server.plan_cache_hits` counts
-    /// the hits.
+    /// Plan `sql` through the prepared-plan cache: a clone of its shape's
+    /// prepared plan with the statement's own literals bound, so every
+    /// executor sees a plain literal plan.
     fn plan_cached(&self, sql: &str) -> Result<(Plan, Schema, usize), EngineError> {
-        if self.plan_cache_enabled {
-            if let Some(hit) = lock_recover(&self.plan_cache).get(sql) {
-                self.metrics.counter("server.plan_cache_hits").inc();
-                return Ok(hit);
-            }
+        let (p, params) = self.prepared(sql)?;
+        let mut plan = p.plan.clone();
+        plan.bind_params(&params);
+        Ok((plan, p.schema.clone(), p.elided))
+    }
+
+    /// The prepared form of `sql` and the literals to bind into it. A hit
+    /// on the statement's shape bumps `server.plan_cache_hits`; a miss
+    /// prepares the shape (`server.plan_cache_prepared`) and keeps it
+    /// unless its estimate would depend on the literals.
+    fn prepared(&self, sql: &str) -> Result<(Arc<Prepared>, Vec<Value>), EngineError> {
+        // The statement prepared from its own text, slots and cache unused.
+        let unshaped = || Ok((Arc::new(self.prepare(lex(sql)?, &[])?.0), Vec::new()));
+        if !self.plan_cache_enabled {
+            return unshaped();
         }
-        let plan = plan_sql(sql, &self.db)?;
-        let plan = crate::optimize::push_filters(plan, &self.db)?;
+        let shape = shape(sql)?;
+        if let Some(hit) = lock_recover(&self.plan_cache).get(&shape.key) {
+            self.metrics.counter("server.plan_cache_hits").inc();
+            return Ok((Arc::clone(hit), shape.params));
+        }
+        self.metrics.counter("server.plan_cache_prepared").inc();
+        let (p, generic) = match self.prepare(shape.tokens, &shape.params) {
+            Ok(p) => p,
+            // A slot can surface in an error message: report the error the
+            // statement's own text gets.
+            Err(_) => return unshaped(),
+        };
+        let p = Arc::new(p);
+        if generic {
+            let evicted = lock_recover(&self.plan_cache).insert(shape.key, Arc::clone(&p));
+            self.metrics.counter("cache.evictions").add(evicted);
+        }
+        Ok((p, shape.params))
+    }
+
+    /// Parse → bind → push-down → estimate → elision → schema. Returns
+    /// whether the result is generic — its slots still unbound, everything
+    /// in it independent of their values; otherwise `params` are bound
+    /// before the estimate.
+    fn prepare(
+        &self,
+        tokens: Vec<Spanned>,
+        params: &[Value],
+    ) -> Result<(Prepared, bool), EngineError> {
+        let mut plan = bind(&parse_tokens(tokens)?, &self.db)?;
+        plan = crate::optimize::push_filters(plan, &self.db)?;
+        let generic = plan.slots_face_columns();
+        if !generic {
+            plan.bind_params(params);
+        }
+        let estimate = estimate(&plan, &self.db);
         let (plan, elided) = if self.sort_elision {
             elide_sorts(plan, &self.db)
         } else {
             (plan, 0)
         };
         let schema = plan.schema(&self.db)?;
-        if self.plan_cache_enabled {
-            let evicted = lock_recover(&self.plan_cache).insert(
-                sql.to_string(),
-                plan.clone(),
-                schema.clone(),
-                elided,
-            );
-            self.metrics.counter("cache.evictions").add(evicted);
-        }
-        Ok((plan, schema, elided))
+        let p = Prepared {
+            plan,
+            schema,
+            elided,
+            estimate,
+        };
+        Ok((p, generic))
     }
 
     /// Execute a SQL string, returning a fully buffered tuple stream: the
@@ -1834,18 +1785,18 @@ impl Server {
         Ok(stream(rx))
     }
 
-    /// Cost-estimate endpoint: the paper's oracle. Parses and binds the SQL,
-    /// then estimates from catalog statistics without executing.
+    /// Cost-estimate endpoint: the paper's oracle. Answers from catalog
+    /// statistics without executing, with the estimate prepared for the
+    /// statement's shape — the estimator never looks at a literal operand,
+    /// so every statement of one shape gets the same answer.
     pub fn estimate_sql(&self, sql: &str) -> Result<Estimate, EngineError> {
         let start = Instant::now();
-        let plan = plan_sql(sql, &self.db)?;
-        let plan = crate::optimize::push_filters(plan, &self.db)?;
-        let est = estimate(&plan, &self.db);
+        let (p, _) = self.prepared(sql)?;
         self.metrics.counter("server.estimates").inc();
         self.metrics
             .histogram("server.estimate_ns")
             .record_duration(start.elapsed());
-        est
+        p.estimate.clone()
     }
 
     /// Range-shard a SQL query the way the sharded execution path would,
@@ -2108,7 +2059,8 @@ fn sql_summary(sql: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sr_data::{row, DataType, Table, Value};
+    use sr_data::{row, DataType, Table};
+    use std::collections::HashMap;
 
     fn server() -> Server {
         let mut db = Database::new();
@@ -2331,41 +2283,33 @@ mod tests {
 
     #[test]
     fn plan_cache_evicts_least_recently_used() {
-        let schema = Schema::of(&[("x", DataType::Int)]);
-        let mut c = PlanCache::new(2);
-        assert_eq!(
-            c.insert("a".into(), Plan::scan("T", "t"), schema.clone(), 0),
-            0
-        );
-        assert_eq!(
-            c.insert("b".into(), Plan::scan("T", "t"), schema.clone(), 0),
-            0
-        );
+        let mut c = Lru::new(2);
+        assert_eq!(c.insert("a".into(), 1), 0);
+        assert_eq!(c.insert("b".into(), 2), 0);
         assert!(c.get("a").is_some()); // refresh: "b" is now the LRU entry
-        assert_eq!(
-            c.insert("c".into(), Plan::scan("T", "t"), schema.clone(), 0),
-            1
-        );
+        assert_eq!(c.insert("c".into(), 3), 1);
         assert!(c.get("b").is_none(), "LRU entry evicted");
         assert!(c.get("a").is_some());
         assert!(c.get("c").is_some());
         // Overwriting a resident key never evicts.
-        assert_eq!(c.insert("a".into(), Plan::scan("T", "t"), schema, 0), 0);
+        assert_eq!(c.insert("a".into(), 4), 0);
+        assert_eq!(c.get("a"), Some(&mut 4));
     }
 
     #[test]
     fn plan_cache_eviction_counter_records() {
         let s = server();
-        // Fill past the cap with distinct statements; the overflow must
-        // evict one LRU entry at a time, not flush the whole cache.
+        // Fill past the cap with distinct shapes (an alias is part of the
+        // shape, a literal operand is not); the overflow must evict one LRU
+        // entry at a time, not flush the whole cache.
         for i in 0..=PLAN_CACHE_CAP {
-            let sql = format!("SELECT i.id AS id FROM Item i WHERE i.id = {i}");
+            let sql = format!("SELECT i.id AS id{i} FROM Item i WHERE i.id = {i}");
             s.optimized_plan(&sql).unwrap();
         }
         let snap = s.metrics().snapshot();
         assert_eq!(snap.counter("cache.evictions"), 1);
-        // The most recent statement is still cached.
-        let sql = format!("SELECT i.id AS id FROM Item i WHERE i.id = {PLAN_CACHE_CAP}");
+        // The most recent shape is still cached, whatever its literal.
+        let sql = format!("SELECT i.id AS id{PLAN_CACHE_CAP} FROM Item i WHERE i.id = 7");
         s.optimized_plan(&sql).unwrap();
         assert_eq!(snap.counter("server.plan_cache_hits"), 0);
         assert_eq!(s.metrics().snapshot().counter("server.plan_cache_hits"), 1);
@@ -2472,6 +2416,32 @@ mod tests {
             .execute_sql_streaming("SELECT i.id AS id FROM Item i ORDER BY id")
             .unwrap();
         drop(stream); // worker's next send errors; must not hang or panic
+    }
+
+    #[test]
+    fn literal_sensitive_shapes_are_prepared_per_statement() {
+        // Push-down through the constant projection makes `q.one = k` the
+        // literal comparison `1 = k`, which the estimator prices by value.
+        let sql = |k: i64| {
+            format!(
+                "SELECT q.id AS id FROM (SELECT 1 AS one, i.id AS id FROM Item i) AS q \
+                 WHERE q.one = {k}"
+            )
+        };
+        let s = server();
+        let reference = server().with_plan_cache(false);
+        let mut cardinalities = Vec::new();
+        for k in [1, 2, 1] {
+            let est = s.estimate_sql(&sql(k)).unwrap();
+            assert_eq!(est, reference.estimate_sql(&sql(k)).unwrap(), "k = {k}");
+            cardinalities.push(est.cardinality);
+            let rows = s.execute_sql(&sql(k)).unwrap().collect_rows().unwrap();
+            assert_eq!(rows.len(), if k == 1 { 50 } else { 0 });
+        }
+        assert_ne!(cardinalities[0], cardinalities[1]);
+        let snap = s.metrics().snapshot();
+        assert_eq!(snap.counter("server.plan_cache_hits"), 0);
+        assert_eq!(snap.counter("server.plan_cache_prepared"), 6);
     }
 
     #[test]

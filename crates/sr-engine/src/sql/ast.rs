@@ -29,6 +29,8 @@ pub enum SqlExpr {
     FloatLit(f64),
     /// String literal.
     StrLit(String),
+    /// Parameter slot `i` for a literal of type `t`.
+    Param(usize, DataType),
     /// `CAST(NULL AS t)`.
     Null(DataType),
 }
@@ -71,6 +73,7 @@ impl fmt::Display for SqlExpr {
                 }
             }
             SqlExpr::StrLit(s) => write!(f, "'{}'", s.replace('\'', "''")),
+            SqlExpr::Param(_, t) => f.write_str(crate::sql::shape::slot_name(*t)),
             SqlExpr::Null(t) => write!(f, "CAST(NULL AS {t})"),
         }
     }

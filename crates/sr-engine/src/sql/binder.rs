@@ -140,6 +140,7 @@ fn bind_expr(e: &SqlExpr, scope: &Scope) -> Result<Expr, EngineError> {
         SqlExpr::IntLit(i) => Expr::Lit(Value::Int(*i)),
         SqlExpr::FloatLit(x) => Expr::Lit(Value::Float(*x)),
         SqlExpr::StrLit(s) => Expr::Lit(Value::str(s)),
+        SqlExpr::Param(i, t) => Expr::Param(*i, *t),
         SqlExpr::Null(t) => Expr::TypedNull(*t),
     })
 }

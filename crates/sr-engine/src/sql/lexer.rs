@@ -1,5 +1,7 @@
 //! SQL tokenizer.
 
+use sr_data::DataType;
+
 use crate::error::EngineError;
 
 /// A SQL token.
@@ -14,6 +16,8 @@ pub enum Token {
     Float(f64),
     /// Single-quoted string literal (with `''` escapes resolved).
     Str(String),
+    /// Parameter slot `i` of a literal type, put in by a statement's shape.
+    Param(usize, DataType),
     /// `(`
     LParen,
     /// `)`

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use sr_data::{Database, Value};
+use sr_data::{Database, Schema, Value};
 
 use crate::error::EngineError;
 use crate::expr::{Expr, Predicate};
@@ -21,7 +21,10 @@ use crate::sql::ast::{FromItem, JoinClause, Query, SelectItem, SelectStmt, SqlCo
 
 /// Render a plan as SQL text.
 pub fn to_sql(plan: &Plan, db: &Database) -> Result<String, EngineError> {
-    let mut ctx = Ctx { next_alias: 0 };
+    let mut ctx = Ctx {
+        next_alias: 0,
+        schemas: HashMap::new(),
+    };
     match plan {
         Plan::With { ctes, body } => {
             let mut q = to_query(body, db, &mut ctx)?;
@@ -37,12 +40,37 @@ pub fn to_sql(plan: &Plan, db: &Database) -> Result<String, EngineError> {
 
 struct Ctx {
     next_alias: usize,
+    /// The output schema of every node derived so far, by address. Every
+    /// derived-table level asks for its subtree's schema, and deriving it
+    /// afresh each time made printing quadratic in plan depth.
+    schemas: HashMap<*const Plan, Schema>,
 }
 
 impl Ctx {
     fn fresh(&mut self) -> String {
         self.next_alias += 1;
         format!("dq{}", self.next_alias)
+    }
+
+    /// [`Plan::schema`], deriving each node once per rendering.
+    fn schema(&mut self, plan: &Plan, db: &Database) -> Result<Schema, EngineError> {
+        let key: *const Plan = plan;
+        if let Some(s) = self.schemas.get(&key) {
+            return Ok(s.clone());
+        }
+        let schema = match plan {
+            Plan::With { .. } => plan.schema(db)?,
+            _ => {
+                let kids = plan
+                    .children()
+                    .into_iter()
+                    .map(|c| self.schema(c, db))
+                    .collect::<Result<Vec<_>, _>>()?;
+                plan.output_schema(db, &kids)?
+            }
+        };
+        self.schemas.insert(key, schema.clone());
+        Ok(schema)
     }
 }
 
@@ -74,7 +102,7 @@ fn to_query(plan: &Plan, db: &Database, ctx: &mut Ctx) -> Result<Query, EngineEr
             Ok(q)
         }
         Plan::OuterUnion { inputs } => {
-            let union_schema = plan.schema(db)?;
+            let union_schema = ctx.schema(plan, db)?;
             let mut branches = Vec::with_capacity(inputs.len());
             for input in inputs {
                 let stmt = to_select(input, db, ctx)?;
@@ -85,7 +113,7 @@ fn to_query(plan: &Plan, db: &Database, ctx: &mut Ctx) -> Result<Query, EngineEr
                     .iter()
                     .map(|i| (i.alias.as_deref().expect("lowered items are aliased"), i))
                     .collect();
-                let input_schema = input.schema(db)?;
+                let input_schema = ctx.schema(input, db)?;
                 let items = union_schema
                     .columns()
                     .iter()
@@ -146,7 +174,7 @@ fn to_select(plan: &Plan, db: &Database, ctx: &mut Ctx) -> Result<SelectStmt, En
         Plan::OuterUnion { .. } | Plan::Sort { .. } => {
             // Wrap as a derived table and select every column through.
             let (item, scope) = derived_item(plan, db, ctx)?;
-            let schema = plan.schema(db)?;
+            let schema = ctx.schema(plan, db)?;
             let items = schema
                 .names()
                 .map(|n| {
@@ -170,7 +198,7 @@ fn to_select(plan: &Plan, db: &Database, ctx: &mut Ctx) -> Result<SelectStmt, En
         other => {
             // Identity projection over a gatherable shape.
             let block = gather(other, db, ctx)?;
-            let schema = other.schema(db)?;
+            let schema = ctx.schema(other, db)?;
             let items =
                 schema
                     .names()
@@ -321,7 +349,7 @@ fn derived_item(
 ) -> Result<(FromItem, SqlScope), EngineError> {
     let alias = ctx.fresh();
     let q = to_query(plan, db, ctx)?;
-    let schema = plan.schema(db)?;
+    let schema = ctx.schema(plan, db)?;
     let scope = schema
         .names()
         .map(|n| (n.to_string(), SqlExpr::qcol(alias.clone(), n)))
@@ -354,6 +382,7 @@ fn rewrite_expr(e: &Expr, scope: &SqlScope) -> Result<SqlExpr, EngineError> {
             ));
         }
         Expr::TypedNull(t) => SqlExpr::Null(*t),
+        Expr::Param(i, t) => SqlExpr::Param(*i, *t),
     })
 }
 

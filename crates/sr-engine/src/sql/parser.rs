@@ -29,7 +29,11 @@ use crate::sql::lexer::{lex, Spanned, Token};
 
 /// Parse SQL text into a [`Query`].
 pub fn parse(src: &str) -> Result<Query, EngineError> {
-    let tokens = lex(src)?;
+    parse_tokens(lex(src)?)
+}
+
+/// Parse lexed tokens; a parameter slot parses as [`SqlExpr::Param`].
+pub(crate) fn parse_tokens(tokens: Vec<Spanned>) -> Result<Query, EngineError> {
     let mut p = Parser { tokens, pos: 0 };
     // Statement-level WITH clause.
     let mut ctes = Vec::new();
@@ -301,6 +305,10 @@ impl Parser {
             Token::Str(s) => {
                 self.bump();
                 Ok(SqlExpr::StrLit(s))
+            }
+            Token::Param(i, t) => {
+                self.bump();
+                Ok(SqlExpr::Param(i, t))
             }
             Token::Ident(s) if s.eq_ignore_ascii_case("CAST") => {
                 self.bump();

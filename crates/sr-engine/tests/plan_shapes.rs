@@ -1,0 +1,313 @@
+//! The prepared-plan cache is keyed by statement shape — the statement with
+//! its comparison literals lifted into typed slots — so one prepared plan
+//! serves every literal. These tests pin that the sharing is invisible: for
+//! the component queries of both paper views and of the benchmark's XPath
+//! shapes, under many literals, a default server and one built with
+//! `with_plan_cache(false)` agree on the optimized plan, bit for bit on the
+//! estimate, and byte for byte on the executed wire stream.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use sr_data::{Database, Value};
+use sr_engine::{EngineError, Estimate, FaultPlan, Server};
+use sr_plan::{gen_plan, Oracle};
+use sr_sqlgen::{generate_queries, PlanSpec};
+use sr_viewtree::ViewTree;
+
+const SCALE_MB: f64 = 0.05;
+
+/// Silence the default panic hook for injected panics only.
+fn quiet_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let msg = info
+                .payload()
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| info.payload().downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            if !msg.starts_with("injected fault") {
+                prev(info);
+            }
+        }));
+    });
+}
+
+fn database() -> Arc<Database> {
+    Arc::new(sr_tpch::generate(sr_tpch::Scale::mb(SCALE_MB)).expect("tpch"))
+}
+
+/// A seeded xorshift stream, so every run draws the same literals.
+struct Seeded(u64);
+
+impl Seeded {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+}
+
+/// `n` part-name literals: real names (so predicates match), names with
+/// quotes, multi-byte UTF-8, and the empty string.
+fn string_literals(db: &Arc<Database>, rng: &mut Seeded, n: usize) -> Vec<String> {
+    let names: Vec<String> = Server::new(Arc::clone(db))
+        .execute_sql("SELECT p.name AS n FROM Part p")
+        .expect("part names")
+        .collect_rows()
+        .expect("rows")
+        .iter()
+        .map(|r| match r.get(0) {
+            Value::Str(s) => s.to_string(),
+            other => other.to_string(),
+        })
+        .collect();
+    let mut out = vec![
+        String::new(),
+        "O'Brien".into(),
+        "it''s".into(),
+        "Zürich–東京 🚚".into(),
+        "  two  spaces  ".into(),
+    ];
+    while out.len() < n {
+        let k = rng.next();
+        out.push(match k % 4 {
+            0 => format!("{}'{}", names[k as usize % names.len()], k % 97),
+            1 => format!("ß{}東", k % 1000),
+            _ => names[k as usize % names.len()].clone(),
+        });
+    }
+    out
+}
+
+/// `n` order-key bounds: the extremes, zero, negatives and seeded values
+/// around the key range.
+fn int_literals(rng: &mut Seeded, n: usize) -> Vec<i64> {
+    let mut out = vec![i64::MIN, i64::MAX, 0, -1, -7];
+    while out.len() < n {
+        out.push((rng.next() % 400) as i64 - 20);
+    }
+    out
+}
+
+/// Floats whose natural spelling is exponent form, as decimal text.
+fn float_literals(rng: &mut Seeded, n: usize) -> Vec<String> {
+    let mut values = vec![1e-7, -2.5e-12, 1e20, 6.02e23, -0.0];
+    while values.len() < n {
+        values.push((rng.next() % 100_000) as f64 * 1e-3);
+    }
+    values
+        .into_iter()
+        .map(|x: f64| {
+            let s = x.to_string();
+            if s.contains('.') {
+                s
+            } else {
+                format!("{s}.0")
+            }
+        })
+        .collect()
+}
+
+/// The component SQL of a tree under each of `specs`.
+fn component_sql(tree: &ViewTree, db: &Database, specs: &[PlanSpec]) -> Vec<String> {
+    specs
+        .iter()
+        .flat_map(|&spec| generate_queries(tree, db, spec).expect("component queries"))
+        .map(|q| q.sql)
+        .collect()
+}
+
+/// Every component query of `xpath` over `view`, fully partitioned and
+/// under `genPlan`'s recommended plan — the streams the benchmark's XPath
+/// requests run. (The unified plan of these pruned trees is left out: one
+/// execution of it takes up to a second even at this scale.)
+fn xpath_sql(view: &ViewTree, xpath: &str, server: &Server) -> Vec<String> {
+    let db = server.database();
+    let path = sr_xpath::parse(xpath).expect("xpath parses");
+    let tree = sr_xpath::compose(view, &path).expect("xpath composes").tree;
+    let params = silkroute::calibrated_params(sr_tpch::Scale::mb(SCALE_MB));
+    let greedy = gen_plan(&tree, db, &Oracle::new(server, params), true).expect("genPlan");
+    let recommended = PlanSpec {
+        edges: greedy.recommended(),
+        ..PlanSpec::fully_partitioned()
+    };
+    component_sql(&tree, db, &[PlanSpec::fully_partitioned(), recommended])
+}
+
+type EstimateBits = (u64, u64, BTreeMap<String, (u64, u64)>);
+
+fn bits(e: &Estimate) -> EstimateBits {
+    let cols = e
+        .columns
+        .iter()
+        .map(|(n, c)| (n.clone(), (c.distinct.to_bits(), c.width.to_bits())))
+        .collect();
+    (e.cardinality.to_bits(), e.eval_cost.to_bits(), cols)
+}
+
+fn wire(server: &Server, sql: &str) -> Result<Vec<u8>, EngineError> {
+    let mut stream = server.execute_sql(sql)?;
+    let mut out = Vec::new();
+    while let Some(chunk) = stream.next_chunk()? {
+        out.extend_from_slice(&chunk);
+    }
+    Ok(out)
+}
+
+/// Everything a statement yields on one server.
+type Outcome = (
+    Result<(String, usize), EngineError>,
+    Result<EstimateBits, EngineError>,
+    Result<Vec<u8>, EngineError>,
+);
+
+fn outcome(server: &Server, sql: &str) -> Outcome {
+    let plan = server
+        .optimized_plan(sql)
+        .and_then(|(p, elided)| Ok((sr_engine::sql::to_sql(&p, server.database())?, elided)));
+    let estimate = server.estimate_sql(sql).map(|e| bits(&e));
+    (plan, estimate, wire(server, sql))
+}
+
+fn assert_invisible(cached: &Server, reference: &Server, sql: &str) {
+    assert_eq!(
+        outcome(cached, sql),
+        outcome(reference, sql),
+        "shape cache changed the outcome of {sql}"
+    );
+}
+
+fn prepared(server: &Server) -> u64 {
+    server.metrics().counter("server.plan_cache_prepared").get()
+}
+
+#[test]
+fn shapes_are_invisible_across_views_and_literals() {
+    let db = database();
+    let cached = Server::new(Arc::clone(&db));
+    let reference = Server::new(Arc::clone(&db)).with_plan_cache(false);
+    let query1 = silkroute::query1_tree(&db);
+    let query2 = silkroute::query2_tree(&db);
+    let mut rng = Seeded(0x511c_6007);
+
+    let mut xpaths = vec!["/supplier/name".to_string()];
+    for s in string_literals(&db, &mut rng, 50) {
+        xpaths.push(format!("/supplier/part[name = \"{s}\"]/order"));
+    }
+    for k in int_literals(&mut rng, 50) {
+        xpaths.push(format!("//order[orderkey < {k}]"));
+    }
+    for x in float_literals(&mut rng, 50) {
+        xpaths.push(format!("//order[orderkey < {x}]"));
+    }
+    let mut sqls = Vec::new();
+    for view in [&query1, &query2] {
+        let specs = [
+            PlanSpec::unified(view),
+            PlanSpec::fully_partitioned(),
+            PlanSpec::sorted_outer_union(view),
+        ];
+        sqls.extend(component_sql(view, &db, &specs));
+    }
+    for xpath in &xpaths {
+        sqls.extend(xpath_sql(&query1, xpath, &cached));
+    }
+    for sql in &sqls {
+        assert_invisible(&cached, &reference, sql);
+    }
+    let hits = cached.metrics().counter("server.plan_cache_hits").get();
+    assert!(hits > 0, "literals of one shape share a prepared plan");
+}
+
+#[test]
+fn a_literal_of_another_class_is_another_shape() {
+    let db = database();
+    let cached = Server::new(Arc::clone(&db));
+    let reference = Server::new(Arc::clone(&db)).with_plan_cache(false);
+    let query1 = silkroute::query1_tree(&db);
+    let mut before = prepared(&cached);
+    for bound in ["5", "5.5", "'5'"] {
+        for sql in &xpath_sql(&query1, &format!("//order[orderkey < {bound}]"), &cached) {
+            assert_invisible(&cached, &reference, sql);
+        }
+        let now = prepared(&cached);
+        assert!(now > before, "{bound}: a new class prepares a new shape");
+        before = now;
+    }
+}
+
+#[test]
+fn a_shape_is_prepared_once_for_every_literal() {
+    let db = database();
+    let server = Server::new(Arc::clone(&db));
+    let query1 = silkroute::query1_tree(&db);
+    let mut rng = Seeded(7);
+    let shapes = |s: &str, k: i64| {
+        let mut sqls = xpath_sql(
+            &query1,
+            &format!("/supplier/part[name = \"{s}\"]/order"),
+            &server,
+        );
+        sqls.extend(xpath_sql(
+            &query1,
+            &format!("//order[orderkey < {k}]"),
+            &server,
+        ));
+        sqls
+    };
+    for sql in shapes("first", 1) {
+        let _ = outcome(&server, &sql);
+    }
+    let after_first = prepared(&server);
+    assert!(after_first > 0);
+    let strings = string_literals(&db, &mut rng, 200);
+    for (i, s) in strings.iter().enumerate() {
+        let k = 2 + i as i64;
+        for sql in shapes(&format!("{s}#{i}"), k) {
+            let (plan, estimate, bytes) = outcome(&server, &sql);
+            assert!(plan.is_ok() && estimate.is_ok() && bytes.is_ok(), "{sql}");
+        }
+    }
+    assert_eq!(
+        prepared(&server),
+        after_first,
+        "200 never-repeated literals prepared nothing new"
+    );
+}
+
+#[test]
+fn faults_surface_typed_on_a_plan_from_a_shape_hit() {
+    quiet_injected_panics();
+    let db = database();
+    let reference = Server::new(Arc::clone(&db)).with_plan_cache(false);
+    let sql =
+        |k: i64| format!("SELECT o.orderkey AS k FROM Orders o WHERE o.orderkey < {k} ORDER BY k");
+    for rule in ["panic@scan", "transient@scan#1"] {
+        let server = Server::new(Arc::clone(&db)).with_faults(FaultPlan::parse(rule, 1).unwrap());
+        // Prepare the shape without executing, then run another literal.
+        server.optimized_plan(&sql(10)).unwrap();
+        let hits = server.metrics().counter("server.plan_cache_hits").get();
+        let got = wire(&server, &sql(40));
+        assert_eq!(
+            server.metrics().counter("server.plan_cache_hits").get(),
+            hits + 1,
+            "{rule}: the execution planned from the shape"
+        );
+        match rule {
+            "panic@scan" => assert!(matches!(got, Err(EngineError::Internal(_))), "{got:?}"),
+            _ => {
+                assert_eq!(
+                    got,
+                    wire(&reference, &sql(40)),
+                    "{rule}: retried to the same bytes"
+                );
+                assert_eq!(server.metrics().counter("server.retries").get(), 1);
+            }
+        }
+    }
+}

@@ -17,53 +17,63 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sr_data::Database;
-use sr_engine::{EngineError, Estimate, Server};
+use sr_engine::{lock_recover, EngineError, Estimate, Lru, Server};
 use sr_sqlgen::{outer_join_plan, QueryStyle};
 use sr_viewtree::{reduce_component, Component, EdgeSet, ViewTree};
 
-/// Learned actual cardinalities, keyed by whitespace-normalized SQL.
+/// Learned actual cardinalities, keyed by normalized SQL text.
 ///
 /// The store outlives any single [`Oracle`] (oracles borrow a server and
 /// are rebuilt per planning round), so it is shared: clones see the same
 /// map. Recorded counts are clamped to ≥ 1 row — the Q-error floor — so a
-/// zero-row observation can never divide a later estimate to zero.
-#[derive(Debug, Clone, Default)]
+/// zero-row observation can never divide a later estimate to zero. Peers
+/// choose the literals, so the store keeps at most [`ActualStore::CAP`]
+/// queries, evicting the least recently used.
+#[derive(Debug, Clone)]
 pub struct ActualStore {
-    inner: Arc<Mutex<HashMap<String, u64>>>,
+    inner: Arc<Mutex<Lru<u64>>>,
+}
+
+impl Default for ActualStore {
+    fn default() -> Self {
+        ActualStore {
+            inner: Arc::new(Mutex::new(Lru::new(Self::CAP))),
+        }
+    }
 }
 
 impl ActualStore {
+    /// Most queries a store remembers.
+    pub const CAP: usize = 2048;
+
     /// An empty store.
     pub fn new() -> ActualStore {
         ActualStore::default()
     }
 
-    /// The keying normalization: collapse whitespace runs and trim, so the
-    /// same query re-rendered with different spacing still hits.
+    /// The keying normalization: the engine's token text, so the same
+    /// query re-rendered with different spacing still hits while literals
+    /// that differ only in their inner whitespace stay apart.
     pub fn normalize(sql: &str) -> String {
-        sql.split_whitespace().collect::<Vec<_>>().join(" ")
+        sr_engine::sql::normalize(sql)
     }
 
     /// Record an observed row count for a SQL query (clamped to ≥ 1).
-    pub fn record(&self, sql: &str, rows: u64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .insert(Self::normalize(sql), rows.max(1));
+    /// Returns the number of queries evicted to make room (0 or 1).
+    pub fn record(&self, sql: &str, rows: u64) -> u64 {
+        lock_recover(&self.inner).insert(Self::normalize(sql), rows.max(1))
     }
 
     /// The recorded actual for a SQL query, if any.
     pub fn get(&self, sql: &str) -> Option<u64> {
-        self.inner
-            .lock()
-            .unwrap()
+        lock_recover(&self.inner)
             .get(&Self::normalize(sql))
             .copied()
     }
 
     /// Number of distinct queries with recorded actuals.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        lock_recover(&self.inner).len()
     }
 
     /// `true` iff nothing has been recorded.
@@ -73,7 +83,7 @@ impl ActualStore {
 
     /// Forget everything (the database changed under us).
     pub fn clear(&self) {
-        self.inner.lock().unwrap().clear();
+        lock_recover(&self.inner).clear();
     }
 }
 
@@ -510,6 +520,31 @@ mod tests {
         assert!(actuals.is_empty());
         let back = oracle.estimate_sql(sql).unwrap();
         assert_eq!(back.cardinality, static_est.cardinality);
+    }
+
+    #[test]
+    fn actuals_keep_literals_apart_and_survive_poison() {
+        let store = ActualStore::new();
+        let sql = |name: &str| format!("SELECT p.partkey AS k FROM Part p WHERE p.name = '{name}'");
+        store.record(&sql("a  b"), 7);
+        assert_eq!(
+            store.get(&sql("a b")),
+            None,
+            "inner whitespace is the literal's"
+        );
+        assert_eq!(
+            store.get(&sql("a  b").replace(" FROM", "\n  FROM")),
+            Some(7)
+        );
+        let held = store.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = held.inner.lock();
+            panic!("poison the store");
+        })
+        .join();
+        assert_eq!(store.get(&sql("a  b")), Some(7));
+        store.record(&sql("a b"), 3);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! planner is only as good as its estimates).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use sr_engine::{EngineError, Server};
+use sr_engine::{lock_recover, EngineError, Lru, Server};
 use sr_sqlgen::{generate_queries, PlanSpec, QueryStyle};
 use sr_viewtree::ViewTree;
 
@@ -46,10 +47,10 @@ impl Default for RecostConfig {
 }
 
 /// Per-view feedback state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ViewState {
     /// The spec the view currently runs under.
-    spec: Option<PlanSpec>,
+    spec: PlanSpec,
     /// Blended cardinality per (normalized) component SQL at plan time.
     planned_est: HashMap<String, f64>,
     /// Accumulated `log2(q_error)` since the last plan.
@@ -60,20 +61,28 @@ struct ViewState {
 
 /// The server-side re-costing driver: hand out a plan per view, feed back
 /// actuals, re-plan when the accumulated error says the plan was built on
-/// fiction. Thread-safe; one instance is shared across connections.
+/// fiction. Thread-safe; one instance is shared across connections. Peers
+/// name the views (an XPath or an inline RXL source is part of the key),
+/// so at most [`Recoster::CAP`] views keep state, least recently used
+/// evicted first, beside an [`ActualStore`] bounded the same way.
 pub struct Recoster {
     cfg: RecostConfig,
     actuals: ActualStore,
-    views: Mutex<HashMap<String, ViewState>>,
+    views: Mutex<Lru<ViewState>>,
+    evictions: AtomicU64,
 }
 
 impl Recoster {
+    /// Most views a recoster keeps plan state for.
+    pub const CAP: usize = 256;
+
     /// A recoster with its own empty [`ActualStore`].
     pub fn new(cfg: RecostConfig) -> Recoster {
         Recoster {
             cfg,
             actuals: ActualStore::new(),
-            views: Mutex::new(HashMap::new()),
+            views: Mutex::new(Lru::new(Self::CAP)),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -84,18 +93,23 @@ impl Recoster {
 
     /// Times `name` has been planned (1 = initial plan only).
     pub fn plan_count(&self, name: &str) -> u64 {
-        self.views
-            .lock()
-            .unwrap()
-            .get(name)
-            .map(|v| v.plans)
-            .unwrap_or(0)
+        lock_recover(&self.views).get(name).map_or(0, |v| v.plans)
+    }
+
+    /// Number of views with plan state.
+    pub fn view_count(&self) -> usize {
+        lock_recover(&self.views).len()
+    }
+
+    /// Views and learned actuals evicted so far to stay within their caps.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Forget all learned state (the database changed under us).
     pub fn reset(&self) {
         self.actuals.clear();
-        self.views.lock().unwrap().clear();
+        lock_recover(&self.views).clear();
     }
 
     /// The plan for view `name`: the cached spec while its estimates hold,
@@ -108,14 +122,9 @@ impl Recoster {
         tree: &ViewTree,
         server: &Server,
     ) -> Result<PlanSpec, EngineError> {
-        {
-            let views = self.views.lock().unwrap();
-            if let Some(state) = views.get(name) {
-                if let Some(spec) = state.spec {
-                    if state.accum < self.cfg.threshold {
-                        return Ok(spec);
-                    }
-                }
+        if let Some(state) = lock_recover(&self.views).get(name) {
+            if state.accum < self.cfg.threshold {
+                return Ok(state.spec);
             }
         }
         // Plan outside the lock: genPlan runs estimate queries.
@@ -134,15 +143,19 @@ impl Recoster {
             let est = oracle.estimate_sql(&q.sql)?;
             planned_est.insert(ActualStore::normalize(&q.sql), est.cardinality);
         }
-        let mut views = self.views.lock().unwrap();
-        let state = views.entry(name.to_string()).or_default();
-        if state.plans > 0 {
+        let mut views = lock_recover(&self.views);
+        let plans = views.get(name).map_or(0, |v| v.plans);
+        if plans > 0 {
             server.metrics().counter("oracle.recost").inc();
         }
-        state.spec = Some(spec);
-        state.planned_est = planned_est;
-        state.accum = 0.0;
-        state.plans += 1;
+        let state = ViewState {
+            spec,
+            planned_est,
+            accum: 0.0,
+            plans: plans + 1,
+        };
+        let evicted = views.insert(name.to_string(), state);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
         Ok(spec)
     }
 
@@ -151,9 +164,10 @@ impl Recoster {
     /// current plan was costed on, accumulates its `log2(q_error)` toward
     /// the re-plan threshold. Returns the accumulated error.
     pub fn observe(&self, name: &str, sql: &str, actual_rows: u64) -> f64 {
-        self.actuals.record(sql, actual_rows);
-        let mut views = self.views.lock().unwrap();
-        let Some(state) = views.get_mut(name) else {
+        let evicted = self.actuals.record(sql, actual_rows);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        let mut views = lock_recover(&self.views);
+        let Some(state) = views.get(name) else {
             return 0.0;
         };
         if let Some(&est) = state.planned_est.get(&ActualStore::normalize(sql)) {

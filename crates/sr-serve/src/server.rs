@@ -713,6 +713,8 @@ fn handle_query(
             for (sql, &rows) in run.sqls.iter().zip(&run.per_stream_rows) {
                 shared.recoster.observe(&view_key, sql, rows);
             }
+            m.counter("recost.evictions")
+                .set(shared.recoster.evictions());
             (send(sock, &Response::Done(run.done)), run.sqls)
         }
         Err(PipelineError::Typed { code, message }) => {
