@@ -53,10 +53,6 @@
 //!                            order (`auto` = available parallelism; 1
 //!                            disables). Queries without a usable range key
 //!                            fall back to a single shard.  [default auto]
-//!       --exec MODE          query execution path: `tuple` (row-at-a-time)
-//!                            or `vectorized` (batch-at-a-time columnar).
-//!                            Output bytes are identical either way.
-//!                            [default tuple]
 //!       --fragment-cache B   keep completed component-query results (wire
 //!                            bytes) in a B-byte LRU cache and serve repeats
 //!                            without re-execution; 0 disables. Flushed
@@ -127,7 +123,6 @@ struct Opts {
     fault_seed: u64,
     retries: Option<u32>,
     shards: Option<usize>,
-    exec: String,
     fragment_cache: usize,
     listen: String,
     connect: String,
@@ -150,8 +145,7 @@ fn usage() -> ExitCode {
         "usage: silkroute <tree|sql|materialize|query|plan|bench|serve|client|stats|top> [--mb N] \
          [--plan SPEC] [--no-reduce] [--xpath PATH] [--out FILE] [--pretty] [--explain] \
          [--metrics-json] [--analyze] [--trace FILE] [--fault SPEC] [--fault-seed N] \
-         [--retries N] [--shards N|auto] [--exec tuple|vectorized] \
-         [--fragment-cache BYTES] \
+         [--retries N] [--shards N|auto] [--fragment-cache BYTES] \
          [--listen ADDR] [--connect ADDR] \
          [--slots N] [--per-client N] [--queue-depth N] [--max-conns N] \
          [--read-timeout-ms N] [--format xml|tuples] [--shutdown] \
@@ -184,7 +178,6 @@ fn parse_args() -> Result<Opts, ExitCode> {
         fault_seed: 0,
         retries: None,
         shards: None,
-        exec: "tuple".into(),
         fragment_cache: 0,
         listen: "127.0.0.1:4722".into(),
         connect: "127.0.0.1:4722".into(),
@@ -231,7 +224,6 @@ fn parse_args() -> Result<Opts, ExitCode> {
                     Some(v.parse().map_err(|_| usage())?)
                 };
             }
-            "--exec" => opts.exec = args.next().ok_or_else(usage)?,
             "--fragment-cache" => {
                 opts.fragment_cache = args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
             }
@@ -427,9 +419,8 @@ fn render_top(j: &sr_obs::Json, connect: &str) -> String {
     let draining = matches!(j.get("draining"), Some(sr_obs::Json::Bool(true)));
     let _ = writeln!(
         out,
-        "silkroute top — {connect} — up {:.1}s  mode={} shards={}{}",
+        "silkroute top — {connect} — up {:.1}s  shards={}{}",
         jnum(j, &["uptime_s"]),
-        j.get("exec_mode").and_then(|v| v.as_str()).unwrap_or("?"),
         jnum(j, &["shards"]),
         if draining { "  [DRAINING]" } else { "" }
     );
@@ -635,9 +626,6 @@ fn run() -> Result<(), String> {
             .unwrap_or(1)
     });
     server = server.with_shards(shards);
-    let exec_mode = sr_engine::ExecMode::parse(&opts.exec)
-        .ok_or_else(|| format!("unknown --exec mode: {} (tuple|vectorized)", opts.exec))?;
-    server = server.with_exec_mode(exec_mode);
     // Materialized-fragment cache: repeated materializations of the same
     // view serve their component-query results from memory, byte for byte.
     server = server.with_fragment_cache(opts.fragment_cache);

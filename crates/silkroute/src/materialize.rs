@@ -70,7 +70,7 @@ fn tag_and_report<W: Write>(
 
 /// How the component SQL queries are executed against the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecMode {
+enum Submit {
     /// Pipelined: every query is submitted immediately via
     /// [`Server::execute_sql_streaming`], so server-side execution and
     /// encoding overlap with client-side decode + tagging.
@@ -91,17 +91,13 @@ enum ExecMode {
 /// `materialize.retries`.
 const SUBMIT_RETRIES: u32 = 1;
 
-fn submit_with_retry(
-    server: &Server,
-    sql: &str,
-    mode: ExecMode,
-) -> Result<TupleStream, EngineError> {
+fn submit_with_retry(server: &Server, sql: &str, mode: Submit) -> Result<TupleStream, EngineError> {
     let submitted = Instant::now();
     let mut attempt = 0u32;
     loop {
         let result = match mode {
-            ExecMode::Streaming => server.execute_sql_streaming(sql),
-            ExecMode::Buffered => server.execute_sql(sql),
+            Submit::Streaming => server.execute_sql_streaming(sql),
+            Submit::Buffered => server.execute_sql(sql),
         };
         match result {
             Err(EngineError::Transient(_)) if attempt < SUBMIT_RETRIES => {
@@ -135,7 +131,7 @@ fn run_pipeline<W: Write>(
     out: W,
     start: Instant,
     plan_time: std::time::Duration,
-    mode: ExecMode,
+    mode: Submit,
 ) -> Result<(Materialization, W), TagError> {
     let mut sql = Vec::with_capacity(queries.len());
     let mut inputs = Vec::with_capacity(queries.len());
@@ -151,7 +147,7 @@ fn run_pipeline<W: Write>(
             reduced: q.reduced,
         });
     }
-    let parallel = mode == ExecMode::Streaming;
+    let parallel = mode == Submit::Streaming;
     tag_and_report(tree, server, sql, inputs, out, start, plan_time, parallel)
 }
 
@@ -181,7 +177,7 @@ pub fn materialize<W: Write>(
         out,
         start,
         plan_time,
-        ExecMode::Streaming,
+        Submit::Streaming,
     )
 }
 
@@ -208,7 +204,7 @@ pub fn materialize_buffered<W: Write>(
         out,
         start,
         plan_time,
-        ExecMode::Buffered,
+        Submit::Buffered,
     )
 }
 
@@ -251,7 +247,7 @@ pub fn materialize_fragment<W: Write>(
         out,
         start,
         plan_time,
-        ExecMode::Streaming,
+        Submit::Streaming,
     )
 }
 

@@ -2,14 +2,18 @@
 //! enabled, a warm materialization (every component query served from
 //! cached wire bytes) must produce documents byte-identical to the cold run
 //! — and to the golden corpus — at every shard count and in both execution
-//! modes. The cache stores encoded result bytes verbatim; any divergence
-//! here means it corrupted, truncated, or mis-keyed a fragment.
+//! modes (pipelined and buffered). The cache stores encoded result bytes
+//! verbatim; any divergence here means it corrupted, truncated, or
+//! mis-keyed a fragment.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use silkroute::{materialize, query1_tree, query2_tree, PlanSpec, QueryStyle, Server};
-use sr_engine::ExecMode;
+use silkroute::{
+    materialize, materialize_buffered, query1_tree, query2_tree, Materialization, PlanSpec,
+    QueryStyle, Server,
+};
+use sr_tagger::TagError;
 use sr_viewtree::{EdgeSet, ViewTree};
 
 /// Must match the scale the golden corpus was generated at.
@@ -22,27 +26,33 @@ fn golden(name: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("read golden {}: {e}", path.display()))
 }
 
-fn server(mode: ExecMode, shards: usize) -> Server {
+fn server(shards: usize) -> Server {
     let db = Arc::new(sr_tpch::generate(sr_tpch::Scale::mb(SCALE_MB)).expect("tpch"));
     Server::new(db)
-        .with_exec_mode(mode)
         .with_shards(shards)
         .with_fragment_cache(64 << 20)
 }
+
+type Materialize =
+    fn(&ViewTree, &Server, PlanSpec, Vec<u8>) -> Result<(Materialization, Vec<u8>), TagError>;
 
 fn document(srv: &Server, tree: &ViewTree, spec: PlanSpec) -> Vec<u8> {
     let (_, bytes) = materialize(tree, srv, spec, Vec::new()).expect("materialize");
     bytes
 }
 
-/// Cold then warm, shards {1,2,4} × {tuple, vectorized}: the warm document
-/// must equal both the cold one and the golden corpus, and the warm run
-/// must actually have been served from the cache.
+/// Cold then warm, shards {1,2,4} × {pipelined, buffered}: the warm
+/// document must equal both the cold one and the golden corpus, and the
+/// warm run must actually have been served from the cache.
 #[test]
 fn warm_materialization_is_byte_identical_across_shards_and_modes() {
-    for mode in [ExecMode::Tuple, ExecMode::Vectorized] {
+    let modes: [(&str, Materialize); 2] = [
+        ("pipelined", materialize::<Vec<u8>>),
+        ("buffered", materialize_buffered::<Vec<u8>>),
+    ];
+    for (mode, run) in modes {
         for shards in [1usize, 2, 4] {
-            let srv = server(mode, shards);
+            let srv = server(shards);
             for (name, tree) in [
                 ("query1.xml", query1_tree(srv.database())),
                 ("query2.xml", query2_tree(srv.database())),
@@ -52,22 +62,22 @@ fn warm_materialization_is_byte_identical_across_shards_and_modes() {
                     reduce: true,
                     style: QueryStyle::OuterJoin,
                 };
-                let cold = document(&srv, &tree, spec);
+                let cold = run(&tree, &srv, spec, Vec::new()).expect("cold run").1;
                 let hits_before = srv.metrics().snapshot().counter("cache.fragment.hits");
-                let warm = document(&srv, &tree, spec);
+                let warm = run(&tree, &srv, spec, Vec::new()).expect("warm run").1;
                 let hits_after = srv.metrics().snapshot().counter("cache.fragment.hits");
                 assert!(
                     hits_after > hits_before,
-                    "{mode:?} shards={shards} {name}: warm run never hit the cache"
+                    "{mode} shards={shards} {name}: warm run never hit the cache"
                 );
                 assert_eq!(
                     warm, cold,
-                    "{mode:?} shards={shards} {name}: warm diverges from cold"
+                    "{mode} shards={shards} {name}: warm diverges from cold"
                 );
                 assert_eq!(
                     warm,
                     golden(name),
-                    "{mode:?} shards={shards} {name}: warm diverges from golden"
+                    "{mode} shards={shards} {name}: warm diverges from golden"
                 );
             }
         }

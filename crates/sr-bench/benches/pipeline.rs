@@ -253,92 +253,12 @@ fn main() {
         (trace_overhead - 1.0) * 100.0
     );
 
-    // === Vectorized columnar execution vs. the tuple path ===
-    //
-    // The same plans, pipelined, with the server's executor switched to
-    // batch-at-a-time columnar (`--exec vectorized`). The headline is the
-    // *server-side* time ratio (`server_ms`): late materialization means
-    // the vectorized path never builds rows, so the scan/filter/encode
-    // work per tuple collapses. The acceptance bar is ≥2× on the
-    // scan-heavy query1 unified plan.
-    let vector_server =
-        Server::new(Arc::clone(server.database())).with_exec_mode(sr_engine::ExecMode::Vectorized);
-    println!("\n=== Vectorized columnar execution (--exec vectorized) ===\n");
-    struct VecPoint {
-        query: String,
-        plan: String,
-        tuple: Measurement,
-        vectorized: Measurement,
-    }
-    let mut vec_points: Vec<VecPoint> = Vec::new();
-    for (qname, tree) in &trees {
-        let plans: Vec<(&'static str, EdgeSet)> = vec![
-            ("unified", EdgeSet::full(tree)),
-            ("partitioned", EdgeSet::empty()),
-        ];
-        for (pname, edges) in plans {
-            let spec = PlanSpec {
-                edges,
-                reduce: true,
-                style: QueryStyle::OuterJoin,
-            };
-            let _ = run_plan(tree, &server, spec, None).expect("tuple warm-up");
-            let _ = run_plan(tree, &vector_server, spec, None).expect("vectorized warm-up");
-            let mut tuple: Option<Measurement> = None;
-            let mut vectorized: Option<Measurement> = None;
-            for _ in 0..reps {
-                keep_min(
-                    &mut tuple,
-                    run_plan(tree, &server, spec, None).expect("tuple run"),
-                );
-                keep_min(
-                    &mut vectorized,
-                    run_plan(tree, &vector_server, spec, None).expect("vectorized run"),
-                );
-            }
-            let t = tuple.expect("at least one repetition");
-            let v = vectorized.expect("at least one repetition");
-            println!(
-                "{:<7} {:<12} tuple server {:>8.2} ms  vectorized server {:>8.2} ms  \
-                 ({:.2}x server, {:.2}x total)",
-                qname,
-                pname,
-                t.query_ms,
-                v.query_ms,
-                t.query_ms / v.query_ms,
-                t.total_ms / v.total_ms
-            );
-            vec_points.push(VecPoint {
-                query: qname.to_string(),
-                plan: pname.to_string(),
-                tuple: t,
-                vectorized: v,
-            });
-        }
-    }
-    let t_server: f64 = vec_points.iter().map(|p| p.tuple.query_ms).sum();
-    let v_server: f64 = vec_points.iter().map(|p| p.vectorized.query_ms).sum();
-    println!(
-        "\nvectorized server-side speedup across all plans: {:.2}x \
-         (tuple {t_server:.2} ms, vectorized {v_server:.2} ms)",
-        t_server / v_server
-    );
-    let vec_snap = vector_server.metrics().snapshot();
-    let exec_batches = vec_snap.counter("exec.batches");
-    println!(
-        "batches processed: {exec_batches} (batch size {})",
-        sr_data::BATCH_ROWS
-    );
-
     let json = Json::obj(vec![
         ("bench", Json::Str("pipeline".to_string())),
         ("quick", Json::Bool(quick)),
         ("config", Json::Str(config.describe())),
         ("repetitions", Json::UInt(reps as u64)),
         ("host_parallelism", Json::UInt(parallelism as u64)),
-        // Mode of the baseline/sequential/pipelined/traced sections; the
-        // `vectorized` section below carries both modes side by side.
-        ("exec_mode", Json::Str("tuple".to_string())),
         ("batch_size", Json::UInt(sr_data::BATCH_ROWS as u64)),
         (
             "baseline_definition",
@@ -384,46 +304,6 @@ fn main() {
         ),
         ("sorts_elided_total", Json::UInt(elided)),
         ("trace_overhead", Json::Float(trace_overhead)),
-        (
-            "vectorized",
-            Json::obj(vec![
-                ("batch_size", Json::UInt(sr_data::BATCH_ROWS as u64)),
-                ("exec_batches", Json::UInt(exec_batches)),
-                (
-                    "plans",
-                    Json::Arr(
-                        vec_points
-                            .iter()
-                            .map(|p| {
-                                Json::obj(vec![
-                                    ("query", Json::Str(p.query.clone())),
-                                    ("plan", Json::Str(p.plan.clone())),
-                                    (
-                                        "exec_modes",
-                                        Json::obj(vec![
-                                            ("tuple", stage_json(&p.tuple)),
-                                            ("vectorized", stage_json(&p.vectorized)),
-                                        ]),
-                                    ),
-                                    (
-                                        "speedup_server",
-                                        Json::Float(p.tuple.query_ms / p.vectorized.query_ms),
-                                    ),
-                                    (
-                                        "speedup_total",
-                                        Json::Float(p.tuple.total_ms / p.vectorized.total_ms),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "speedup_vectorized_server",
-                    Json::Float(t_server / v_server),
-                ),
-            ]),
-        ),
     ]);
     let dir = std::path::Path::new("target/bench-results");
     let _ = std::fs::create_dir_all(dir);

@@ -9,8 +9,8 @@
 //!
 //! The representation is deliberately lossless with respect to [`Row`]s:
 //! `from_rows` → `to_rows` round-trips every value, including NULLs, so
-//! the vectorized execution path can pivot back to row form at the wire
-//! encoder and stay byte-identical with the tuple path.
+//! the executor's results pivot back to row form byte-identically
+//! wherever rows are wanted.
 
 use std::sync::Arc;
 

@@ -1,23 +1,23 @@
-//! Plan execution.
+//! Plan execution: the public entry points and the profile types.
 //!
-//! Operators are intentionally simple and fully materializing: the paper's
+//! One executor runs every plan — the batch-at-a-time columnar operators of
+//! [`crate::vexec`]. Operators are fully materializing: the paper's
 //! measurements attribute query-only time to server-side work that must
 //! finish before the first tuple of a *sorted* stream can be returned
 //! ("the time to first tuple is comparable to the time to count all tuples
 //! in the result on the server", §4) — which is exactly the behaviour of a
 //! materializing executor whose final operator is a sort.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
-use sr_data::{Database, Row, Schema, Value};
+use sr_data::{Database, Row, Schema};
 
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
-use crate::faults::{FaultInjector, FaultSite};
-use crate::plan::{JoinKind, Plan};
+use crate::faults::FaultInjector;
+use crate::plan::Plan;
+use crate::vexec::{vexec_env, VecResultSet};
 
 /// Rows processed between cooperative-cancellation checks — one streaming
 /// chunk's worth, so a query over its deadline stops within one chunk
@@ -31,7 +31,7 @@ pub struct OpStat {
     pub calls: u64,
     /// Rows it produced in total.
     pub rows_out: u64,
-    /// Column batches it produced in total (0 on the tuple path).
+    /// Column batches it produced in total.
     pub batches: u64,
 }
 
@@ -42,24 +42,17 @@ pub struct OpStat {
 pub struct ExecProfile {
     /// Statistics keyed by operator name (`scan`, `join`, …), sorted.
     pub ops: BTreeMap<&'static str, OpStat>,
-    /// Output vectors that outgrew their initial reservation (one per
-    /// operator call at most) — the tuple path's allocation-health gauge.
-    pub reallocs: u64,
-    /// Per-batch filter selectivities in ‰ (rows out × 1000 / rows in),
-    /// recorded by the vectorized filter.
+    /// Per-batch filter selectivities in ‰ (rows out × 1000 / rows in).
     pub selectivity: Vec<u64>,
 }
 
 impl ExecProfile {
-    pub(crate) fn record(&mut self, op: &'static str, rows_out: usize) {
+    /// Account one call of operator kind `op` and its output.
+    fn record(&mut self, op: &'static str, rows_out: usize, batches: usize) {
         let stat = self.ops.entry(op).or_default();
         stat.calls += 1;
         stat.rows_out += rows_out as u64;
-    }
-
-    /// Account `n` output batches to operator kind `op` (vectorized path).
-    pub(crate) fn record_batches(&mut self, op: &'static str, n: usize) {
-        self.ops.entry(op).or_default().batches += n as u64;
+        stat.batches += batches as u64;
     }
 
     /// Total rows produced across all operators.
@@ -73,9 +66,8 @@ impl ExecProfile {
     }
 
     /// Mirror the profile into a metrics registry as
-    /// `exec.calls.<op>` / `exec.rows.<op>` counters (plus
-    /// `exec.batches.<op>` on the vectorized path), the `exec.batches` /
-    /// `exec.realloc` totals, and the `exec.selectivity` ‰ histogram.
+    /// `exec.calls.<op>` / `exec.rows.<op>` / `exec.batches.<op>` counters,
+    /// the `exec.batches` total, and the `exec.selectivity` ‰ histogram.
     pub fn export_to(&self, registry: &sr_obs::MetricsRegistry) {
         for (op, stat) in &self.ops {
             registry
@@ -91,7 +83,6 @@ impl ExecProfile {
             }
         }
         registry.counter("exec.batches").add(self.total_batches());
-        registry.counter("exec.realloc").add(self.reallocs);
         for &sel in &self.selectivity {
             registry.histogram("exec.selectivity").record(sel);
         }
@@ -152,9 +143,36 @@ impl ExecCtx<'_> {
         }
         Ok(())
     }
+
+    /// When a node starts: a clock read, only if per-node stats are kept.
+    pub(crate) fn node_start(&self) -> Option<Instant> {
+        self.nodes.is_some().then(Instant::now)
+    }
+
+    /// Account one evaluation of node `id` that produced `rows` rows in
+    /// `batches` batches into the kind-level profile and, under
+    /// [`execute_analyzed`], into the node's own stat.
+    pub(crate) fn node_done(
+        &mut self,
+        plan: &Plan,
+        id: usize,
+        start: Option<Instant>,
+        rows: usize,
+        batches: usize,
+    ) {
+        let op = op_name(plan);
+        self.profile.record(op, rows, batches);
+        if let (Some(start), Some(nodes)) = (start, self.nodes.as_deref_mut()) {
+            let stat = &mut nodes[id];
+            stat.op = op;
+            stat.calls += 1;
+            stat.rows_out += rows as u64;
+            stat.total_time += start.elapsed();
+        }
+    }
 }
 
-pub(crate) fn op_name(plan: &Plan) -> &'static str {
+fn op_name(plan: &Plan) -> &'static str {
     match plan {
         Plan::Scan { .. } => "scan",
         Plan::Filter { .. } => "filter",
@@ -168,7 +186,7 @@ pub(crate) fn op_name(plan: &Plan) -> &'static str {
     }
 }
 
-/// A fully materialized query result.
+/// A fully materialized query result in row form.
 #[derive(Debug, Clone)]
 pub struct ResultSet {
     /// Output schema.
@@ -194,39 +212,35 @@ impl ResultSet {
     }
 }
 
-/// Execute a plan against a database.
+/// Execute a plan against a database, pivoting the result to rows.
 pub fn execute(plan: &Plan, db: &Database) -> Result<ResultSet, EngineError> {
-    Ok(execute_profiled(plan, db)?.0)
+    let (rs, _) = execute_profiled(plan, db)?;
+    Ok(ResultSet {
+        rows: rs.to_rows(),
+        schema: rs.schema,
+    })
 }
 
-/// Execute a plan, also collecting a per-operator [`ExecProfile`].
+/// Execute a plan, also collecting a per-operator [`ExecProfile`] (with
+/// batch counts and filter selectivities filled in).
 pub fn execute_profiled(
     plan: &Plan,
     db: &Database,
-) -> Result<(ResultSet, ExecProfile), EngineError> {
+) -> Result<(VecResultSet, ExecProfile), EngineError> {
     execute_profiled_with(plan, db, &CancelToken::none(), None)
 }
 
 /// [`execute_profiled`] with cooperative cancellation and (optional) fault
 /// injection: `cancel` is checked once per chunk of rows inside every
-/// operator loop, and `faults` fires at the [`FaultSite::Scan`] site. This
-/// is the entry point every server execution path uses.
+/// operator loop, and `faults` fires at the [`crate::FaultSite::Scan`]
+/// site. This is the entry point every server execution path uses.
 pub fn execute_profiled_with(
     plan: &Plan,
     db: &Database,
     cancel: &CancelToken,
     faults: Option<&FaultInjector>,
-) -> Result<(ResultSet, ExecProfile), EngineError> {
-    let mut profile = ExecProfile::default();
-    let mut ctx = ExecCtx {
-        profile: &mut profile,
-        nodes: None,
-        cancel,
-        faults,
-        ticks: 0,
-    };
-    let rs = execute_env(plan, db, &HashMap::new(), &mut ctx, 0)?;
-    Ok((rs, profile))
+) -> Result<(VecResultSet, ExecProfile), EngineError> {
+    run(plan, db, cancel, faults, None)
 }
 
 /// Execute a plan collecting, in addition to the kind-level profile, a
@@ -235,25 +249,35 @@ pub fn execute_profiled_with(
 pub fn execute_analyzed(
     plan: &Plan,
     db: &Database,
-) -> Result<(ResultSet, ExecProfile, PlanProfile), EngineError> {
-    let mut profile = ExecProfile::default();
+) -> Result<(VecResultSet, ExecProfile, PlanProfile), EngineError> {
     let mut nodes = vec![NodeStat::default(); plan.node_count()];
-    let cancel = CancelToken::none();
-    let mut ctx = ExecCtx {
-        profile: &mut profile,
-        nodes: Some(&mut nodes),
-        cancel: &cancel,
-        faults: None,
-        ticks: 0,
-    };
-    let rs = execute_env(plan, db, &HashMap::new(), &mut ctx, 0)?;
+    let (rs, profile) = run(plan, db, &CancelToken::none(), None, Some(&mut nodes))?;
     fill_self_times(plan, 0, &mut nodes);
     Ok((rs, profile, PlanProfile { nodes }))
 }
 
+fn run(
+    plan: &Plan,
+    db: &Database,
+    cancel: &CancelToken,
+    faults: Option<&FaultInjector>,
+    nodes: Option<&mut Vec<NodeStat>>,
+) -> Result<(VecResultSet, ExecProfile), EngineError> {
+    let mut profile = ExecProfile::default();
+    let mut ctx = ExecCtx {
+        profile: &mut profile,
+        nodes,
+        cancel,
+        faults,
+        ticks: 0,
+    };
+    let rs = vexec_env(plan, db, &HashMap::new(), &mut ctx, 0)?;
+    Ok((rs, profile))
+}
+
 /// `self = total − Σ direct children's total`, per node. Saturating: on a
 /// timer-granularity hiccup a child could appear to outlast its parent.
-fn fill_self_times(plan: &Plan, id: usize, nodes: &mut [NodeStat]) {
+pub(crate) fn fill_self_times(plan: &Plan, id: usize, nodes: &mut [NodeStat]) {
     let mut child_id = id + 1;
     let mut children_total = Duration::ZERO;
     for child in plan.children() {
@@ -264,299 +288,12 @@ fn fill_self_times(plan: &Plan, id: usize, nodes: &mut [NodeStat]) {
     nodes[id].self_time = nodes[id].total_time.saturating_sub(children_total);
 }
 
-/// Execute with a CTE environment (each definition's materialized result,
-/// computed exactly once by the enclosing [`Plan::With`]). `id` is the
-/// node's preorder id, meaningful only when `ctx.nodes` is set.
-fn execute_env(
-    plan: &Plan,
-    db: &Database,
-    env: &HashMap<String, ResultSet>,
-    ctx: &mut ExecCtx<'_>,
-    id: usize,
-) -> Result<ResultSet, EngineError> {
-    let start = ctx.nodes.is_some().then(Instant::now);
-    let rs = execute_op(plan, db, env, ctx, id)?;
-    ctx.profile.record(op_name(plan), rs.len());
-    if let (Some(start), Some(nodes)) = (start, ctx.nodes.as_deref_mut()) {
-        let stat = &mut nodes[id];
-        stat.op = op_name(plan);
-        stat.calls += 1;
-        stat.rows_out += rs.len() as u64;
-        stat.total_time += start.elapsed();
-    }
-    Ok(rs)
-}
-
-fn execute_op(
-    plan: &Plan,
-    db: &Database,
-    env: &HashMap<String, ResultSet>,
-    ctx: &mut ExecCtx<'_>,
-    id: usize,
-) -> Result<ResultSet, EngineError> {
-    match plan {
-        Plan::Scan { table, alias: _ } => {
-            if let Some(f) = ctx.faults {
-                f.hit(FaultSite::Scan)?;
-            }
-            let t = db.table(table)?;
-            ctx.tick(t.rows().len() as u64)?;
-            Ok(ResultSet {
-                schema: plan.schema(db)?,
-                rows: t.rows().to_vec(),
-            })
-        }
-        Plan::Filter { input, predicates } => {
-            let mut rs = execute_env(input, db, env, ctx, id + 1)?;
-            let bound = predicates
-                .iter()
-                .map(|p| p.bind(&rs.schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            ctx.tick(rs.rows.len() as u64)?;
-            rs.rows.retain(|r| bound.iter().all(|p| p.eval(r)));
-            Ok(rs)
-        }
-        Plan::Project { input, items } => {
-            let rs = execute_env(input, db, env, ctx, id + 1)?;
-            let bound = items
-                .iter()
-                .map(|(_, e)| e.bind(&rs.schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            let schema = plan.schema(db)?;
-            let mut rows = Vec::with_capacity(rs.rows.len());
-            for r in &rs.rows {
-                ctx.tick(1)?;
-                rows.push(Row::new(bound.iter().map(|e| e.eval(r).clone()).collect()));
-            }
-            Ok(ResultSet { schema, rows })
-        }
-        Plan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let lrs = execute_env(left, db, env, ctx, id + 1)?;
-            let rrs = execute_env(right, db, env, ctx, id + 1 + left.node_count())?;
-            let schema = plan.schema(db)?;
-            let rows = hash_join(&lrs, &rrs, *kind, on, ctx)?;
-            Ok(ResultSet { schema, rows })
-        }
-        Plan::OuterUnion { inputs } => {
-            let schema = plan.schema(db)?;
-            // Reserve from the oracle's cardinality estimate so the output
-            // vector is sized once up front instead of doubling as branches
-            // append. `exec.realloc` counts when the estimate fell short.
-            let reserve = crate::cost::estimate(plan, db)
-                .map(|e| e.cardinality.ceil() as usize)
-                .unwrap_or(0);
-            let mut rows = Vec::with_capacity(reserve);
-            let cap0 = rows.capacity();
-            let mut child_id = id + 1;
-            for input in inputs {
-                let rs = execute_env(input, db, env, ctx, child_id)?;
-                child_id += input.node_count();
-                ctx.tick(rs.rows.len() as u64)?;
-                // Map union position -> branch position (None = NULL pad).
-                let mapping: Vec<Option<usize>> =
-                    schema.names().map(|n| rs.schema.position(n)).collect();
-                rows.extend(rs.rows.iter().map(|r| {
-                    Row::new(
-                        mapping
-                            .iter()
-                            .map(|m| match m {
-                                Some(i) => r.get(*i).clone(),
-                                None => Value::Null,
-                            })
-                            .collect(),
-                    )
-                }));
-            }
-            if rows.len() > cap0 {
-                ctx.profile.reallocs += 1;
-            }
-            Ok(ResultSet { schema, rows })
-        }
-        Plan::Sort { input, keys } => {
-            let mut rs = execute_env(input, db, env, ctx, id + 1)?;
-            let idx: Vec<usize> = keys
-                .iter()
-                .map(|k| rs.schema.require(k).map_err(EngineError::from))
-                .collect::<Result<_, _>>()?;
-            ctx.tick(rs.rows.len() as u64)?;
-            // Precompute each row's key columns once instead of re-reading
-            // them on every comparison. Stable, like the `sort_by` it
-            // replaced — sort elision relies on stability (an already
-            // ordered input must pass through as the identity).
-            rs.rows.sort_by_cached_key(|r| {
-                idx.iter()
-                    .map(|&i| r.get(i).clone())
-                    .collect::<Vec<Value>>()
-            });
-            Ok(rs)
-        }
-        Plan::Distinct { input } => {
-            let mut rs = execute_env(input, db, env, ctx, id + 1)?;
-            // Dedup on row hashes with bucket verification: no row clones,
-            // first occurrence wins (preserving input order).
-            let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(rs.rows.len());
-            let mut keep = Vec::with_capacity(rs.rows.len());
-            for (i, r) in rs.rows.iter().enumerate() {
-                ctx.tick(1)?;
-                let mut hasher = DefaultHasher::new();
-                r.hash(&mut hasher);
-                let bucket = seen.entry(hasher.finish()).or_default();
-                let fresh = !bucket.iter().any(|&j| rs.rows[j] == *r);
-                if fresh {
-                    bucket.push(i);
-                }
-                keep.push(fresh);
-            }
-            retain_by_mask(&mut rs.rows, &keep)?;
-            Ok(rs)
-        }
-        Plan::With { ctes, body } => {
-            // Materialize each definition once, visible to later
-            // definitions and the body — this is the sharing the paper's
-            // with-clause footnote is after.
-            let mut local = env.clone();
-            let mut child_id = id + 1;
-            for (name, def) in ctes {
-                let rs = execute_env(def, db, &local, ctx, child_id)?;
-                child_id += def.node_count();
-                local.insert(name.clone(), rs);
-            }
-            execute_env(body, db, &local, ctx, child_id)
-        }
-        Plan::CteScan {
-            cte,
-            alias: _,
-            schema: _,
-        } => {
-            let rs = env.get(cte).ok_or_else(|| {
-                EngineError::InvalidPlan(format!("CTE {cte} referenced outside WITH"))
-            })?;
-            Ok(ResultSet {
-                schema: plan.schema(db)?,
-                rows: rs.rows.clone(),
-            })
-        }
-    }
-}
-
-/// Drop every row whose mask entry is `false`. The mask must cover the
-/// row set exactly — a shorter or longer mask is an engine bug surfaced as
-/// a typed error, never a panic mid-query.
-fn retain_by_mask(rows: &mut Vec<Row>, keep: &[bool]) -> Result<(), EngineError> {
-    if keep.len() != rows.len() {
-        return Err(EngineError::Internal(format!(
-            "selectivity mask covers {} row(s) but the row set has {}",
-            keep.len(),
-            rows.len()
-        )));
-    }
-    let mut it = keep.iter().copied();
-    rows.retain(|_| it.next().unwrap_or(false));
-    Ok(())
-}
-
-/// Hash equi-join. Builds on the right input, probes from the left. NULL
-/// join keys never match (SQL semantics); for [`JoinKind::LeftOuter`],
-/// unmatched left rows are padded with NULLs on the right.
-fn hash_join(
-    left: &ResultSet,
-    right: &ResultSet,
-    kind: JoinKind,
-    on: &[(String, String)],
-    ctx: &mut ExecCtx<'_>,
-) -> Result<Vec<Row>, EngineError> {
-    let lidx: Vec<usize> = on
-        .iter()
-        .map(|(l, _)| left.schema.require(l).map_err(EngineError::from))
-        .collect::<Result<_, _>>()?;
-    let ridx: Vec<usize> = on
-        .iter()
-        .map(|(_, r)| right.schema.require(r).map_err(EngineError::from))
-        .collect::<Result<_, _>>()?;
-
-    // Cross join when there are no equality pairs.
-    if on.is_empty() {
-        let mut out = Vec::with_capacity(left.rows.len() * right.rows.len().max(1));
-        for l in &left.rows {
-            if right.rows.is_empty() && kind == JoinKind::LeftOuter {
-                out.push(l.concat(&Row::nulls(right.schema.arity())));
-            }
-            for r in &right.rows {
-                ctx.tick(1)?;
-                out.push(l.concat(r));
-            }
-        }
-        return Ok(out);
-    }
-
-    // Key cells are hashed in place (no per-value clones); candidates from
-    // a bucket are verified cell by cell to rule out hash collisions. Join
-    // keys use `join_hash`/`join_eq`, not the total-order Hash/Eq: ±0.0
-    // must land in one bucket and any NaN must match any NaN.
-    let hash_key = |row: &Row, idx: &[usize]| -> u64 {
-        let mut hasher = DefaultHasher::new();
-        for &c in idx {
-            row.get(c).join_hash(&mut hasher);
-        }
-        hasher.finish()
-    };
-
-    let mut build: HashMap<u64, Vec<usize>> = HashMap::with_capacity(right.rows.len());
-    'rows: for (i, r) in right.rows.iter().enumerate() {
-        ctx.tick(1)?;
-        for &c in &ridx {
-            if r.get(c).is_null() {
-                continue 'rows;
-            }
-        }
-        // Bucket order is insertion order — probe rows emit their matches
-        // in right-input order, which order-property propagation relies on.
-        build.entry(hash_key(r, &ridx)).or_default().push(i);
-    }
-
-    let mut out = Vec::new();
-    let pad = Row::nulls(right.schema.arity());
-    'probe: for l in &left.rows {
-        ctx.tick(1)?;
-        for &c in &lidx {
-            if l.get(c).is_null() {
-                if kind == JoinKind::LeftOuter {
-                    out.push(l.concat(&pad));
-                }
-                continue 'probe;
-            }
-        }
-        let mut matched = false;
-        if let Some(candidates) = build.get(&hash_key(l, &lidx)) {
-            for &i in candidates {
-                let r = &right.rows[i];
-                if lidx
-                    .iter()
-                    .zip(&ridx)
-                    .all(|(&lc, &rc)| l.get(lc).join_eq(r.get(rc)))
-                {
-                    out.push(l.concat(r));
-                    matched = true;
-                }
-            }
-        }
-        if !matched && kind == JoinKind::LeftOuter {
-            out.push(l.concat(&pad));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Expr, Predicate};
-    use sr_data::{row, DataType, Table};
+    use crate::plan::JoinKind;
+    use sr_data::{row, DataType, Table, Value};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -754,43 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn outer_union_reservation_counts_reallocs() {
-        let db = db();
-        // A plain two-branch union over base scans: the oracle knows exact
-        // base-table cardinalities, so the reservation holds and the
-        // realloc counter stays at zero.
-        let a = Plan::scan("Supplier", "s").project(vec![("k".into(), Expr::col("s_suppkey"))]);
-        let b = Plan::scan("PartSupp", "ps").project(vec![("k".into(), Expr::col("ps_suppkey"))]);
-        let u = Plan::OuterUnion {
-            inputs: vec![a.clone(), b],
-        };
-        let (rs, profile) = execute_profiled(&u, &db).unwrap();
-        assert_eq!(rs.len(), 6);
-        assert_eq!(profile.reallocs, 0, "exact estimate ⇒ no realloc");
-
-        // A cross-join branch under a selective filter: the oracle's
-        // default selectivity underestimates the actual fan-out, the
-        // reservation falls short, and the counter proves the realloc.
-        let fanout = Plan::scan("Supplier", "s")
-            .join(Plan::scan("PartSupp", "ps"), JoinKind::Inner, vec![])
-            .filter(vec![Predicate::new(
-                Expr::col("s_suppkey"),
-                CmpOp::Le,
-                Expr::lit(1000i64),
-            )])
-            .project(vec![("k".into(), Expr::col("s_suppkey"))]);
-        let u = Plan::OuterUnion {
-            inputs: vec![fanout],
-        };
-        let (rs, profile) = execute_profiled(&u, &db).unwrap();
-        assert_eq!(rs.len(), 9, "filter keeps everything");
-        assert!(
-            profile.reallocs >= 1,
-            "under-estimated union must report a realloc"
-        );
-    }
-
-    #[test]
     fn analyzed_execution_fills_per_node_stats() {
         let db = db();
         // 0=Sort, 1=Join, 2=Scan Supplier, 3=Scan PartSupp
@@ -824,7 +524,7 @@ mod tests {
         }
         // Analyzed and plain execution agree on the result.
         let plain = execute(&p, &db).unwrap();
-        assert_eq!(plain.rows, rs.rows);
+        assert_eq!(plain.rows, rs.to_rows());
     }
 
     #[test]
@@ -862,6 +562,45 @@ mod tests {
         assert_eq!(pp.nodes[4].calls, 1);
     }
 
+    /// Per-node `op` / `calls` / `rows_out` of an analyzed run equal the
+    /// reference executor's on every node of both views' component plans:
+    /// EXPLAIN ANALYZE counts what the one executor really did.
+    #[test]
+    fn analyzed_nodes_match_the_reference_on_both_views() {
+        let db = std::sync::Arc::new(sr_tpch::generate(sr_tpch::Scale::mb(0.05)).unwrap());
+        let server = crate::Server::new(std::sync::Arc::clone(&db));
+        let mut nodes = 0;
+        for tree in [silkroute::query1_tree(&db), silkroute::query2_tree(&db)] {
+            let unified = silkroute::PlanSpec::unified(&tree);
+            for spec in [
+                unified,
+                silkroute::PlanSpec::fully_partitioned(),
+                silkroute::PlanSpec::sorted_outer_union(&tree),
+                silkroute::PlanSpec {
+                    style: silkroute::QueryStyle::OuterJoinWith,
+                    ..unified
+                },
+            ] {
+                for q in sr_sqlgen::generate_queries(&tree, &db, spec).unwrap() {
+                    let (plan, _) = server.optimized_plan(&q.sql).unwrap();
+                    let (rs, _, got) = execute_analyzed(&plan, &db).unwrap();
+                    let (want_rs, _, want) =
+                        crate::reference::execute_analyzed(&plan, &db).unwrap();
+                    assert_eq!(rs.to_rows(), want_rs.rows, "{}", q.sql);
+                    let key = |p: &PlanProfile| -> Vec<_> {
+                        p.nodes
+                            .iter()
+                            .map(|s| (s.op, s.calls, s.rows_out))
+                            .collect()
+                    };
+                    assert_eq!(key(&got), key(&want), "{}", q.sql);
+                    nodes += got.nodes.len();
+                }
+            }
+        }
+        assert!(nodes > 50, "only {nodes} plan nodes compared");
+    }
+
     #[test]
     fn wire_bytes_nonzero() {
         let db = db();
@@ -871,6 +610,7 @@ mod tests {
 
     #[test]
     fn short_selectivity_mask_errors_instead_of_panicking() {
+        use crate::reference::retain_by_mask;
         let mut rows = vec![row![1i64], row![2i64], row![3i64]];
         match retain_by_mask(&mut rows, &[true, false]) {
             Err(EngineError::Internal(m)) => {
@@ -883,6 +623,15 @@ mod tests {
         assert_eq!(rows, vec![row![1i64], row![3i64]]);
     }
 
+    /// Seven-way cross join: enough rows to pass several cancel checks.
+    fn big_cross_join() -> Plan {
+        let mut p = Plan::scan("Supplier", "s");
+        for alias in ["a", "b", "c", "d", "e", "f"] {
+            p = p.join(Plan::scan("PartSupp", alias), JoinKind::Inner, vec![]);
+        }
+        p
+    }
+
     #[test]
     fn cancelled_token_stops_execution() {
         let db = db();
@@ -891,14 +640,7 @@ mod tests {
         token.cancel();
         // The per-chunk check only fires after CANCEL_CHECK_ROWS of work,
         // so drive enough rows through a cross-join to guarantee a check.
-        let big = Plan::scan("Supplier", "s")
-            .join(Plan::scan("PartSupp", "a"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "b"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "c"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "d"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "e"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "f"), JoinKind::Inner, vec![]);
-        match execute_profiled_with(&big, &db, &token, None) {
+        match execute_profiled_with(&big_cross_join(), &db, &token, None) {
             Err(EngineError::Cancelled) => {}
             other => panic!("expected cancellation, got {other:?}"),
         }
@@ -913,14 +655,7 @@ mod tests {
         let db = db();
         let token = crate::cancel::CancelToken::with_timeout(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(2));
-        let big = Plan::scan("Supplier", "s")
-            .join(Plan::scan("PartSupp", "a"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "b"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "c"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "d"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "e"), JoinKind::Inner, vec![])
-            .join(Plan::scan("PartSupp", "f"), JoinKind::Inner, vec![]);
-        match execute_profiled_with(&big, &db, &token, None) {
+        match execute_profiled_with(&big_cross_join(), &db, &token, None) {
             Err(EngineError::Timeout { limit_ms, .. }) => assert_eq!(limit_ms, 0),
             other => panic!("expected timeout, got {other:?}"),
         }

@@ -30,6 +30,8 @@ pub mod lru;
 pub mod optimize;
 pub mod ordering;
 pub mod plan;
+#[cfg(test)]
+mod reference;
 pub mod server;
 pub mod shard;
 pub mod sql;
@@ -52,7 +54,4 @@ pub use ordering::{elide_sorts, order_info, OrderInfo};
 pub use plan::{JoinKind, Plan};
 pub use server::{FragmentCacheInfo, QueryPhases, Server, TupleStream};
 pub use shard::{range_boundaries, split_plan, ShardPlan};
-pub use vexec::{
-    execute_vectorized, execute_vectorized_profiled, execute_vectorized_profiled_with, ExecMode,
-    VecResultSet,
-};
+pub use vexec::VecResultSet;

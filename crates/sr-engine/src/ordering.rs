@@ -11,7 +11,7 @@
 //! requested order — and [`elide_sorts`] removes every `Sort` whose keys
 //! are already satisfied.
 //!
-//! Soundness notes (all load-bearing, matched to `exec.rs` semantics):
+//! Soundness notes (all load-bearing, matched to `vexec.rs` semantics):
 //!
 //! * The executor's `Sort` is stable, so on already-ordered input it is the
 //!   identity; eliding such a node changes neither row order nor content.

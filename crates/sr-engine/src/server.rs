@@ -9,13 +9,18 @@
 //! 2. executes and **encodes** the sorted result into the wire format, and
 //! 3. hands back a [`TupleStream`] that the client decodes row by row (the
 //!    "bind and transfer" phase of the paper's *total time*).
+//!
+//! Every execution path — buffered, worker thread, inline, sharded — runs
+//! one body, `Exec::run`, and differs only in where the encoded chunks go.
 
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use sr_data::column::ColumnBatch;
 use sr_data::{Database, Row, Schema, Value};
 use sr_obs::{MetricsRegistry, TraceSpan, Tracer};
 
@@ -23,7 +28,7 @@ use crate::analyze::ExplainAnalysis;
 use crate::cancel::CancelToken;
 use crate::cost::{estimate, estimate_with_nodes, Estimate};
 use crate::error::EngineError;
-use crate::exec::{execute_analyzed, execute_profiled_with, ExecProfile, ResultSet};
+use crate::exec::{execute_analyzed, execute_profiled_with, ExecProfile};
 use crate::faults::{FaultInjector, FaultPlan, FaultSite};
 use crate::lru::{lock_recover, Lru};
 use crate::ordering::elide_sorts;
@@ -33,8 +38,8 @@ use crate::sql::binder::bind;
 use crate::sql::lexer::{lex, Spanned};
 use crate::sql::parser::parse_tokens;
 use crate::sql::shape::shape;
-use crate::vexec::{execute_vectorized_profiled_with, ExecMode, VecResultSet};
-use crate::wire::{decode_row, encode_batch, encode_batch_into, encode_rows, CellArena};
+use crate::vexec::VecResultSet;
+use crate::wire::{decode_row, encode_batch_into, CellArena};
 
 /// Render a caught panic payload for an [`EngineError::Internal`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -83,99 +88,7 @@ fn record_shard_skew(metrics: &MetricsRegistry, rows_per_shard: &[u64]) {
 /// `base × 2^(n-1)`.
 const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(1);
 
-/// One query's materialized output in whichever representation the
-/// configured [`ExecMode`] produced. Both variants encode to identical
-/// wire bytes; the columnar variant pivots to row form only here, at the
-/// encoder — the late-materialization boundary.
-enum QueryOutput {
-    /// Tuple-path rows.
-    Rows(ResultSet),
-    /// Columnar batches from the vectorized path.
-    Batches(VecResultSet),
-}
-
-impl QueryOutput {
-    fn row_count(&self) -> usize {
-        match self {
-            QueryOutput::Rows(rs) => rs.rows.len(),
-            QueryOutput::Batches(vs) => vs.row_count(),
-        }
-    }
-
-    /// Number of wire chunks this output encodes to. Tuple results chunk
-    /// by `chunk_rows`; columnar results ship one chunk per batch (batches
-    /// are already bounded by `BATCH_ROWS`, which equals
-    /// [`STREAM_CHUNK_ROWS`]). Chunk *boundaries* may differ between the
-    /// modes — the concatenated bytes never do.
-    fn chunk_count(&self, chunk_rows: usize) -> usize {
-        match self {
-            QueryOutput::Rows(rs) => rs.rows.len().div_ceil(chunk_rows),
-            QueryOutput::Batches(vs) => vs.batches.len(),
-        }
-    }
-
-    /// Encode chunk `i` of [`QueryOutput::chunk_count`].
-    fn encode_chunk(&self, i: usize, chunk_rows: usize) -> Bytes {
-        match self {
-            QueryOutput::Rows(rs) => {
-                let start = i * chunk_rows;
-                let end = (start + chunk_rows).min(rs.rows.len());
-                encode_rows(&rs.rows[start..end])
-            }
-            QueryOutput::Batches(vs) => encode_batch(&vs.batches[i]),
-        }
-    }
-
-    /// Encode the whole result into one buffer (the buffered path).
-    fn encode_all(&self) -> Bytes {
-        match self {
-            QueryOutput::Rows(rs) => encode_rows(&rs.rows),
-            QueryOutput::Batches(vs) => {
-                let mut buf = BytesMut::with_capacity(vs.wire_bytes() + 4 * vs.row_count());
-                for b in &vs.batches {
-                    encode_batch_into(b, &mut buf);
-                }
-                buf.freeze()
-            }
-        }
-    }
-}
-
-/// Execute with bounded retry on [`EngineError::Transient`]: each retry
-/// backs off exponentially, bumps `server.retries`, and re-checks the
-/// cancel token so retrying never outlives the query's deadline. All
-/// other errors (and success) pass straight through. `mode` selects the
-/// tuple or vectorized executor; both feed the same retry loop.
-fn run_query_with_retry(
-    plan: &Plan,
-    db: &Database,
-    token: &CancelToken,
-    faults: Option<&FaultInjector>,
-    retries: u32,
-    metrics: &MetricsRegistry,
-    mode: ExecMode,
-) -> Result<(QueryOutput, ExecProfile), EngineError> {
-    let mut attempt = 0u32;
-    loop {
-        let result = match mode {
-            ExecMode::Tuple => execute_profiled_with(plan, db, token, faults)
-                .map(|(rs, p)| (QueryOutput::Rows(rs), p)),
-            ExecMode::Vectorized => execute_vectorized_profiled_with(plan, db, token, faults)
-                .map(|(vs, p)| (QueryOutput::Batches(vs), p)),
-        };
-        match result {
-            Err(EngineError::Transient(_)) if attempt < retries => {
-                attempt += 1;
-                metrics.counter("server.retries").inc();
-                std::thread::sleep(RETRY_BACKOFF_BASE * 2u32.saturating_pow(attempt - 1));
-                token.check()?;
-            }
-            other => return other,
-        }
-    }
-}
-
-/// Rows per encoded chunk shipped over the streaming channel.
+/// Most rows in one encoded chunk shipped over a stream.
 const STREAM_CHUNK_ROWS: usize = 1024;
 /// Bounded-channel depth: the producer runs at most this many chunks ahead
 /// of the consumer, keeping in-flight memory proportional to chunk size.
@@ -263,14 +176,27 @@ impl QueryPhases {
     }
 }
 
-/// End-of-stream summary shipped by a streaming worker once the last chunk
-/// is on the channel: the metadata a buffered [`TupleStream`] knows upfront.
+/// What one execution produced, shipped once its last chunk is out: the
+/// metadata a [`TupleStream`] knows only at end of stream.
 #[derive(Debug, Default)]
 struct StreamSummary {
     row_count: usize,
     byte_size: usize,
     query_time: Duration,
     phases: QueryPhases,
+}
+
+impl StreamSummary {
+    /// Fold another part's summary into this one (shards of one stream).
+    fn add(&mut self, other: &StreamSummary) {
+        self.row_count += other.row_count;
+        self.byte_size += other.byte_size;
+        self.query_time += other.query_time;
+        self.phases.parse_bind += other.phases.parse_bind;
+        self.phases.optimize += other.phases.optimize;
+        self.phases.execute += other.phases.execute;
+        self.phases.encode += other.phases.encode;
+    }
 }
 
 /// One message on a streaming query's bounded channel.
@@ -284,32 +210,66 @@ enum StreamItem {
     Failed(EngineError),
 }
 
+/// A channel already holding `chunks` and the terminal `last` item — what
+/// inline execution and a cached fragment hand a stream.
+fn queued(chunks: Vec<Bytes>, last: StreamItem) -> Receiver<StreamItem> {
+    let (tx, rx) = sync_channel(chunks.len() + 1);
+    for c in chunks {
+        let _ = tx.send(StreamItem::Chunk(c));
+    }
+    let _ = tx.send(last);
+    rx
+}
+
+/// Concatenate encoded chunks into one buffer. The wire format is
+/// self-delimiting, so the bytes are those of the whole result encoded at
+/// once.
+fn concat(chunks: Vec<Bytes>) -> Bytes {
+    match <[Bytes; 1]>::try_from(chunks) {
+        Ok([one]) => one,
+        Err(chunks) => {
+            let mut buf = BytesMut::with_capacity(chunks.iter().map(Bytes::len).sum());
+            for c in &chunks {
+                buf.put_slice(c);
+            }
+            buf.freeze()
+        }
+    }
+}
+
 /// Where a [`TupleStream`]'s chunks come from.
 #[derive(Debug)]
 enum StreamSource {
     /// Fully materialized upfront ([`Server::execute_sql`]): one chunk,
     /// handed out once.
     Buffered(Bytes),
-    /// Fed incrementally by a worker thread
-    /// ([`Server::execute_sql_streaming`]).
-    Channel {
-        rx: Receiver<StreamItem>,
-        finished: bool,
-    },
-    /// Fed by `k` range-shard workers, one channel per shard, consumed in
-    /// shard order. The shards partition the sort-key range, so this
-    /// sequential concatenation *is* the order-preserving k-way merge —
-    /// later shards fill their bounded channels and park while an earlier
-    /// shard drains. Per-shard summaries are aggregated into the stream's
-    /// metadata at the final `Done`.
-    Shards {
+    /// Fed by one producer per part — a worker thread, or chunks queued up
+    /// front by inline execution or a cached fragment — each over its own
+    /// channel, consumed in order. Several parts are key-range shards
+    /// whose ranges ascend, so this sequential concatenation *is* the
+    /// order-preserving k-way merge: later shards fill their bounded
+    /// channels and park while an earlier shard drains. Per-part summaries
+    /// are aggregated into the stream's metadata at the final `Done`.
+    Parts {
         parts: Vec<Receiver<StreamItem>>,
+        /// The part being drained; `parts.len()` once the stream is over.
         idx: usize,
-        finished: bool,
         agg: StreamSummary,
-        rows_per_shard: Vec<u64>,
+        rows_per_part: Vec<u64>,
         metrics: Arc<MetricsRegistry>,
     },
+}
+
+impl StreamSource {
+    fn parts(parts: Vec<Receiver<StreamItem>>, metrics: &Arc<MetricsRegistry>) -> StreamSource {
+        StreamSource::Parts {
+            rows_per_part: Vec::with_capacity(parts.len()),
+            parts,
+            idx: 0,
+            agg: StreamSummary::default(),
+            metrics: Arc::clone(metrics),
+        }
+    }
 }
 
 /// A sorted tuple stream returned by the server.
@@ -373,6 +333,31 @@ struct StreamTrace {
 }
 
 impl TupleStream {
+    fn new(schema: Schema, source: StreamSource, cancel: CancelToken) -> TupleStream {
+        TupleStream {
+            schema,
+            row_count: 0,
+            byte_size: 0,
+            query_time: Duration::ZERO,
+            phases: QueryPhases::default(),
+            transfer_time: Duration::ZERO,
+            stall_time: Duration::ZERO,
+            rows_decoded: 0,
+            source,
+            current: Bytes::new(),
+            capture: None,
+            trace: None,
+            cancel,
+        }
+    }
+
+    fn set_summary(&mut self, sum: &StreamSummary) {
+        self.row_count = sum.row_count;
+        self.byte_size = sum.byte_size;
+        self.query_time = sum.query_time;
+        self.phases = sum.phases;
+    }
+
     /// Attach the stream to a tracer: a named virtual lane
     /// (`stream <label>`) is allocated and subsequent stall intervals and
     /// decode-progress counters are recorded onto it.
@@ -416,10 +401,7 @@ impl TupleStream {
                 StreamSource::Buffered(data) => {
                     return Ok(Some(std::mem::take(data)).filter(|d| !d.is_empty()));
                 }
-                StreamSource::Channel { finished: true, .. }
-                | StreamSource::Shards { finished: true, .. } => return Ok(None),
-                StreamSource::Channel { rx, .. } => &*rx,
-                StreamSource::Shards { parts, idx, .. } => match parts.get(*idx) {
+                StreamSource::Parts { parts, idx, .. } => match parts.get(*idx) {
                     Some(rx) => rx,
                     None => return Ok(None),
                 },
@@ -454,10 +436,8 @@ impl TupleStream {
                     // Stop the sibling shard workers too: the stream is
                     // dead, their output has no consumer.
                     self.cancel.cancel();
-                    if let StreamSource::Channel { finished, .. }
-                    | StreamSource::Shards { finished, .. } = &mut self.source
-                    {
-                        *finished = true;
+                    if let StreamSource::Parts { parts, idx, .. } = &mut self.source {
+                        *idx = parts.len();
                     }
                     return Err(match failed {
                         Ok(StreamItem::Failed(e)) => e,
@@ -478,43 +458,27 @@ impl TupleStream {
     /// metadata and, once the last one has, commit the fragment capture —
     /// the captured chunks are then the complete result.
     fn finish_part(&mut self, sum: StreamSummary) {
-        match &mut self.source {
-            StreamSource::Buffered(_) => return,
-            StreamSource::Channel { finished, .. } => {
-                *finished = true;
-                self.row_count = sum.row_count;
-                self.byte_size = sum.byte_size;
-                self.query_time = sum.query_time;
-                self.phases = sum.phases;
-            }
-            StreamSource::Shards {
-                parts,
-                idx,
-                finished,
-                agg,
-                rows_per_shard,
-                metrics,
-            } => {
-                rows_per_shard.push(sum.row_count as u64);
-                agg.row_count += sum.row_count;
-                agg.byte_size += sum.byte_size;
-                agg.query_time += sum.query_time;
-                agg.phases.parse_bind += sum.phases.parse_bind;
-                agg.phases.optimize += sum.phases.optimize;
-                agg.phases.execute += sum.phases.execute;
-                agg.phases.encode += sum.phases.encode;
-                *idx += 1;
-                if *idx < parts.len() {
-                    return;
-                }
-                *finished = true;
-                record_shard_skew(metrics, rows_per_shard);
-                self.row_count = agg.row_count;
-                self.byte_size = agg.byte_size;
-                self.query_time = agg.query_time;
-                self.phases = agg.phases;
-            }
+        let StreamSource::Parts {
+            parts,
+            idx,
+            agg,
+            rows_per_part,
+            metrics,
+        } = &mut self.source
+        else {
+            return;
+        };
+        rows_per_part.push(sum.row_count as u64);
+        agg.add(&sum);
+        *idx += 1;
+        if *idx < parts.len() {
+            return;
         }
+        if parts.len() > 1 {
+            record_shard_skew(metrics, rows_per_part);
+        }
+        let total = std::mem::take(agg);
+        self.set_summary(&total);
         if let Some(tr) = &self.trace {
             tr.tracer.instant(tr.lane, "stream.done", None);
         }
@@ -638,9 +602,6 @@ pub struct Server {
     /// Key-range shards per streaming query (1 = unsharded). Queries whose
     /// plan cannot be sharded safely fall back to one shard silently.
     shards: usize,
-    /// Which executor runs queries: row-at-a-time tuple (default) or
-    /// batch-at-a-time vectorized. Wire output is identical either way.
-    exec_mode: ExecMode,
     /// Materialized-fragment cache (`None` = disabled): wire-encoded
     /// results of component queries, served back without re-execution.
     /// Shared behind an `Arc` so in-flight captures outlive the borrow of
@@ -667,10 +628,7 @@ const DEFAULT_TRANSIENT_RETRIES: u32 = 2;
 
 /// One cached materialized fragment: the wire-encoded chunks of a component
 /// query's full result, plus the stream metadata a warm hit must replay.
-/// On the vectorized path each chunk is one encoded columnar batch; the
-/// concatenated bytes are identical either way, so a fragment cached under
-/// one chunking serves byte-identical streams.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CachedFragment {
     schema: Schema,
     chunks: Vec<Bytes>,
@@ -678,12 +636,35 @@ struct CachedFragment {
     byte_size: usize,
 }
 
+impl CachedFragment {
+    /// Serve the fragment with zero server-side time: as one buffered chunk
+    /// (the chunks concatenated), or with streaming semantics — every chunk
+    /// plus the terminal summary pre-queued, the exact item sequence (and
+    /// bytes) the live streaming path produced when it was captured.
+    fn into_stream(self, buffered: bool, metrics: &Arc<MetricsRegistry>) -> TupleStream {
+        let sum = StreamSummary {
+            row_count: self.row_count,
+            byte_size: self.byte_size,
+            ..StreamSummary::default()
+        };
+        if buffered {
+            let source = StreamSource::Buffered(concat(self.chunks));
+            let mut stream = TupleStream::new(self.schema, source, CancelToken::unbounded());
+            stream.set_summary(&sum);
+            return stream;
+        }
+        let rx = queued(self.chunks, StreamItem::Done(sum));
+        let source = StreamSource::parts(vec![rx], metrics);
+        TupleStream::new(self.schema, source, CancelToken::unbounded())
+    }
+}
+
 /// The materialized-fragment cache: an [`Lru`] held to a byte budget,
-/// holding encoded results instead of plans. Keyed by exec mode + shard
-/// spec + SQL — the three inputs that determine the produced chunk
-/// sequence. Invalidated together with the plan cache
-/// ([`Server::set_database`] / [`Server::invalidate_plan_cache`]): a
-/// fragment is only sound while the database is unchanged.
+/// holding encoded results instead of plans. Keyed by shard spec + SQL —
+/// the inputs that determine the produced chunk sequence. Invalidated
+/// together with the plan cache ([`Server::set_database`] /
+/// [`Server::invalidate_plan_cache`]): a fragment is only sound while the
+/// database is unchanged.
 #[derive(Debug)]
 struct FragmentCache {
     map: Lru<CachedFragment>,
@@ -709,13 +690,6 @@ impl FragmentCache {
             budget,
             bytes: 0,
         }
-    }
-
-    fn get(&mut self, key: &str) -> Option<(Schema, Vec<Bytes>, usize, usize)> {
-        // `Bytes` clones are refcounted slices — a hit copies pointers,
-        // not payload.
-        let f = self.map.get(key)?;
-        Some((f.schema.clone(), f.chunks.clone(), f.row_count, f.byte_size))
     }
 
     /// Insert a fully captured fragment, evicting least-recently-used
@@ -822,7 +796,6 @@ impl Server {
             fault_plan: None,
             transient_retries: DEFAULT_TRANSIENT_RETRIES,
             shards: 1,
-            exec_mode: ExecMode::Tuple,
             fragment_cache: None,
         }
     }
@@ -855,16 +828,17 @@ impl Server {
         })
     }
 
-    /// The cache key for one fragment: exec mode, shard spec, and SQL — the
-    /// three inputs that determine the produced byte stream's chunking.
+    /// The cache key for one fragment: shard spec and SQL — the inputs
+    /// that determine the produced chunk sequence (chunks hold at most
+    /// [`STREAM_CHUNK_ROWS`] rows, cut per shard).
     fn fragment_key(&self, sql: &str) -> String {
-        format!("{:?}|k{}|{}", self.exec_mode, self.shards, sql)
+        format!("k{}|{}", self.shards, sql)
     }
 
     /// Look up `sql` in the fragment cache, bumping hit/miss counters.
-    fn fragment_lookup(&self, sql: &str) -> Option<(Schema, Vec<Bytes>, usize, usize)> {
+    fn fragment_lookup(&self, sql: &str) -> Option<CachedFragment> {
         let fc = self.fragment_cache.as_ref()?;
-        let hit = lock_recover(fc).get(&self.fragment_key(sql));
+        let hit = lock_recover(fc).map.get(&self.fragment_key(sql)).cloned();
         if hit.is_some() {
             self.metrics.counter("cache.fragment.hits").inc();
         } else {
@@ -889,19 +863,10 @@ impl Server {
         })
     }
 
-    /// Select the execution path: row-at-a-time [`ExecMode::Tuple`]
-    /// (default) or batch-at-a-time [`ExecMode::Vectorized`]. Every path —
-    /// buffered, streaming, inline, sharded — honours the mode, and the
-    /// encoded bytes are identical in both; only the executor (and its
-    /// performance profile) changes.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// The configured execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
+    /// The executor every query runs on — there is one, the vectorized
+    /// (batch-at-a-time columnar) executor. Reported in result metadata.
+    pub fn exec_mode(&self) -> &'static str {
+        "vectorized"
     }
 
     /// Set the per-query timeout.
@@ -1036,7 +1001,7 @@ impl Server {
     /// `server.streams`, `server.analyze`, `server.rows`, `server.bytes`,
     /// `server.estimates`, `server.timeouts`, `server.plan_cache_hits`,
     /// `server.plan_cache_prepared`, `server.panics`, `server.cancelled`, `server.retries`,
-    /// `cache.evictions`, `exec.sorts_elided`, `exec.{calls,rows}.<op>`.
+    /// `cache.evictions`, `exec.sorts_elided`, `exec.{calls,rows,batches}.<op>`.
     /// Histograms: `server.<phase>_ns`, `server.query_ns`,
     /// `server.estimate_ns`, `oracle.qerror` (Q-error ×1000).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
@@ -1057,7 +1022,7 @@ impl Server {
     }
 
     /// Plan `sql` through the prepared-plan cache: a clone of its shape's
-    /// prepared plan with the statement's own literals bound, so every
+    /// prepared plan with the statement's own literals bound, so the
     /// executor sees a plain literal plan.
     fn plan_cached(&self, sql: &str) -> Result<(Plan, Schema, usize), EngineError> {
         let (p, params) = self.prepared(sql)?;
@@ -1127,195 +1092,58 @@ impl Server {
         Ok((p, generic))
     }
 
+    /// The execution context of one plan run: `faults` and the trace
+    /// `detail` differ between shards of one query, the rest is the
+    /// server's.
+    fn exec(
+        &self,
+        token: CancelToken,
+        faults: Option<Arc<FaultInjector>>,
+        detail: impl FnOnce() -> String,
+    ) -> Exec {
+        Exec {
+            db: Arc::clone(&self.db),
+            metrics: Arc::clone(&self.metrics),
+            detail: self.tracer.as_ref().map(|_| detail()),
+            tracer: self.tracer.clone(),
+            token,
+            faults,
+            retries: self.transient_retries,
+            timeout: self.timeout,
+        }
+    }
+
     /// Execute a SQL string, returning a fully buffered tuple stream: the
     /// result is materialized, sorted, and wire-encoded before the call
     /// returns. See [`Server::execute_sql_streaming`] for the pipelined
     /// variant.
     pub fn execute_sql(&self, sql: &str) -> Result<TupleStream, EngineError> {
-        if let Some((schema, chunks, row_count, byte_size)) = self.fragment_lookup(sql) {
-            return Ok(self.serve_cached_fragment_buffered(schema, chunks, row_count, byte_size));
+        if let Some(frag) = self.fragment_lookup(sql) {
+            return Ok(frag.into_stream(true, &self.metrics));
         }
-        let tracer = self.tracer.as_deref();
         let start = Instant::now();
-        let token = self.cancel_token();
         let (plan, schema, elided) = {
-            let _s = TraceSpan::new(tracer, "server.parse_bind");
+            let _s = TraceSpan::new(self.tracer.as_deref(), "server.parse_bind");
             self.plan_cached(sql)?
         };
         let parse_bind = start.elapsed();
-        let optimize = Duration::ZERO;
         self.metrics.counter("exec.sorts_elided").add(elided as u64);
-        // Everything that can panic — execution and encoding — runs inside
-        // catch_unwind, so a bug in an operator surfaces as a typed
-        // `Internal` error rather than aborting the calling thread.
-        type ExecOut = Result<(QueryOutput, ExecProfile, Bytes, Duration, Duration), EngineError>;
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| -> ExecOut {
-            let t_exec = Instant::now();
-            let (out, profile) = {
-                let _s = TraceSpan::with_detail(
-                    tracer,
-                    "query.execute",
-                    tracer.map(|_| sql_summary(sql)),
-                );
-                run_query_with_retry(
-                    &plan,
-                    &self.db,
-                    &token,
-                    self.faults.as_deref(),
-                    self.transient_retries,
-                    &self.metrics,
-                    self.exec_mode,
-                )?
-            };
-            let execute = t_exec.elapsed();
-            // Cooperative deadline check between execution and encoding —
-            // the buffered path's equivalent of the streaming chunk
-            // boundary. (The executor itself also checks per row chunk.)
-            token.check()?;
-            let t_enc = Instant::now();
-            if let Some(f) = &self.faults {
-                f.hit(FaultSite::Encode)?;
-            }
-            let data = {
-                let _s = TraceSpan::new(tracer, "encode");
-                out.encode_all()
-            };
-            Ok((out, profile, data, execute, t_enc.elapsed()))
-        }));
-        let (out, profile, data, execute, encode) = match caught {
-            Err(payload) => {
-                self.metrics.counter("server.panics").inc();
-                return Err(EngineError::Internal(panic_message(payload)));
-            }
-            Ok(Err(e)) => {
-                note_exec_error(&self.metrics, &e);
-                return Err(e);
-            }
-            Ok(Ok(v)) => v,
-        };
-        let query_time = start.elapsed();
-
-        let m = &self.metrics;
-        m.counter("server.queries").inc();
-        m.counter("server.rows").add(out.row_count() as u64);
-        m.counter("server.bytes").add(data.len() as u64);
-        m.histogram("server.parse_bind_ns")
-            .record_duration(parse_bind);
-        m.histogram("server.execute_ns").record_duration(execute);
-        m.histogram("server.encode_ns").record_duration(encode);
-        m.histogram("server.query_ns").record_duration(query_time);
-        profile.export_to(m);
-
-        if let Some(limit) = self.timeout {
-            if query_time > limit {
-                m.counter("server.timeouts").inc();
-                return Err(EngineError::Timeout {
-                    elapsed_ms: query_time.as_millis() as u64,
-                    limit_ms: limit.as_millis() as u64,
-                });
-            }
-        }
+        let exec = self.exec(self.cancel_token(), self.faults.clone(), || {
+            sql_summary(sql)
+        });
+        let mut sink = Concat(Vec::new());
+        let sum = exec.run(&plan, parse_bind, &mut sink)?;
+        let data = concat(sink.0);
         // The buffered path completed cleanly — the encoded result is whole
         // and safe to cache as a single-chunk fragment.
-        if let Some(cap) = self.fragment_capture(sql, &schema) {
-            let mut cap = cap;
+        if let Some(mut cap) = self.fragment_capture(sql, &schema) {
             if cap.push(&data) {
-                cap.commit(out.row_count(), data.len());
+                cap.commit(sum.row_count, sum.byte_size);
             }
         }
-        Ok(TupleStream {
-            schema,
-            row_count: out.row_count(),
-            byte_size: data.len(),
-            query_time,
-            phases: QueryPhases {
-                parse_bind,
-                optimize,
-                execute,
-                encode,
-            },
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Buffered(data),
-            current: Bytes::new(),
-            capture: None,
-            trace: None,
-            cancel: token,
-        })
-    }
-
-    /// Serve a cached fragment as a fully buffered stream: the chunks are
-    /// concatenated (the wire format is self-delimiting, so concatenated
-    /// chunk bytes equal the single `encode_all` buffer) and wrapped in a
-    /// [`StreamSource::Buffered`] with zero server-side time.
-    fn serve_cached_fragment_buffered(
-        &self,
-        schema: Schema,
-        chunks: Vec<Bytes>,
-        row_count: usize,
-        byte_size: usize,
-    ) -> TupleStream {
-        let mut data = BytesMut::with_capacity(byte_size);
-        for c in &chunks {
-            data.put_slice(c);
-        }
-        TupleStream {
-            schema,
-            row_count,
-            byte_size,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Buffered(data.freeze()),
-            current: Bytes::new(),
-            capture: None,
-            trace: None,
-            cancel: CancelToken::unbounded(),
-        }
-    }
-
-    /// Serve a cached fragment with streaming semantics: every chunk plus
-    /// the terminal summary is pre-queued on a channel sized to hold them
-    /// all, reproducing the exact item sequence (and bytes) the live
-    /// streaming path produced when the fragment was captured.
-    fn serve_cached_fragment_streaming(
-        &self,
-        schema: Schema,
-        chunks: Vec<Bytes>,
-        row_count: usize,
-        byte_size: usize,
-    ) -> TupleStream {
-        let (tx, rx) = sync_channel(chunks.len() + 1);
-        for c in chunks {
-            let _ = tx.send(StreamItem::Chunk(c));
-        }
-        let _ = tx.send(StreamItem::Done(StreamSummary {
-            row_count,
-            byte_size,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-        }));
-        TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                finished: false,
-            },
-            current: Bytes::new(),
-            capture: None,
-            trace: None,
-            cancel: CancelToken::unbounded(),
-        }
+        let mut stream = TupleStream::new(schema, StreamSource::Buffered(data), exec.token);
+        stream.set_summary(&sum);
+        Ok(stream)
     }
 
     /// Execute a SQL string as a pipelined stream: the returned
@@ -1326,98 +1154,81 @@ impl Server {
     /// surface from [`TupleStream::next_row`]. Dropping the stream early
     /// terminates the worker at its next send.
     ///
+    /// Under [`Server::with_shards`] a query whose plan has a usable range
+    /// key runs as one worker per key-range shard, all sharing one cancel
+    /// token; the consumer drains them in shard order, which reproduces
+    /// the unsharded stream byte for byte.
+    ///
     /// On a single-CPU host (or after `with_stream_workers(false)`) the
     /// query instead executes inline and the chunks are queued up front —
     /// same stream semantics, none of the handoff overhead that buys
     /// nothing without a second core.
     pub fn execute_sql_streaming(&self, sql: &str) -> Result<TupleStream, EngineError> {
-        if let Some((schema, chunks, rows, bytes)) = self.fragment_lookup(sql) {
-            return Ok(self.serve_cached_fragment_streaming(schema, chunks, rows, bytes));
+        if let Some(frag) = self.fragment_lookup(sql) {
+            return Ok(frag.into_stream(false, &self.metrics));
         }
-        let mut stream = self.execute_sql_streaming_uncached(sql)?;
-        // Tee this miss's chunks into the cache; the capture commits only
-        // on the stream's clean terminal item.
-        stream.capture = self.fragment_capture(sql, &stream.schema);
-        Ok(stream)
-    }
-
-    /// [`Server::execute_sql_streaming`] without the fragment-cache check —
-    /// always plans and executes.
-    fn execute_sql_streaming_uncached(&self, sql: &str) -> Result<TupleStream, EngineError> {
         let start = Instant::now();
         let (plan, schema, elided) = self.plan_cached(sql)?;
         let parse_bind = start.elapsed();
         self.metrics.counter("exec.sorts_elided").add(elided as u64);
         self.metrics.counter("server.streams").inc();
 
-        if self.shards > 1 {
-            if let Some(sp) = split_plan(&plan, &self.db, self.shards) {
+        let split = (self.shards > 1)
+            .then(|| split_plan(&plan, &self.db, self.shards))
+            .flatten();
+        let (plans, sharded) = match split {
+            Some(sp) => {
                 self.metrics.counter("exec.shards").add(sp.len() as u64);
-                return if self.stream_workers {
-                    self.stream_sharded(sp.plans, schema, parse_bind, sql)
-                } else {
-                    self.stream_inline_sharded(sp.plans, schema, parse_bind)
-                };
+                (sp.plans, true)
             }
-        }
-
-        if !self.stream_workers {
-            return self.stream_inline(plan, schema, parse_bind);
-        }
-
-        let (tx, rx) = sync_channel(STREAM_CHANNEL_BOUND);
-        let token = self.cancel_token();
-        let ctx = StreamWorkerCtx {
-            db: Arc::clone(&self.db),
-            metrics: Arc::clone(&self.metrics),
-            gate: Arc::clone(&self.exec_gate),
-            timeout: self.timeout,
-            tracer: self.tracer.clone(),
-            detail: self.tracer.as_ref().map(|_| sql_summary(sql)),
-            token: token.clone(),
-            faults: self.faults.clone(),
-            retries: self.transient_retries,
-            parse_bind,
-            lane_label: "server execute worker".into(),
-            mode: self.exec_mode,
+            None => (vec![plan], false),
         };
-        std::thread::spawn(move || {
-            // Panic isolation: the worker body runs under catch_unwind so a
-            // panicking operator (or injected fault) becomes a terminal
-            // `Failed(Internal)` item instead of a dropped sender the
-            // consumer can only see as a truncated stream. The permit is a
-            // drop-guard, so unwinding releases it too — a panicking query
-            // must never shrink the gate.
-            let fail_tx = tx.clone();
-            let metrics = Arc::clone(&ctx.metrics);
-            if let Err(payload) =
-                std::panic::catch_unwind(AssertUnwindSafe(move || stream_worker(ctx, plan, tx)))
-            {
-                metrics.counter("server.panics").inc();
-                let _ = fail_tx.send(StreamItem::Failed(EngineError::Internal(panic_message(
-                    payload,
-                ))));
+        let n = plans.len();
+        let token = self.cancel_token();
+        let mut parts = Vec::with_capacity(n);
+        for (i, plan) in plans.into_iter().enumerate() {
+            // Each shard gets a fresh injector over the same rules, so
+            // `kind@site#n` fires identically per shard whatever the count.
+            let faults = if sharded {
+                self.shard_injector()
+            } else {
+                self.faults.clone()
+            };
+            let exec = self.exec(token.clone(), faults, || {
+                if sharded {
+                    format!("shard {i}/{n}: {}", sql_summary(sql))
+                } else {
+                    sql_summary(sql)
+                }
+            });
+            // The SQL was parsed once; attribute that to the first part so
+            // the aggregated phases count it exactly once.
+            let parse_bind = if i == 0 { parse_bind } else { Duration::ZERO };
+            if self.stream_workers {
+                let lane = if sharded {
+                    format!("server shard worker {i}")
+                } else {
+                    "server execute worker".into()
+                };
+                parts.push(self.spawn_worker(exec, plan, parse_bind, lane));
+                continue;
             }
-        });
-
-        Ok(TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                finished: false,
-            },
-            current: Bytes::new(),
-            capture: None,
-            trace: None,
-            cancel: token,
-        })
+            let mut chunks = Vec::new();
+            let (last, failed) = match exec.run(&plan, parse_bind, &mut chunks) {
+                Ok(sum) => (StreamItem::Done(sum), false),
+                Err(e) => (StreamItem::Failed(e), true),
+            };
+            parts.push(queued(chunks, last));
+            // The stream ends at the failure; later shards never run.
+            if failed {
+                break;
+            }
+        }
+        let mut stream = TupleStream::new(schema, StreamSource::parts(parts, &self.metrics), token);
+        // Tee this miss's chunks into the cache; the capture commits only
+        // on the stream's clean terminal item.
+        stream.capture = self.fragment_capture(sql, &stream.schema);
+        Ok(stream)
     }
 
     /// A fresh fault injector over the configured fault plan, so every
@@ -1429,360 +1240,45 @@ impl Server {
             .map(|p| Arc::new(FaultInjector::new(p.clone())))
     }
 
-    /// The sharded worker path: one worker thread per key-range shard, each
-    /// with its own bounded channel, all sharing one cancel token. The
-    /// consumer drains the channels in shard order
-    /// ([`StreamSource::Shards`]); because the ranges are value-disjoint
-    /// and ascending, that concatenation reproduces the unsharded stream
-    /// byte for byte. The gate cannot deadlock under shard fan-out: no
-    /// worker ever holds a permit across a blocking send, so a parked
-    /// later shard always releases its permit to whichever shard the
-    /// consumer is actually draining.
-    fn stream_sharded(
+    /// Run `plan` on a worker thread that ships its chunks over a bounded
+    /// channel, executing and encoding under an admission permit (see
+    /// [`ExecGate`]). The gate cannot deadlock under shard fan-out: no
+    /// worker holds a permit across a blocking send, so a parked later
+    /// shard always releases its permit to whichever shard the consumer is
+    /// actually draining.
+    fn spawn_worker(
         &self,
-        plans: Vec<Plan>,
-        schema: Schema,
-        parse_bind: Duration,
-        sql: &str,
-    ) -> Result<TupleStream, EngineError> {
-        let token = self.cancel_token();
-        let n = plans.len();
-        let mut parts = Vec::with_capacity(n);
-        for (i, plan) in plans.into_iter().enumerate() {
-            let (tx, rx) = sync_channel(STREAM_CHANNEL_BOUND);
-            parts.push(rx);
-            let ctx = StreamWorkerCtx {
-                db: Arc::clone(&self.db),
-                metrics: Arc::clone(&self.metrics),
-                gate: Arc::clone(&self.exec_gate),
-                timeout: self.timeout,
-                tracer: self.tracer.clone(),
-                detail: self
-                    .tracer
-                    .as_ref()
-                    .map(|_| format!("shard {i}/{n}: {}", sql_summary(sql))),
-                token: token.clone(),
-                faults: self.shard_injector(),
-                retries: self.transient_retries,
-                // The SQL was parsed once; attribute that to shard 0 so the
-                // aggregated phases count it exactly once.
-                parse_bind: if i == 0 { parse_bind } else { Duration::ZERO },
-                lane_label: format!("server shard worker {i}"),
-                mode: self.exec_mode,
-            };
-            std::thread::spawn(move || {
-                let fail_tx = tx.clone();
-                let metrics = Arc::clone(&ctx.metrics);
-                if let Err(payload) =
-                    std::panic::catch_unwind(AssertUnwindSafe(move || stream_worker(ctx, plan, tx)))
-                {
-                    metrics.counter("server.panics").inc();
-                    let _ = fail_tx.send(StreamItem::Failed(EngineError::Internal(panic_message(
-                        payload,
-                    ))));
-                }
-            });
-        }
-        Ok(TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Shards {
-                parts,
-                idx: 0,
-                finished: false,
-                agg: StreamSummary::default(),
-                rows_per_shard: Vec::with_capacity(n),
-                metrics: Arc::clone(&self.metrics),
-            },
-            current: Bytes::new(),
-            capture: None,
-            trace: None,
-            cancel: token,
-        })
-    }
-
-    /// The single-CPU degradation of the sharded path: run every shard
-    /// plan to completion on the caller's thread, in shard order, queueing
-    /// all chunks and one combined terminal item up front. Same item
-    /// sequence (and bytes) the worker path delivers, without threads —
-    /// there is no parallel win to be had here, but `--shards k` must mean
-    /// the same thing on every host.
-    fn stream_inline_sharded(
-        &self,
-        plans: Vec<Plan>,
-        schema: Schema,
-        parse_bind: Duration,
-    ) -> Result<TupleStream, EngineError> {
-        let tracer = self.tracer.as_deref();
-        let token = self.cancel_token();
-        let stream_token = token.clone();
-        let stream = move |rx| TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                finished: false,
-            },
-            current: Bytes::new(),
-            capture: None,
-            trace: None,
-            cancel: stream_token,
-        };
-        let mut chunks: Vec<Bytes> = Vec::new();
-        let mut agg = StreamSummary {
-            phases: QueryPhases {
-                parse_bind,
-                ..QueryPhases::default()
-            },
-            query_time: parse_bind,
-            ..StreamSummary::default()
-        };
-        let mut rows_per_shard = Vec::with_capacity(plans.len());
-        for plan in &plans {
-            // Each shard gets a fresh injector, exactly like the worker
-            // path, so fault firing is independent of the execution mode.
-            let faults = self.shard_injector();
-            type ShardOut = Result<(usize, usize, Duration, Duration), EngineError>;
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| -> ShardOut {
-                let t_exec = Instant::now();
-                let (out, profile) = {
-                    let _s = TraceSpan::new(tracer, "query.execute");
-                    run_query_with_retry(
-                        plan,
-                        &self.db,
-                        &token,
-                        faults.as_deref(),
-                        self.transient_retries,
-                        &self.metrics,
-                        self.exec_mode,
-                    )?
-                };
-                let execute = t_exec.elapsed();
-                let mut encode = Duration::ZERO;
-                let mut bytes_out = 0usize;
-                {
-                    let _s = TraceSpan::new(tracer, "encode");
-                    for ci in 0..out.chunk_count(STREAM_CHUNK_ROWS) {
-                        token.check()?;
-                        if let Some(f) = &faults {
-                            f.hit(FaultSite::Encode)?;
-                        }
-                        let t_enc = Instant::now();
-                        let bytes = out.encode_chunk(ci, STREAM_CHUNK_ROWS);
-                        encode += t_enc.elapsed();
-                        if let Some(f) = &faults {
-                            f.hit(FaultSite::Send)?;
-                        }
-                        bytes_out += bytes.len();
-                        chunks.push(bytes);
-                    }
-                }
-                profile.export_to(&self.metrics);
-                Ok((out.row_count(), bytes_out, execute, encode))
-            }));
-            let (rows, bytes_out, execute, encode) = match caught {
-                Err(payload) => {
-                    self.metrics.counter("server.panics").inc();
-                    let (tx, rx) = sync_channel(chunks.len() + 1);
-                    for c in chunks {
-                        let _ = tx.send(StreamItem::Chunk(c));
-                    }
-                    let _ = tx.send(StreamItem::Failed(EngineError::Internal(panic_message(
-                        payload,
-                    ))));
-                    return Ok(stream(rx));
-                }
-                Ok(Err(e)) => {
-                    note_exec_error(&self.metrics, &e);
-                    let (tx, rx) = sync_channel(chunks.len() + 1);
-                    for c in chunks {
-                        let _ = tx.send(StreamItem::Chunk(c));
-                    }
-                    let _ = tx.send(StreamItem::Failed(e));
-                    return Ok(stream(rx));
-                }
-                Ok(Ok(v)) => v,
-            };
-            let shard_time = execute + encode;
-            let m = &self.metrics;
-            m.counter("server.queries").inc();
-            m.counter("server.rows").add(rows as u64);
-            m.counter("server.bytes").add(bytes_out as u64);
-            m.histogram("server.execute_ns").record_duration(execute);
-            m.histogram("server.encode_ns").record_duration(encode);
-            m.histogram("server.query_ns").record_duration(shard_time);
-            rows_per_shard.push(rows as u64);
-            agg.row_count += rows;
-            agg.byte_size += bytes_out;
-            agg.query_time += shard_time;
-            agg.phases.execute += execute;
-            agg.phases.encode += encode;
-        }
-        self.metrics
-            .histogram("server.parse_bind_ns")
-            .record_duration(parse_bind);
-        record_shard_skew(&self.metrics, &rows_per_shard);
-        let (tx, rx) = sync_channel(chunks.len() + 1);
-        for c in chunks {
-            let _ = tx.send(StreamItem::Chunk(c));
-        }
-        if let Some(limit) = self.timeout {
-            if agg.query_time > limit {
-                self.metrics.counter("server.timeouts").inc();
-                let _ = tx.send(StreamItem::Failed(EngineError::Timeout {
-                    elapsed_ms: agg.query_time.as_millis() as u64,
-                    limit_ms: limit.as_millis() as u64,
-                }));
-                return Ok(stream(rx));
-            }
-        }
-        let _ = tx.send(StreamItem::Done(agg));
-        Ok(stream(rx))
-    }
-
-    /// The single-CPU degradation of [`Server::execute_sql_streaming`]:
-    /// execute and encode on the caller's thread, queueing every chunk (and
-    /// the terminal `Done`/`Failed` item) before returning. The consumer
-    /// sees the identical item sequence a worker would produce — including
-    /// execution errors and timeouts surfacing at end of stream — without
-    /// paying for a thread handoff that cannot overlap with anything.
-    fn stream_inline(
-        &self,
+        exec: Exec,
         plan: Plan,
-        schema: Schema,
         parse_bind: Duration,
-    ) -> Result<TupleStream, EngineError> {
-        let optimize = Duration::ZERO;
-        let tracer = self.tracer.as_deref();
-        let token = self.cancel_token();
-        let stream_token = token.clone();
-        let stream = move |rx| TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                finished: false,
-            },
-            current: Bytes::new(),
-            capture: None,
-            trace: None,
-            cancel: stream_token,
-        };
-        // Same panic-isolation contract as the worker path: execution and
-        // encoding run under catch_unwind and any failure becomes the
-        // stream's terminal `Failed` item.
-        type InlineOut =
-            Result<(QueryOutput, ExecProfile, Vec<Bytes>, Duration, Duration), EngineError>;
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| -> InlineOut {
-            let t_exec = Instant::now();
-            let (out, profile) = {
-                let _s = TraceSpan::new(tracer, "query.execute");
-                run_query_with_retry(
-                    &plan,
-                    &self.db,
-                    &token,
-                    self.faults.as_deref(),
-                    self.transient_retries,
-                    &self.metrics,
-                    self.exec_mode,
-                )?
+        lane_label: String,
+    ) -> Receiver<StreamItem> {
+        let (tx, rx) = sync_channel(STREAM_CHANNEL_BOUND);
+        let gate = Arc::clone(&self.exec_gate);
+        std::thread::spawn(move || {
+            let lane = exec
+                .tracer
+                .as_ref()
+                .map(|t| t.name_current_thread(lane_label));
+            let mut sink = ChannelSink {
+                tx,
+                gate,
+                permit: None,
+                exec: &exec,
+                lane,
             };
-            let execute = t_exec.elapsed();
-            let mut encode = Duration::ZERO;
-            let n_chunks = out.chunk_count(STREAM_CHUNK_ROWS);
-            let mut chunks = Vec::with_capacity(n_chunks);
-            {
-                let _s = TraceSpan::new(tracer, "encode");
-                for ci in 0..n_chunks {
-                    token.check()?;
-                    if let Some(f) = &self.faults {
-                        f.hit(FaultSite::Encode)?;
-                    }
-                    let t_enc = Instant::now();
-                    let bytes = out.encode_chunk(ci, STREAM_CHUNK_ROWS);
-                    encode += t_enc.elapsed();
-                    if let Some(f) = &self.faults {
-                        f.hit(FaultSite::Send)?;
-                    }
-                    chunks.push(bytes);
-                }
-            }
-            Ok((out, profile, chunks, execute, encode))
-        }));
-        let (out, profile, chunks, execute, encode) = match caught {
-            Err(payload) => {
-                self.metrics.counter("server.panics").inc();
-                let (tx, rx) = sync_channel(1);
-                let _ = tx.send(StreamItem::Failed(EngineError::Internal(panic_message(
-                    payload,
-                ))));
-                return Ok(stream(rx));
-            }
-            Ok(Err(e)) => {
-                note_exec_error(&self.metrics, &e);
-                let (tx, rx) = sync_channel(1);
-                let _ = tx.send(StreamItem::Failed(e));
-                return Ok(stream(rx));
-            }
-            Ok(Ok(v)) => v,
-        };
-        let (tx, rx) = sync_channel(chunks.len() + 1);
-        let mut byte_size = 0usize;
-        for bytes in chunks {
-            byte_size += bytes.len();
-            let _ = tx.send(StreamItem::Chunk(bytes));
-        }
-        let query_time = parse_bind + optimize + execute + encode;
-        let m = &self.metrics;
-        m.counter("server.queries").inc();
-        m.counter("server.rows").add(out.row_count() as u64);
-        m.counter("server.bytes").add(byte_size as u64);
-        m.histogram("server.parse_bind_ns")
-            .record_duration(parse_bind);
-        m.histogram("server.execute_ns").record_duration(execute);
-        m.histogram("server.encode_ns").record_duration(encode);
-        m.histogram("server.query_ns").record_duration(query_time);
-        profile.export_to(m);
-        if let Some(limit) = self.timeout {
-            if query_time > limit {
-                m.counter("server.timeouts").inc();
-                let _ = tx.send(StreamItem::Failed(EngineError::Timeout {
-                    elapsed_ms: query_time.as_millis() as u64,
-                    limit_ms: limit.as_millis() as u64,
-                }));
-                return Ok(stream(rx));
-            }
-        }
-        let _ = tx.send(StreamItem::Done(StreamSummary {
-            row_count: out.row_count(),
-            byte_size,
-            query_time,
-            phases: QueryPhases {
-                parse_bind,
-                optimize,
-                execute,
-                encode,
-            },
-        }));
-        Ok(stream(rx))
+            sink.ready();
+            let last = match exec.run(&plan, parse_bind, &mut sink) {
+                Ok(sum) => StreamItem::Done(sum),
+                Err(e) => StreamItem::Failed(e),
+            };
+            // Send the terminal item *after* releasing the permit: the
+            // consumer may not be draining the channel, and a blocking send
+            // under a permit could wedge the gate.
+            sink.permit = None;
+            let _ = sink.tx.send(last);
+        });
+        rx
     }
 
     /// Cost-estimate endpoint: the paper's oracle. Answers from catalog
@@ -1862,184 +1358,271 @@ impl Server {
     }
 }
 
-/// Everything a streaming worker thread needs, bundled so the spawn site
-/// stays readable.
-struct StreamWorkerCtx {
+/// Everything one plan execution needs, owned so a worker thread can carry
+/// it.
+struct Exec {
     db: Arc<Database>,
     metrics: Arc<MetricsRegistry>,
-    gate: Arc<ExecGate>,
-    timeout: Option<Duration>,
     tracer: Option<Arc<Tracer>>,
+    /// Detail of the `query.execute` trace span (set only when tracing).
     detail: Option<String>,
     token: CancelToken,
     faults: Option<Arc<FaultInjector>>,
     retries: u32,
-    parse_bind: Duration,
-    /// Display name for this worker's trace lane (shard workers get one
-    /// lane each, so shards show up as separate rows in the viewer).
-    lane_label: String,
-    /// Tuple or vectorized execution, inherited from the server.
-    mode: ExecMode,
+    timeout: Option<Duration>,
 }
 
-/// Body of a streaming query worker: execute under an admission permit,
-/// then encode and ship chunks, checking the cancel token at every chunk
-/// boundary. Runs under `catch_unwind` at the spawn site — anything that
-/// panics in here becomes a terminal `Failed(Internal)` item.
-fn stream_worker(ctx: StreamWorkerCtx, plan: Plan, tx: SyncSender<StreamItem>) {
-    let StreamWorkerCtx {
-        db,
-        metrics,
-        gate,
-        timeout,
-        tracer,
-        detail,
-        token,
-        faults,
-        retries,
-        parse_bind,
-        lane_label,
-        mode,
-    } = ctx;
-    let optimize = Duration::ZERO;
-    let lane = tracer.as_ref().map(|t| {
-        let lane = t.name_current_thread(lane_label);
-        t.begin(lane, "exec.gate.wait", None);
-        lane
-    });
-    // Execute and encode under an admission permit (see [`ExecGate`]). The
-    // permit is never held across a *blocking* send: if the channel is full
-    // we release it first, so a slow consumer never holds up other plans'
-    // execution (or deadlocks the k-way merge). Time spent waiting for a
-    // permit is queueing, not work — exclude it from the deadline budget.
-    let t_gate = Instant::now();
-    let permit = gate.acquire();
-    token.exclude(t_gate.elapsed());
-    if let (Some(t), Some(lane)) = (&tracer, lane) {
-        t.end(lane, "exec.gate.wait");
+/// Where [`Exec::run`] puts the encoded chunks of a result.
+trait ChunkSink {
+    /// Whether chunks leave through a channel: the `Send` fault site fires
+    /// per chunk only then (the buffered path has no send).
+    const SENDS: bool = true;
+
+    /// About to encode the next chunk (a worker re-takes its admission
+    /// permit here).
+    fn ready(&mut self) {}
+
+    /// Take one encoded chunk; an error ends the execution.
+    fn push(&mut self, chunk: Bytes) -> Result<(), EngineError>;
+}
+
+/// Inline streaming: chunks queue up for the stream's channel.
+impl ChunkSink for Vec<Bytes> {
+    fn push(&mut self, chunk: Bytes) -> Result<(), EngineError> {
+        Vec::push(self, chunk);
+        Ok(())
     }
-    // Send a terminal failure *after* releasing the permit: the consumer
-    // may not be draining the channel, and a blocking send under a permit
-    // could wedge the gate.
-    let fail = |permit: Option<ExecPermit>, e: EngineError| {
-        drop(permit);
-        note_exec_error(&metrics, &e);
-        let _ = tx.send(StreamItem::Failed(e));
-    };
-    let t_exec = Instant::now();
-    let (out, profile) = {
-        let _s = TraceSpan::with_detail(tracer.as_deref(), "query.execute", detail);
-        match run_query_with_retry(
-            &plan,
-            &db,
-            &token,
-            faults.as_deref(),
-            retries,
-            &metrics,
-            mode,
-        ) {
-            Ok(v) => v,
-            Err(e) => {
-                fail(Some(permit), e);
-                return;
-            }
-        }
-    };
-    let execute = t_exec.elapsed();
-    let mut permit = Some(permit);
-    let mut encode = Duration::ZERO;
-    let mut byte_size = 0usize;
-    for ci in 0..out.chunk_count(STREAM_CHUNK_ROWS) {
-        // One cancellation check per chunk: a dropped stream, an explicit
-        // cancel, or a blown deadline stops the worker within one chunk
-        // boundary instead of encoding the rest of the result.
-        if let Err(e) = token.check() {
-            fail(permit.take(), e);
+}
+
+/// The buffered path: chunks are concatenated into one buffer.
+struct Concat(Vec<Bytes>);
+
+impl ChunkSink for Concat {
+    const SENDS: bool = false;
+
+    fn push(&mut self, chunk: Bytes) -> Result<(), EngineError> {
+        self.0.push(chunk);
+        Ok(())
+    }
+}
+
+/// A streaming worker's end of the channel, holding its admission permit
+/// only while it executes and encodes.
+struct ChannelSink<'a> {
+    tx: SyncSender<StreamItem>,
+    gate: Arc<ExecGate>,
+    permit: Option<ExecPermit>,
+    exec: &'a Exec,
+    lane: Option<u64>,
+}
+
+impl ChunkSink for ChannelSink<'_> {
+    /// Take a permit unless one is held. Time spent waiting for it is
+    /// queueing, not work — it is excluded from the deadline budget.
+    fn ready(&mut self) {
+        if self.permit.is_some() {
             return;
         }
-        if permit.is_none() {
-            if let (Some(t), Some(lane)) = (&tracer, lane) {
-                t.begin(lane, "exec.gate.wait", None);
-            }
-            let t_gate = Instant::now();
-            permit = Some(gate.acquire());
-            token.exclude(t_gate.elapsed());
-            if let (Some(t), Some(lane)) = (&tracer, lane) {
-                t.end(lane, "exec.gate.wait");
-            }
+        let trace = self.exec.tracer.as_deref().zip(self.lane);
+        if let Some((t, lane)) = trace {
+            t.begin(lane, "exec.gate.wait", None);
         }
-        if let Some(f) = &faults {
-            if let Err(e) = f.hit(FaultSite::Encode) {
-                fail(permit.take(), e);
-                return;
-            }
+        let t_gate = Instant::now();
+        self.permit = Some(self.gate.acquire());
+        self.exec.token.exclude(t_gate.elapsed());
+        if let Some((t, lane)) = trace {
+            t.end(lane, "exec.gate.wait");
         }
-        let t_enc = Instant::now();
-        let bytes = {
-            let _s = TraceSpan::new(tracer.as_deref(), "encode");
-            out.encode_chunk(ci, STREAM_CHUNK_ROWS)
-        };
-        encode += t_enc.elapsed();
-        byte_size += bytes.len();
-        if let Some(f) = &faults {
-            if let Err(e) = f.hit(FaultSite::Send) {
-                fail(permit.take(), e);
-                return;
-            }
-        }
-        match tx.try_send(StreamItem::Chunk(bytes)) {
-            Ok(()) => {}
+    }
+
+    /// Hand the chunk over without blocking if the channel has room; if it
+    /// is full, release the permit first, so a slow consumer never holds up
+    /// other plans' execution (or deadlocks the k-way merge). A consumer
+    /// that dropped the stream cancels the execution.
+    fn push(&mut self, chunk: Bytes) -> Result<(), EngineError> {
+        match self.tx.try_send(StreamItem::Chunk(chunk)) {
+            Ok(()) => Ok(()),
             Err(TrySendError::Full(item)) => {
-                permit = None;
-                let _s = TraceSpan::new(tracer.as_deref(), "send.backpressure");
-                if tx.send(item).is_err() {
-                    return; // consumer dropped the stream
-                }
+                self.permit = None;
+                let _s = TraceSpan::new(self.exec.tracer.as_deref(), "send.backpressure");
+                self.tx.send(item).map_err(|_| EngineError::Cancelled)
             }
-            Err(TrySendError::Disconnected(_)) => return,
+            Err(TrySendError::Disconnected(_)) => Err(EngineError::Cancelled),
         }
     }
-    drop(permit);
-    let query_time = parse_bind + optimize + execute + encode;
-    // Record metrics before Done so they are visible as soon as the
-    // consumer sees end of stream.
-    metrics.counter("server.queries").inc();
-    metrics.counter("server.rows").add(out.row_count() as u64);
-    metrics.counter("server.bytes").add(byte_size as u64);
-    metrics
-        .histogram("server.parse_bind_ns")
-        .record_duration(parse_bind);
-    metrics
-        .histogram("server.execute_ns")
-        .record_duration(execute);
-    metrics
-        .histogram("server.encode_ns")
-        .record_duration(encode);
-    metrics
-        .histogram("server.query_ns")
-        .record_duration(query_time);
-    profile.export_to(&metrics);
-    if let Some(limit) = timeout {
-        if query_time > limit {
-            metrics.counter("server.timeouts").inc();
-            let _ = tx.send(StreamItem::Failed(EngineError::Timeout {
-                elapsed_ms: query_time.as_millis() as u64,
-                limit_ms: limit.as_millis() as u64,
-            }));
-            return;
+}
+
+impl Exec {
+    /// Execute `plan` and hand each encoded chunk to `sink` — the one
+    /// execution body every path runs. Execution and encoding run under
+    /// `catch_unwind`, so a bug in an operator surfaces as a typed
+    /// `Internal` error rather than aborting the thread; transient failures
+    /// retry; the cancel token is checked at every chunk boundary, so a
+    /// dropped stream, an explicit cancel or a blown deadline stops within
+    /// one chunk. A clean run records the `server.*` counters and
+    /// histograms and the operator profile, then checks the post-hoc
+    /// timeout. Returns the stream's summary, or the error that ends it.
+    fn run<S: ChunkSink>(
+        &self,
+        plan: &Plan,
+        parse_bind: Duration,
+        sink: &mut S,
+    ) -> Result<StreamSummary, EngineError> {
+        let tracer = self.tracer.as_deref();
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let t_exec = Instant::now();
+            let (rs, profile) = {
+                let _s = TraceSpan::with_detail(tracer, "query.execute", self.detail.clone());
+                self.execute_with_retry(plan)?
+            };
+            let execute = t_exec.elapsed();
+            let (mut encode, mut bytes) = (Duration::ZERO, 0);
+            let mut chunks = Chunks::new(&rs);
+            while chunks.left > 0 {
+                self.token.check()?;
+                sink.ready();
+                self.fault(FaultSite::Encode)?;
+                let t_enc = Instant::now();
+                let chunk = {
+                    let _s = TraceSpan::new(tracer, "encode");
+                    chunks.next_chunk()
+                };
+                encode += t_enc.elapsed();
+                bytes += chunk.len();
+                if S::SENDS {
+                    self.fault(FaultSite::Send)?;
+                }
+                sink.push(chunk)?;
+            }
+            Ok((rs.len(), bytes, execute, encode, profile))
+        }));
+        let (row_count, byte_size, execute, encode, profile) = match caught {
+            Err(payload) => {
+                self.metrics.counter("server.panics").inc();
+                return Err(EngineError::Internal(panic_message(payload)));
+            }
+            Ok(Err(e)) => {
+                note_exec_error(&self.metrics, &e);
+                return Err(e);
+            }
+            Ok(Ok(v)) => v,
+        };
+        let query_time = parse_bind + execute + encode;
+        let m = &self.metrics;
+        m.counter("server.queries").inc();
+        m.counter("server.rows").add(row_count as u64);
+        m.counter("server.bytes").add(byte_size as u64);
+        m.histogram("server.parse_bind_ns")
+            .record_duration(parse_bind);
+        m.histogram("server.execute_ns").record_duration(execute);
+        m.histogram("server.encode_ns").record_duration(encode);
+        m.histogram("server.query_ns").record_duration(query_time);
+        profile.export_to(m);
+        if let Some(limit) = self.timeout {
+            if query_time > limit {
+                m.counter("server.timeouts").inc();
+                return Err(EngineError::Timeout {
+                    elapsed_ms: query_time.as_millis() as u64,
+                    limit_ms: limit.as_millis() as u64,
+                });
+            }
+        }
+        Ok(StreamSummary {
+            row_count,
+            byte_size,
+            query_time,
+            phases: QueryPhases {
+                parse_bind,
+                optimize: Duration::ZERO,
+                execute,
+                encode,
+            },
+        })
+    }
+
+    /// Execute with bounded retry on [`EngineError::Transient`]: each retry
+    /// backs off exponentially, bumps `server.retries`, and re-checks the
+    /// cancel token so retrying never outlives the query's deadline. All
+    /// other errors (and success) pass straight through.
+    fn execute_with_retry(&self, plan: &Plan) -> Result<(VecResultSet, ExecProfile), EngineError> {
+        let mut attempt = 0u32;
+        loop {
+            match execute_profiled_with(plan, &self.db, &self.token, self.faults.as_deref()) {
+                Err(EngineError::Transient(_)) if attempt < self.retries => {
+                    attempt += 1;
+                    self.metrics.counter("server.retries").inc();
+                    std::thread::sleep(RETRY_BACKOFF_BASE * 2u32.saturating_pow(attempt - 1));
+                    self.token.check()?;
+                }
+                other => return other,
+            }
         }
     }
-    let _ = tx.send(StreamItem::Done(StreamSummary {
-        row_count: out.row_count(),
-        byte_size,
-        query_time,
-        phases: QueryPhases {
-            parse_bind,
-            optimize,
-            execute,
-            encode,
-        },
-    }));
+
+    fn fault(&self, site: FaultSite) -> Result<(), EngineError> {
+        match &self.faults {
+            Some(f) => f.hit(site),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Cuts a result into wire chunks of [`STREAM_CHUNK_ROWS`] rows, packing
+/// consecutive batches together: chunk boundaries depend only on the row
+/// count, never on how the plan's operators happened to batch their
+/// output, so cached fragments and forwarded frames have one shape.
+struct Chunks<'a> {
+    batches: &'a [ColumnBatch],
+    /// Position of the next row: batch index, row within it.
+    batch: usize,
+    row: usize,
+    /// Rows not yet encoded.
+    left: usize,
+}
+
+impl<'a> Chunks<'a> {
+    fn new(rs: &'a VecResultSet) -> Chunks<'a> {
+        Chunks {
+            batches: &rs.batches,
+            batch: 0,
+            row: 0,
+            left: rs.len(),
+        }
+    }
+
+    /// The pieces of the next chunk: `(batch, rows)` spans.
+    fn spans(&self) -> impl Iterator<Item = (&'a ColumnBatch, Range<usize>)> {
+        let (batches, mut row) = (self.batches, self.row);
+        let mut want = STREAM_CHUNK_ROWS.min(self.left);
+        batches[self.batch..].iter().map_while(move |b| {
+            let n = (b.len() - row).min(want);
+            let span = (b, row..row + n);
+            want -= n;
+            row = 0;
+            (n > 0 || b.is_empty()).then_some(span)
+        })
+    }
+
+    /// Encode the next chunk (empty once every row is out).
+    fn next_chunk(&mut self) -> Bytes {
+        // Sized from the pieces' share of their batch's wire width: exact
+        // for whole batches, an estimate for partial ones.
+        let cap = self
+            .spans()
+            .map(|(b, r)| (b.wire_width() * r.len()).div_ceil(b.len().max(1)) + 4 * r.len())
+            .sum();
+        let mut buf = BytesMut::with_capacity(cap);
+        for (b, rows) in self.spans() {
+            encode_batch_into(b, rows.clone(), &mut buf);
+            self.left -= rows.len();
+            self.row = rows.end;
+            if rows.end == b.len() {
+                self.batch += 1;
+                self.row = 0;
+            }
+        }
+        buf.freeze()
+    }
 }
 
 /// A short, single-line rendition of a SQL statement for trace details.
@@ -2351,24 +1934,12 @@ mod tests {
     #[test]
     fn vanished_worker_surfaces_truncation() {
         let (tx, rx) = sync_channel(1);
-        let mut stream = TupleStream {
-            schema: Schema::of(&[("x", DataType::Int)]),
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source: StreamSource::Channel {
-                rx,
-                finished: false,
-            },
-            current: Bytes::new(),
-            capture: None,
-            trace: None,
-            cancel: CancelToken::none(),
-        };
+        let source = StreamSource::parts(vec![rx], &Arc::new(MetricsRegistry::new()));
+        let mut stream = TupleStream::new(
+            Schema::of(&[("x", DataType::Int)]),
+            source,
+            CancelToken::none(),
+        );
         // The sender vanishes without a Done/Failed terminator — the reader
         // must see a hard truncation error, not a clean end of stream.
         drop(tx);
@@ -2722,18 +2293,23 @@ mod tests {
         }
     }
 
+    /// The reference executor's rows for `sql`, planned as the server plans it.
+    fn reference_rows(s: &Server, sql: &str) -> Vec<Row> {
+        let (plan, _) = s.optimized_plan(sql).unwrap();
+        crate::reference::execute(&plan, s.database()).unwrap().rows
+    }
+
     #[test]
     fn vectorized_buffered_matches_tuple_bytes() {
         let sql = "SELECT i.id AS id, i.label AS label FROM Item i WHERE i.id >= 10 ORDER BY id";
-        let t = server();
-        let ts = t.execute_sql(sql).unwrap();
-        let (tuple_bytes, tuple_rows) = (ts.byte_size, ts.collect_rows().unwrap());
-        let v = server().with_exec_mode(ExecMode::Vectorized);
-        assert_eq!(v.exec_mode(), ExecMode::Vectorized);
-        let vs = v.execute_sql(sql).unwrap();
-        assert_eq!(vs.byte_size, tuple_bytes);
+        let v = server();
+        assert_eq!(v.exec_mode(), "vectorized");
+        let tuple_rows = reference_rows(&v, sql);
+        let mut vs = v.execute_sql(sql).unwrap();
         assert_eq!(vs.row_count, 40);
-        assert_eq!(vs.collect_rows().unwrap(), tuple_rows);
+        let bytes = vs.next_chunk().unwrap().unwrap();
+        assert_eq!(bytes, crate::wire::encode_rows(&tuple_rows));
+        assert_eq!(vs.byte_size, bytes.len());
         let snap = v.metrics().snapshot();
         assert!(snap.counter("exec.batches") > 0, "batch counters exported");
     }
@@ -2741,13 +2317,10 @@ mod tests {
     #[test]
     fn vectorized_streaming_matches_tuple_for_all_shard_counts() {
         let sql = "SELECT i.id AS id, i.label AS label FROM Item i ORDER BY id";
-        let base = server().execute_sql(sql).unwrap().collect_rows().unwrap();
+        let base = reference_rows(&server(), sql);
         for shards in [1usize, 2, 4] {
             for workers in [false, true] {
-                let s = server()
-                    .with_exec_mode(ExecMode::Vectorized)
-                    .with_shards(shards)
-                    .with_stream_workers(workers);
+                let s = server().with_shards(shards).with_stream_workers(workers);
                 let mut stream = s.execute_sql_streaming(sql).unwrap();
                 let mut rows = Vec::new();
                 while let Some(r) = stream.next_row().unwrap() {
@@ -2760,9 +2333,7 @@ mod tests {
 
     #[test]
     fn vectorized_scan_fault_surfaces_as_typed_error() {
-        let s = server()
-            .with_exec_mode(ExecMode::Vectorized)
-            .with_faults(FaultPlan::parse("panic@scan", 1).unwrap());
+        let s = server().with_faults(FaultPlan::parse("panic@scan", 1).unwrap());
         match s.execute_sql("SELECT i.id AS id FROM Item i ORDER BY id") {
             Err(EngineError::Internal(msg)) => {
                 assert!(msg.contains("injected fault"), "unexpected: {msg}")
@@ -2787,6 +2358,40 @@ mod tests {
         assert!(total > 0.0);
         let unshardable = "SELECT i.label AS label FROM Item i ORDER BY label";
         assert!(s.shard_sql(unshardable, 2).unwrap().is_none());
+    }
+
+    #[test]
+    fn chunks_pack_partial_batches_into_full_chunks() {
+        // The filter leaves the first scan batch short (1014 rows) and the
+        // rest whole: packed, every path cuts chunks by row count alone,
+        // and the buffered path's one chunk is the same bytes.
+        let mut db = Database::new();
+        let mut t = Table::new(
+            "Item",
+            Schema::of(&[("id", DataType::Int), ("label", DataType::Str)]),
+        );
+        for i in 0..3000i64 {
+            t.insert(row![i, format!("item-{i}")]).unwrap();
+        }
+        db.add_table(t);
+        let db = Arc::new(db);
+        let sql = "SELECT i.id AS id, i.label AS label FROM Item i WHERE i.id >= 10";
+        let rows = |c: &Bytes| crate::wire::row_prefix(c, usize::MAX).unwrap().1;
+        for workers in [true, false] {
+            let s = Server::new(Arc::clone(&db)).with_stream_workers(workers);
+            let mut stream = s.execute_sql_streaming(sql).unwrap();
+            let (mut sizes, mut bytes) = (Vec::new(), Vec::new());
+            while let Some(c) = stream.next_chunk().unwrap() {
+                sizes.push(rows(&c));
+                bytes.extend_from_slice(&c);
+            }
+            assert_eq!(sizes, [1024, 1024, 942], "workers={workers}");
+            let mut buffered = s.execute_sql(sql).unwrap();
+            assert_eq!(
+                buffered.next_chunk().unwrap().unwrap().as_ref(),
+                bytes.as_slice()
+            );
+        }
     }
 
     /// Decode a stream into rows, also returning the terminal metadata.
@@ -2836,7 +2441,7 @@ mod tests {
     #[test]
     fn fragment_cache_serves_across_buffered_and_streaming() {
         // Same key space: a fragment captured by the buffered path serves
-        // the streaming path (and vice versa) — same mode, same shards.
+        // the streaming path (and vice versa) — same shards.
         let s = server().with_fragment_cache(1 << 20);
         let cold = s.execute_sql(FRAG_SQL).unwrap().collect_rows().unwrap();
         let (warm, _) = drain(s.execute_sql_streaming(FRAG_SQL).unwrap());
@@ -2860,7 +2465,7 @@ mod tests {
         // k=1 and k=2 chunk differently; their fragments must not collide.
         let s1 = server().with_fragment_cache(1 << 20);
         drain(s1.execute_sql_streaming(FRAG_SQL).unwrap());
-        assert_eq!(s1.fragment_key(FRAG_SQL), format!("Tuple|k1|{FRAG_SQL}"));
+        assert_eq!(s1.fragment_key(FRAG_SQL), format!("k1|{FRAG_SQL}"));
         let s2 = server().with_fragment_cache(1 << 20).with_shards(2);
         assert_ne!(s1.fragment_key(FRAG_SQL), s2.fragment_key(FRAG_SQL));
     }

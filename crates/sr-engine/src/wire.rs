@@ -14,6 +14,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sr_data::column::{ColumnBatch, ColumnData};
@@ -54,13 +55,13 @@ pub fn encode_rows(rows: &[Row]) -> Bytes {
     buf.freeze()
 }
 
-/// Encode a column batch into `buf`, producing bytes **identical** to
-/// [`encode_row`] over the batch's materialized rows — this is the late
-/// materialization pivot: values move straight from column storage to wire
-/// bytes without ever becoming [`Row`]s.
-pub fn encode_batch_into(batch: &ColumnBatch, buf: &mut BytesMut) {
+/// Encode rows `rows` of a column batch into `buf`, producing bytes
+/// **identical** to [`encode_row`] over those rows materialized — this is
+/// the late materialization pivot: values move straight from column
+/// storage to wire bytes without ever becoming [`Row`]s.
+pub fn encode_batch_into(batch: &ColumnBatch, rows: Range<usize>, buf: &mut BytesMut) {
     let arity = batch.schema().arity() as u32;
-    for i in 0..batch.len() {
+    for i in rows {
         buf.put_u32(arity);
         for col in batch.columns() {
             if !col.is_valid(i) {
@@ -90,7 +91,7 @@ pub fn encode_batch_into(batch: &ColumnBatch, buf: &mut BytesMut) {
 /// Encode one column batch into a fresh buffer, sized exactly up front.
 pub fn encode_batch(batch: &ColumnBatch) -> Bytes {
     let mut buf = BytesMut::with_capacity(batch.wire_width() + 4 * batch.len());
-    encode_batch_into(batch, &mut buf);
+    encode_batch_into(batch, 0..batch.len(), &mut buf);
     buf.freeze()
 }
 

@@ -1,26 +1,14 @@
-//! Property tests for the vectorized execution path.
-//!
-//! Two contracts are enforced here:
-//!
-//! 1. **Round-trip**: any rows — random types, NULLs, NaNs, empty tables —
-//!    pivoted into [`ColumnBatch`]es come back out identical.
-//! 2. **Byte identity**: for randomly generated plans, the vectorized
-//!    executor's wire encoding is byte-for-byte the tuple executor's. The
-//!    column path is a pure execution-strategy change; any divergence in
-//!    bytes (not just rows — bytes) is a bug.
-
-use std::sync::Arc;
+//! Property tests for the row ↔ column pivot the executor runs on: any
+//! rows — random types, NULLs, NaNs, empty tables — pivoted into
+//! [`ColumnBatch`]es come back out identical, down to the wire bytes.
+//! (That random plans execute to the reference executor's bytes is checked
+//! inside the crate, where the reference lives.)
 
 use proptest::prelude::*;
 
 use sr_data::column::{batches_from_rows, ColumnBatch};
-use sr_data::{row, Column, DataType, Database, Row, Schema, Table, Value};
+use sr_data::{Column, DataType, Row, Schema, Value};
 use sr_engine::wire::{encode_batch, encode_rows};
-use sr_engine::{execute, execute_vectorized, CmpOp, Expr, JoinKind, Plan, Predicate};
-
-// ---------------------------------------------------------------------------
-// Row → column → row round-trip
-// ---------------------------------------------------------------------------
 
 /// Deterministic cell generator: a tiny LCG over the proptest-chosen seed,
 /// so the case is fully described by `(dtypes, nrows, seed)` and replays
@@ -116,197 +104,4 @@ fn empty_table_round_trips() {
     assert!(batches_from_rows(&schema, &[], 4)
         .expect("batches")
         .is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// Random plans: vectorized == tuple, down to the wire bytes
-// ---------------------------------------------------------------------------
-
-fn db() -> Arc<Database> {
-    let mut db = Database::new();
-    let mut a = Table::new(
-        "A",
-        Schema::of(&[
-            ("id", DataType::Int),
-            ("g", DataType::Int),
-            ("s", DataType::Str),
-        ]),
-    );
-    for i in 0..20i64 {
-        a.insert(row![i, i % 4, format!("a{}", i % 3)]).unwrap();
-    }
-    let mut b = Table::new(
-        "B",
-        Schema::of(&[
-            ("id", DataType::Int),
-            ("aid", DataType::Int),
-            ("v", DataType::Float),
-        ]),
-    );
-    for i in 0..30i64 {
-        b.insert(Row::new(vec![
-            Value::Int(i),
-            Value::Int(i % 25),
-            Value::Float(i as f64 / 4.0),
-        ]))
-        .unwrap();
-    }
-    db.add_table(a);
-    db.add_table(b);
-    Arc::new(db)
-}
-
-/// A generation recipe; aliases and output names are assigned during
-/// conversion so they stay globally unique within one plan. (Same recipe
-/// the SQL round-trip proptest uses.)
-#[derive(Debug, Clone)]
-enum Gen {
-    ScanA,
-    ScanB,
-    FilterFirstIntGt(Box<Gen>, i64),
-    ProjectFirstTwo(Box<Gen>),
-    Join(Box<Gen>, Box<Gen>, bool),
-    UnionFirstInt(Box<Gen>, Box<Gen>),
-    SortAll(Box<Gen>),
-    Distinct(Box<Gen>),
-}
-
-fn gen_strategy() -> impl Strategy<Value = Gen> {
-    let leaf = prop_oneof![Just(Gen::ScanA), Just(Gen::ScanB)];
-    leaf.prop_recursive(3, 12, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), 0i64..20).prop_map(|(p, n)| Gen::FilterFirstIntGt(Box::new(p), n)),
-            inner
-                .clone()
-                .prop_map(|p| Gen::ProjectFirstTwo(Box::new(p))),
-            (inner.clone(), inner.clone(), any::<bool>()).prop_map(|(l, r, outer)| Gen::Join(
-                Box::new(l),
-                Box::new(r),
-                outer
-            )),
-            (inner.clone(), inner.clone())
-                .prop_map(|(l, r)| Gen::UnionFirstInt(Box::new(l), Box::new(r))),
-            inner.clone().prop_map(|p| Gen::SortAll(Box::new(p))),
-            inner.prop_map(|p| Gen::Distinct(Box::new(p))),
-        ]
-    })
-}
-
-struct Builder<'a> {
-    db: &'a Database,
-    counter: usize,
-}
-
-impl<'a> Builder<'a> {
-    fn fresh(&mut self) -> usize {
-        self.counter += 1;
-        self.counter
-    }
-
-    fn build(&mut self, g: &Gen) -> Plan {
-        match g {
-            Gen::ScanA => Plan::scan("A", format!("t{}", self.fresh())),
-            Gen::ScanB => Plan::scan("B", format!("t{}", self.fresh())),
-            Gen::FilterFirstIntGt(inner, n) => {
-                let p = self.build(inner);
-                match self.first_int_col(&p) {
-                    Some(col) => p.filter(vec![Predicate::new(
-                        Expr::col(col),
-                        CmpOp::Gt,
-                        Expr::lit(*n),
-                    )]),
-                    None => p,
-                }
-            }
-            Gen::ProjectFirstTwo(inner) => {
-                let p = self.build(inner);
-                let schema = p.schema(self.db).expect("schema");
-                let n = self.fresh();
-                let items: Vec<(String, Expr)> = schema
-                    .names()
-                    .take(2)
-                    .enumerate()
-                    .map(|(i, c)| (format!("p{n}_{i}"), Expr::col(c.to_string())))
-                    .collect();
-                p.project(items)
-            }
-            Gen::Join(l, r, outer) => {
-                let lp = self.build(l);
-                let rp = self.build(r);
-                let (Some(lc), Some(rc)) = (self.first_int_col(&lp), self.first_int_col(&rp))
-                else {
-                    return lp;
-                };
-                let kind = if *outer {
-                    JoinKind::LeftOuter
-                } else {
-                    JoinKind::Inner
-                };
-                lp.join(rp, kind, vec![(lc, rc)])
-            }
-            Gen::UnionFirstInt(l, r) => {
-                let n = self.fresh();
-                let mut branches = Vec::new();
-                for g in [l, r] {
-                    let p = self.build(g);
-                    match self.first_int_col(&p) {
-                        Some(c) => {
-                            branches.push(p.project(vec![(format!("u{n}"), Expr::col(c))]));
-                        }
-                        None => return self.build(g),
-                    }
-                }
-                Plan::OuterUnion { inputs: branches }
-            }
-            Gen::SortAll(inner) => {
-                let p = self.build(inner);
-                let keys: Vec<String> = p
-                    .schema(self.db)
-                    .expect("schema")
-                    .names()
-                    .map(str::to_string)
-                    .collect();
-                p.sort(keys)
-            }
-            Gen::Distinct(inner) => Plan::Distinct {
-                input: Box::new(self.build(inner)),
-            },
-        }
-    }
-
-    fn first_int_col(&self, p: &Plan) -> Option<String> {
-        let schema = p.schema(self.db).ok()?;
-        schema
-            .columns()
-            .iter()
-            .find(|c| c.dtype == DataType::Int)
-            .map(|c| c.name.clone())
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn vectorized_matches_tuple_bytes_for_random_plans(g in gen_strategy()) {
-        let db = db();
-        let plan = Builder { db: &db, counter: 0 }.build(&g);
-        let tuple = execute(&plan, &db).expect("tuple path");
-        let vector = execute_vectorized(&plan, &db).expect("vectorized path");
-        prop_assert_eq!(
-            tuple.schema.names().collect::<Vec<_>>(),
-            vector.schema.names().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(tuple.rows.len(), vector.row_count());
-        let want = encode_rows(&tuple.rows);
-        let mut got = Vec::with_capacity(want.len());
-        for b in &vector.batches {
-            got.extend_from_slice(&encode_batch(b));
-        }
-        prop_assert_eq!(
-            got.as_slice(),
-            want.as_ref(),
-            "wire bytes diverge between executors"
-        );
-    }
 }

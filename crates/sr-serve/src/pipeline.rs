@@ -450,10 +450,6 @@ pub fn run_query<W: Write>(
             }
         }
         Format::Tuples => {
-            // FIXME(ROADMAP: one request pipeline): this arm never fills
-            // `per_stream_rows`, so tuple requests never reach
-            // `recoster.observe`.
-            let mut tuples = 0u64;
             let mut writer = FrameChunkWriter::new(out);
             for (i, q) in queries.into_iter().enumerate() {
                 let mut stream = engine.execute_sql_streaming(&q.sql).map_err(engine_err)?;
@@ -465,22 +461,24 @@ pub fn run_query<W: Write>(
                 // The engine's chunks are already the response's bytes:
                 // forward them as they are, cut on row boundaries so that
                 // no frame carries more than `CHUNK_ROWS` rows.
+                let mut stream_rows = 0u64;
                 while let Some(chunk) = stream.next_chunk().map_err(engine_err)? {
                     let mut rest: &[u8] = &chunk;
                     while !rest.is_empty() {
                         let (len, rows) =
                             sr_engine::wire::row_prefix(rest, CHUNK_ROWS).map_err(engine_err)?;
-                        tuples += rows as u64;
+                        stream_rows += rows as u64;
                         writer.frame.extend(&rest[..len]);
                         writer.ship(i as u16).map_err(PipelineError::ClientGone)?;
                         rest = &rest[len..];
                     }
                 }
+                per_stream_rows.push(stream_rows);
             }
             writer.out.flush().map_err(PipelineError::ClientGone)?;
             RunStats {
                 done: DoneStats {
-                    tuples,
+                    tuples: per_stream_rows.iter().sum(),
                     elements: 0,
                     bytes: writer.shipped,
                     streams,
@@ -615,6 +613,53 @@ mod tests {
             sqls.len() as u64,
             "the primed engine served from its cache"
         );
+    }
+
+    /// A tuple-format request feeds the re-coster exactly what the same XML
+    /// request does: one actual row count per component query, in order.
+    #[test]
+    fn tuple_requests_feed_the_recoster_like_xml_requests() {
+        let db = Arc::new(sr_tpch::generate(sr_tpch::Scale::mb(0.1)).expect("tpch"));
+        let tree = silkroute::query1_tree(&db);
+        let engine = Server::new(Arc::clone(&db));
+        let mut observed = Vec::new();
+        for format in [Format::Xml, Format::Tuples] {
+            let recoster = Recoster::new(sr_plan::RecostConfig::default());
+            let ctx = RecostContext {
+                recoster: &recoster,
+                view_key: "query1",
+                engine: &engine,
+            };
+            let spec = resolve_plan(&tree, "greedy", Some(&ctx)).expect("greedy plan");
+            let cancels = CancelRegistry::new();
+            let stats = run_query(
+                &engine,
+                &tree,
+                format,
+                spec,
+                &cancels,
+                &mut Vec::new(),
+                None,
+            )
+            .expect("request");
+            assert_eq!(stats.sqls.len() as u64, stats.done.streams);
+            assert_eq!(stats.per_stream_rows.len(), stats.sqls.len(), "{format:?}");
+            // What the serve loop does with a finished request.
+            let accum: Vec<f64> = stats
+                .sqls
+                .iter()
+                .zip(&stats.per_stream_rows)
+                .map(|(sql, &rows)| recoster.observe("query1", sql, rows))
+                .collect();
+            let actuals: Vec<Option<u64>> = stats
+                .sqls
+                .iter()
+                .map(|sql| recoster.actuals().get(sql))
+                .collect();
+            assert_eq!(recoster.actuals().len(), stats.sqls.len());
+            observed.push((stats.sqls, stats.per_stream_rows, accum, actuals));
+        }
+        assert_eq!(observed[0], observed[1], "tuple and XML requests diverge");
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub struct QlogRecord {
     pub xpath: String,
     /// `xml` or `tuples`.
     pub format: Format,
-    /// Engine execution mode (`tuple` / `vectorized`).
-    pub exec_mode: String,
     /// Engine shard fan-out for this server.
     pub shards: u64,
     /// Component streams the plan decomposed into (0 when planning failed).
@@ -104,7 +102,6 @@ impl QlogRecord {
                     .into(),
                 ),
             ),
-            ("exec_mode", Json::Str(self.exec_mode.clone())),
             ("shards", Json::UInt(self.shards)),
             ("streams", Json::UInt(self.streams)),
             ("cache_hit", Json::Bool(self.cache_hit)),
@@ -225,7 +222,6 @@ mod tests {
             plan: "unified".into(),
             xpath: String::new(),
             format: Format::Xml,
-            exec_mode: "tuple".into(),
             shards: 1,
             streams: 2,
             cache_hit: seq > 0,

@@ -138,7 +138,6 @@ impl Shared {
             draining: self.draining.load(Ordering::SeqCst),
             active_conns: self.active.load(Ordering::SeqCst),
             max_conns: self.max_connections,
-            exec_mode: self.engine.exec_mode().to_string(),
             shards: self.engine.shards(),
             admission: &self.admission,
             metrics: &self.metrics,
@@ -576,7 +575,6 @@ fn handle_query(
         plan: plan.clone(),
         xpath: xpath.clone().unwrap_or_default(),
         format,
-        exec_mode: shared.engine.exec_mode().to_string(),
         shards: shared.engine.shards() as u64,
         streams: 0,
         cache_hit: false,

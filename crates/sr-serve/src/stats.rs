@@ -62,8 +62,6 @@ pub struct StatsSources<'a> {
     pub active_conns: usize,
     /// The configured connection cap.
     pub max_conns: usize,
-    /// Engine execution mode (`tuple` / `vectorized`).
-    pub exec_mode: String,
     /// Engine shard fan-out.
     pub shards: usize,
     /// The admission controller.
@@ -101,7 +99,6 @@ pub fn build(src: &StatsSources<'_>) -> Json {
         ("proto", Json::UInt(STATS_PROTO)),
         ("uptime_s", Json::Float(src.uptime.as_secs_f64())),
         ("draining", Json::Bool(src.draining)),
-        ("exec_mode", Json::Str(src.exec_mode.clone())),
         ("shards", Json::UInt(src.shards as u64)),
         (
             "connections",
@@ -337,7 +334,6 @@ mod tests {
             draining: false,
             active_conns: 2,
             max_conns: 64,
-            exec_mode: "tuple".into(),
             shards: 1,
             admission: &admission,
             metrics: &metrics,

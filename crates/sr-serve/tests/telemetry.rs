@@ -211,7 +211,6 @@ fn qlog_captures_slow_query_with_profile_and_trace() {
             "client",
             "view",
             "format",
-            "exec_mode",
             "shards",
             "streams",
             "cache_hit",

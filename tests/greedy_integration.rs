@@ -74,22 +74,26 @@ fn greedy_recommended_plan_beats_the_defaults() {
     let r = gen_plan(&tree, server.database(), &oracle, true).unwrap();
     let best = r.recommended();
 
-    let time = |spec: PlanSpec| {
-        // Median of 3 runs to damp scheduler noise.
-        let mut ts: Vec<f64> = (0..3)
-            .map(|_| run_plan(&tree, &server, spec, None).unwrap().total_ms)
-            .collect();
-        ts.sort_by(f64::total_cmp);
-        ts[1]
-    };
-    let greedy_ms = time(PlanSpec {
-        edges: best,
-        reduce: true,
-        style: QueryStyle::OuterJoin,
-    });
-    let unified_ms = time(PlanSpec::unified(&tree));
-    let partitioned_ms = time(PlanSpec::fully_partitioned());
-    let union_ms = time(PlanSpec::sorted_outer_union(&tree));
+    let specs = [
+        PlanSpec {
+            edges: best,
+            reduce: true,
+            style: QueryStyle::OuterJoin,
+        },
+        PlanSpec::unified(&tree),
+        PlanSpec::fully_partitioned(),
+        PlanSpec::sorted_outer_union(&tree),
+    ];
+    // Fastest of five interleaved rounds: scheduler noise (this binary's
+    // other tests run alongside) only ever adds time, and interleaving
+    // spreads a slow stretch over every plan instead of one.
+    let mut fastest = [f64::INFINITY; 4];
+    for _ in 0..5 {
+        for (ms, &spec) in fastest.iter_mut().zip(&specs) {
+            *ms = ms.min(run_plan(&tree, &server, spec, None).unwrap().total_ms);
+        }
+    }
+    let [greedy_ms, unified_ms, partitioned_ms, union_ms] = fastest;
 
     // Debug-build timings are noisy; require the paper's *shape* robustly:
     // the greedy plan clearly beats the fully partitioned default and is at

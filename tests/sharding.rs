@@ -10,7 +10,10 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use silkroute::{materialize_to_string, query1_tree, query2_tree, PlanSpec, Server};
+use silkroute::{
+    calibrated_params, gen_plan, materialize_to_string, query1_tree, query2_tree, Oracle, PlanSpec,
+    QueryStyle, Server,
+};
 
 const SCALE_MB: f64 = 0.1;
 
@@ -70,6 +73,67 @@ fn sharding_engages_and_reports_skew() {
     assert!(snap.counter("exec.shards") >= 2, "no stream was sharded");
     let skew = snap.histogram("shard.skew").expect("skew recorded");
     assert!(skew.count >= 1);
+}
+
+/// Rows in each chunk of an `n`-row stream cut at 1024 rows.
+fn full_chunks(n: usize) -> impl Iterator<Item = usize> {
+    (0..n).step_by(1024).map(move |start| (n - start).min(1024))
+}
+
+/// One chunking rule on every path: under the partitioned and the greedy
+/// plan of both views, at shards {1,2,4}, each stream's chunks hold 1024
+/// rows but the last of every shard — whatever batches the plan's
+/// operators produced — and a buffered stream is the same bytes in one
+/// chunk.
+#[test]
+fn stream_chunks_are_full_but_the_last_of_each_shard() {
+    let scale = sr_tpch::Scale::mb(0.5);
+    let db = Arc::new(sr_tpch::generate(scale).expect("tpch generation"));
+    let planner = Server::new(Arc::clone(&db));
+    let rows = |chunk: &[u8]| sr_engine::wire::row_prefix(chunk, usize::MAX).unwrap().1;
+    let mut longest = 0;
+    for tree in [query1_tree(&db), query2_tree(&db)] {
+        let oracle = Oracle::new(&planner, calibrated_params(scale));
+        let greedy = PlanSpec {
+            edges: gen_plan(&tree, &db, &oracle, true).unwrap().recommended(),
+            reduce: true,
+            style: QueryStyle::OuterJoin,
+        };
+        for spec in [PlanSpec::fully_partitioned(), greedy] {
+            for q in sr_sqlgen::generate_queries(&tree, &db, spec).unwrap() {
+                for shards in [1, 2, 4] {
+                    // Rows per shard, from the shard queries the server runs.
+                    let per_shard: Vec<usize> = match planner.shard_sql(&q.sql, shards).unwrap() {
+                        Some(parts) => parts
+                            .iter()
+                            .map(|sql| planner.execute_sql(sql).unwrap().row_count)
+                            .collect(),
+                        None => vec![planner.execute_sql(&q.sql).unwrap().row_count],
+                    };
+                    let want: Vec<usize> = per_shard.iter().flat_map(|&n| full_chunks(n)).collect();
+                    longest = longest.max(want.len());
+                    for workers in [true, false] {
+                        let server = Server::new(Arc::clone(&db))
+                            .with_shards(shards)
+                            .with_stream_workers(workers);
+                        let mut stream = server.execute_sql_streaming(&q.sql).unwrap();
+                        let (mut got, mut bytes) = (Vec::new(), Vec::new());
+                        while let Some(chunk) = stream.next_chunk().unwrap() {
+                            got.push(rows(&chunk));
+                            bytes.extend_from_slice(&chunk);
+                        }
+                        let at = format!("shards={shards} workers={workers}: {}", q.sql);
+                        assert_eq!(got, want, "{at}");
+                        let mut buffered = server.execute_sql(&q.sql).unwrap();
+                        let whole = buffered.next_chunk().unwrap().unwrap_or_default();
+                        assert_eq!(whole.as_ref(), bytes.as_slice(), "{at}");
+                        assert!(buffered.next_chunk().unwrap().is_none(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(longest > 2, "no stream spanned more than two chunks");
 }
 
 proptest! {

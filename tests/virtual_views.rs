@@ -19,7 +19,6 @@ use silkroute::{
     materialize_to_string, query1_tree, query2_tree, query_view_to_string, PlanSpec, QueryError,
     Server,
 };
-use sr_engine::ExecMode;
 use sr_rxl::RxlCmp;
 use sr_tpch::{generate, Scale};
 
@@ -510,8 +509,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Random paths over the golden query1 view: the pruned execution must
-    /// equal the reference filter at shards {1,2,4} × tuple/vectorized
-    /// executors, under both plan shapes.
+    /// equal the reference filter at shards {1,2,4}, under both plan shapes.
     #[test]
     fn xpath_equals_reference_filter_across_configs(src in arb_xpath()) {
         let parsed = match silkroute::xpath::parse(&src) {
@@ -521,21 +519,16 @@ proptest! {
         let want = filter_reference(full_doc_q1(), &parsed);
         let mut supported = None;
         for shards in [1usize, 2, 4] {
-            for exec in [ExecMode::Tuple, ExecMode::Vectorized] {
-                let server = Server::new(db()).with_shards(shards).with_exec_mode(exec);
-                match run_both_plans(&server, false, &src) {
-                    Some(got) => {
-                        prop_assert_eq!(
-                            &got, &want,
-                            "mismatch for {} at shards={} exec={:?}", src, shards, exec
-                        );
-                        supported = Some(true);
-                    }
-                    None => {
-                        // Unsupported must be consistent across configs.
-                        prop_assert_ne!(supported, Some(true));
-                        supported = Some(false);
-                    }
+            let server = Server::new(db()).with_shards(shards);
+            match run_both_plans(&server, false, &src) {
+                Some(got) => {
+                    prop_assert_eq!(&got, &want, "mismatch for {} at shards={}", src, shards);
+                    supported = Some(true);
+                }
+                None => {
+                    // Unsupported must be consistent across configs.
+                    prop_assert_ne!(supported, Some(true));
+                    supported = Some(false);
                 }
             }
         }
