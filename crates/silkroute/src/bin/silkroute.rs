@@ -101,6 +101,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use silkroute::{calibrated_params, gen_plan, run_plan, Oracle, PlanSpec, QueryStyle, Server};
+use sr_serve::pipeline::resolve_view;
+use sr_serve::{ViewCatalog, ViewRef};
 use sr_sqlgen::generate_queries;
 use sr_tpch::Scale;
 use sr_viewtree::{EdgeSet, ViewTree};
@@ -155,6 +157,12 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The value after a flag, parsed; a missing or malformed one is a usage
+/// error.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> Result<T, ExitCode> {
+    args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)
+}
+
 fn parse_args() -> Result<Opts, ExitCode> {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else {
@@ -196,69 +204,43 @@ fn parse_args() -> Result<Opts, ExitCode> {
     };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--mb" => {
-                opts.mb = args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
-            }
-            "--plan" => opts.plan = args.next().ok_or_else(usage)?,
-            "--style" => opts.style = args.next().ok_or_else(usage)?,
+            "--mb" => opts.mb = value(&mut args)?,
+            "--plan" => opts.plan = value(&mut args)?,
+            "--style" => opts.style = value(&mut args)?,
             "--no-reduce" => opts.reduce = false,
-            "--xpath" => opts.xpath = Some(args.next().ok_or_else(usage)?),
-            "--out" => opts.out = Some(args.next().ok_or_else(usage)?),
+            "--xpath" => opts.xpath = Some(value(&mut args)?),
+            "--out" => opts.out = Some(value(&mut args)?),
             "--pretty" => opts.pretty = true,
             "--explain" => opts.explain = true,
             "--metrics-json" => opts.metrics_json = true,
             "--analyze" => opts.analyze = true,
-            "--trace" => opts.trace = Some(args.next().ok_or_else(usage)?),
-            "--fault" => opts.fault = Some(args.next().ok_or_else(usage)?),
-            "--fault-seed" => {
-                opts.fault_seed = args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
-            }
-            "--retries" => {
-                opts.retries = Some(args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
+            "--trace" => opts.trace = Some(value(&mut args)?),
+            "--fault" => opts.fault = Some(value(&mut args)?),
+            "--fault-seed" => opts.fault_seed = value(&mut args)?,
+            "--retries" => opts.retries = Some(value(&mut args)?),
             "--shards" => {
-                let v = args.next().ok_or_else(usage)?;
+                let v: String = value(&mut args)?;
                 opts.shards = if v == "auto" {
                     None // resolved to available parallelism below
                 } else {
                     Some(v.parse().map_err(|_| usage())?)
                 };
             }
-            "--fragment-cache" => {
-                opts.fragment_cache = args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
-            }
-            "--listen" => opts.listen = args.next().ok_or_else(usage)?,
-            "--connect" => opts.connect = args.next().ok_or_else(usage)?,
-            "--slots" => {
-                opts.slots = Some(args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--per-client" => {
-                opts.per_client = Some(args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--queue-depth" => {
-                opts.queue_depth =
-                    Some(args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--max-conns" => {
-                opts.max_conns = args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
-            }
-            "--read-timeout-ms" => {
-                opts.read_timeout_ms =
-                    args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
-            }
-            "--format" => opts.format = args.next().ok_or_else(usage)?,
+            "--fragment-cache" => opts.fragment_cache = value(&mut args)?,
+            "--listen" => opts.listen = value(&mut args)?,
+            "--connect" => opts.connect = value(&mut args)?,
+            "--slots" => opts.slots = Some(value(&mut args)?),
+            "--per-client" => opts.per_client = Some(value(&mut args)?),
+            "--queue-depth" => opts.queue_depth = Some(value(&mut args)?),
+            "--max-conns" => opts.max_conns = value(&mut args)?,
+            "--read-timeout-ms" => opts.read_timeout_ms = value(&mut args)?,
+            "--format" => opts.format = value(&mut args)?,
             "--shutdown" => opts.shutdown = true,
-            "--query-log" => opts.query_log = Some(args.next().ok_or_else(usage)?),
-            "--slow-ms" => {
-                opts.slow_ms = Some(args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
+            "--query-log" => opts.query_log = Some(value(&mut args)?),
+            "--slow-ms" => opts.slow_ms = Some(value(&mut args)?),
             "--prom" => opts.prom = true,
-            "--interval-ms" => {
-                opts.interval_ms = args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
-            }
-            "--iters" => {
-                opts.iters = Some(args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
+            "--interval-ms" => opts.interval_ms = value(&mut args)?,
+            "--iters" => opts.iters = Some(value(&mut args)?),
             other if !other.starts_with('-') && opts.view.is_empty() => {
                 opts.view = other.to_string();
             }
@@ -279,65 +261,66 @@ fn parse_args() -> Result<Opts, ExitCode> {
     Ok(opts)
 }
 
-fn load_view(opts: &Opts, db: &sr_data::Database) -> Result<ViewTree, String> {
-    match opts.view.as_str() {
-        "query1" => Ok(silkroute::query1_tree(db)),
-        "query2" => Ok(silkroute::query2_tree(db)),
-        path => {
-            let src =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let q = sr_rxl::parse(&src).map_err(|e| format!("parse error: {e}"))?;
-            sr_viewtree::build(&q, db).map_err(|e| format!("build error: {e}"))
-        }
+/// Where the document goes: `--out`, else stdout — or nowhere when stdout
+/// carries a JSON report instead.
+fn sink(opts: &Opts, discard: bool) -> Result<Box<dyn std::io::Write>, String> {
+    Ok(match &opts.out {
+        Some(path) => Box::new(std::io::BufWriter::new(
+            std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?,
+        )),
+        None if discard => Box::new(std::io::sink()),
+        None => Box::new(std::io::stdout().lock()),
+    })
+}
+
+/// The named views: the paper's `query1` and `query2`.
+fn catalog(db: &sr_data::Database) -> ViewCatalog {
+    let mut catalog = ViewCatalog::new();
+    catalog.insert("query1", silkroute::query1_tree(db));
+    catalog.insert("query2", silkroute::query2_tree(db));
+    catalog
+}
+
+/// VIEW as a request would name it: a built-in, or the RXL source at a path.
+fn view_ref(view: &str) -> Result<ViewRef, String> {
+    match view {
+        "query1" | "query2" => Ok(ViewRef::Named(view.into())),
+        path => std::fs::read_to_string(path)
+            .map(ViewRef::Rxl)
+            .map_err(|e| format!("cannot read {path}: {e}")),
     }
 }
 
-fn resolve_plan(opts: &Opts, tree: &ViewTree, server: &Server) -> Result<PlanSpec, String> {
+/// Resolve a plan-spec string with the grammar the wire shares; `greedy`
+/// runs genPlan against a fresh oracle.
+fn resolve_plan(
+    plan: &str,
+    opts: &Opts,
+    tree: &ViewTree,
+    server: &Server,
+) -> Result<PlanSpec, String> {
     let style = match opts.style.as_str() {
         "outer-join" => QueryStyle::OuterJoin,
         "outer-union" => QueryStyle::OuterUnion,
         "with" => QueryStyle::OuterJoinWith,
         other => return Err(format!("unknown style: {other}")),
     };
-    let spec = match opts.plan.as_str() {
-        "unified" => PlanSpec {
-            edges: EdgeSet::full(tree),
-            reduce: opts.reduce,
-            style,
-        },
-        "partitioned" => PlanSpec {
-            edges: EdgeSet::empty(),
-            reduce: opts.reduce,
-            style,
-        },
-        "outer-union" => PlanSpec::sorted_outer_union(tree),
-        "greedy" => {
-            let oracle = Oracle::new(server, calibrated_params(Scale::mb(opts.mb)));
-            let r = gen_plan(tree, server.database(), &oracle, opts.reduce)
-                .map_err(|e| format!("genPlan failed: {e}"))?;
-            PlanSpec {
-                edges: r.recommended(),
-                reduce: opts.reduce,
-                style,
-            }
-        }
-        other => match other.strip_prefix("edges:") {
-            Some(bits) => PlanSpec {
-                edges: EdgeSet::from_bits(bits.parse().map_err(|e| format!("bad edge bits: {e}"))?),
-                reduce: opts.reduce,
-                style,
-            },
-            None => return Err(format!("unknown plan spec: {other}")),
-        },
-    };
-    Ok(spec)
+    if let Some(spec) = PlanSpec::parse(tree, plan, opts.reduce, style)? {
+        return Ok(spec);
+    }
+    let oracle = Oracle::new(server, calibrated_params(Scale::mb(opts.mb)));
+    let r = gen_plan(tree, server.database(), &oracle, opts.reduce)
+        .map_err(|e| format!("genPlan failed: {e}"))?;
+    Ok(PlanSpec {
+        edges: r.recommended(),
+        reduce: opts.reduce,
+        style,
+    })
 }
 
 fn run_serve(opts: &Opts, server: Server) -> Result<(), String> {
     let engine = Arc::new(server);
-    let mut catalog = sr_serve::ViewCatalog::new();
-    catalog.insert("query1", silkroute::query1_tree(engine.database()));
-    catalog.insert("query2", silkroute::query2_tree(engine.database()));
+    let catalog = catalog(engine.database());
     let mut admit = sr_serve::AdmitConfig::default();
     if let Some(s) = opts.slots {
         admit.slots = s;
@@ -513,12 +496,7 @@ fn run_client(opts: &Opts) -> Result<(), String> {
         eprintln!("server acknowledged shutdown");
         return Ok(());
     }
-    let view = match opts.view.as_str() {
-        "query1" | "query2" => sr_serve::ViewRef::Named(opts.view.clone()),
-        path => sr_serve::ViewRef::Rxl(
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?,
-        ),
-    };
+    let view = view_ref(&opts.view)?;
     let format = match opts.format.as_str() {
         "xml" => sr_serve::Format::Xml,
         "tuples" => sr_serve::Format::Tuples,
@@ -634,7 +612,8 @@ fn run() -> Result<(), String> {
         // --retries, --shards); hand it to the front-end as-is.
         return run_serve(&opts, server);
     }
-    let tree = load_view(&opts, server.database())?;
+    let db = server.database();
+    let tree = resolve_view(&catalog(db), db, &view_ref(&opts.view)?).map_err(|e| e.to_string())?;
 
     match opts.command.as_str() {
         "tree" => {
@@ -648,7 +627,7 @@ fn run() -> Result<(), String> {
             println!("\nderived DTD:\n{}", sr_viewtree::to_dtd(&tree));
         }
         "sql" => {
-            let spec = resolve_plan(&opts, &tree, &server)?;
+            let spec = resolve_plan(&opts.plan, &opts, &tree, &server)?;
             let queries =
                 generate_queries(&tree, server.database(), spec).map_err(|e| e.to_string())?;
             println!(
@@ -677,64 +656,27 @@ fn run() -> Result<(), String> {
             }
         }
         "materialize" => {
-            let spec = resolve_plan(&opts, &tree, &server)?;
-            let start = std::time::Instant::now();
-            let queries = {
-                let _s = sr_obs::TraceSpan::new(tracer.as_deref(), "plan.generate");
-                generate_queries(&tree, server.database(), spec).map_err(|e| e.to_string())?
-            };
-            let plan_time = start.elapsed();
-            let mut inputs = Vec::new();
-            let mut sqls = Vec::new();
-            for (i, q) in queries.into_iter().enumerate() {
-                // Pipelined execution: every stream's worker starts now and
-                // overlaps with tagging below.
-                let mut stream = server
-                    .execute_sql_streaming(&q.sql)
-                    .map_err(|e| e.to_string())?;
-                if let Some(t) = &tracer {
-                    stream.set_trace(t, &i.to_string());
-                }
-                sqls.push(q.sql);
-                inputs.push(sr_tagger::StreamInput {
-                    schema: stream.schema.clone(),
-                    rows: sr_tagger::RowSource::Stream(Box::new(stream)),
-                    reduced: q.reduced,
-                });
-            }
+            let spec = resolve_plan(&opts.plan, &opts, &tree, &server)?;
             // With --metrics-json the JSON report owns stdout; the document
             // goes to --out or is discarded.
-            let sink: Box<dyn std::io::Write> = match (&opts.out, opts.metrics_json) {
-                (Some(path), _) => Box::new(std::io::BufWriter::new(
-                    std::fs::File::create(path).map_err(|e| e.to_string())?,
-                )),
-                (None, true) => Box::new(std::io::sink()),
-                (None, false) => Box::new(std::io::stdout().lock()),
-            };
-            let tag_start = std::time::Instant::now();
-            let (stats, mut sink) =
-                sr_tagger::tag_streams_traced(&tree, inputs, sink, opts.pretty, tracer.as_deref())
-                    .map_err(|e| e.to_string())?;
+            let sink = sink(&opts, opts.metrics_json)?;
+            let (m, mut sink) = if opts.pretty {
+                silkroute::materialize_pretty(&tree, &server, spec, sink)
+            } else {
+                silkroute::materialize(&tree, &server, spec, sink)
+            }
+            .map_err(|e| e.to_string())?;
             let _ = sink.flush();
-            let report = silkroute::MaterializeReport::assemble(
-                &sqls,
-                &stats,
-                plan_time,
-                tag_start.elapsed(),
-                start.elapsed(),
-                true,
-                server.shards(),
-            );
             // EXPLAIN ANALYZE runs before any metrics snapshot so the
             // `oracle.qerror` feedback it records is part of the report.
             let mut analyses = Vec::new();
             if opts.analyze {
                 let oracle = Oracle::new(&server, calibrated_params(Scale::mb(opts.mb)));
-                for (i, sql) in sqls.iter().enumerate() {
+                for (i, sql) in m.sql.iter().enumerate() {
                     oracle.estimate_sql(sql).map_err(|e| e.to_string())?;
                     let analysis = server.explain_analyze(sql).map_err(|e| e.to_string())?;
                     eprint!("\n-- stream {}:\n{}", i + 1, analysis.render());
-                    oracle.record_actual(sql, report.streams[i].rows);
+                    oracle.record_actual(sql, m.report.streams[i].rows);
                     analyses.push(analysis);
                 }
                 if let Some((sql, q)) = oracle.worst_qerror() {
@@ -742,7 +684,7 @@ fn run() -> Result<(), String> {
                 }
             }
             if opts.metrics_json {
-                let mut json = report.to_json();
+                let mut json = m.report.to_json();
                 if let sr_obs::Json::Obj(fields) = &mut json {
                     if opts.analyze {
                         fields.push((
@@ -766,15 +708,12 @@ fn run() -> Result<(), String> {
                 }
             }
             if opts.explain {
-                eprint!("\n{}", report.render_explain());
+                eprint!("\n{}", m.report.render_explain());
             }
             if !opts.metrics_json && !opts.explain && !opts.analyze {
                 eprintln!(
                     "\nmaterialized {} elements / {} bytes from {} tuple(s) over {} stream(s)",
-                    stats.elements,
-                    stats.bytes,
-                    stats.tuples,
-                    sqls.len()
+                    m.stats.elements, m.stats.bytes, m.stats.tuples, m.streams
                 );
             }
         }
@@ -786,19 +725,13 @@ fn run() -> Result<(), String> {
             // Catch bad --plan / --style input before any SQL runs; the
             // closure below re-resolves against the *pruned* tree, whose
             // edge set is what the plan actually partitions.
-            resolve_plan(&opts, &tree, &server)?;
-            let sink: Box<dyn std::io::Write> = match &opts.out {
-                Some(path) => Box::new(std::io::BufWriter::new(
-                    std::fs::File::create(path).map_err(|e| e.to_string())?,
-                )),
-                None => Box::new(std::io::stdout().lock()),
-            };
+            resolve_plan(&opts.plan, &opts, &tree, &server)?;
             let (outcome, mut sink) = silkroute::query_view(
                 &tree,
                 &server,
                 xpath,
                 |pruned| {
-                    resolve_plan(&opts, pruned, &server).unwrap_or_else(|e| {
+                    resolve_plan(&opts.plan, &opts, pruned, &server).unwrap_or_else(|e| {
                         eprintln!("note: planning the pruned tree failed ({e}); using unified");
                         PlanSpec {
                             edges: EdgeSet::full(pruned),
@@ -807,7 +740,7 @@ fn run() -> Result<(), String> {
                         }
                     })
                 },
-                sink,
+                sink(&opts, false)?,
             )
             .map_err(|e| e.to_string())?;
             sink.flush().map_err(|e| e.to_string())?;
@@ -866,31 +799,16 @@ fn run() -> Result<(), String> {
             );
         }
         "bench" => {
-            let specs = [
-                ("greedy", resolve_plan(&opts, &tree, &server)?),
-                (
-                    "unified",
-                    PlanSpec {
-                        edges: EdgeSet::full(&tree),
-                        reduce: opts.reduce,
-                        style: QueryStyle::OuterJoin,
-                    },
-                ),
-                ("outer-union", PlanSpec::sorted_outer_union(&tree)),
-                (
-                    "partitioned",
-                    PlanSpec {
-                        edges: EdgeSet::empty(),
-                        reduce: opts.reduce,
-                        style: QueryStyle::OuterJoin,
-                    },
-                ),
-            ];
+            let labels = [opts.plan.as_str(), "unified", "outer-union", "partitioned"];
+            let specs = labels
+                .iter()
+                .map(|label| resolve_plan(label, &opts, &tree, &server))
+                .collect::<Result<Vec<_>, _>>()?;
             println!(
                 "{:>14} {:>8} {:>12} {:>11} {:>10} {:>12} {:>10}",
                 "plan", "streams", "query (ms)", "xfer (ms)", "tag (ms)", "total (ms)", "tuples"
             );
-            for (label, spec) in specs {
+            for (label, spec) in labels.into_iter().zip(specs) {
                 let m = run_plan(&tree, &server, spec, None).map_err(|e| e.to_string())?;
                 println!(
                     "{label:>14} {:>8} {:>12.1} {:>11.1} {:>10.1} {:>12.1} {:>10}",

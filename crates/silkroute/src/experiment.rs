@@ -17,13 +17,15 @@
 //! `query_ms + transfer_ms + tag_ms <= total_ms`.
 
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use sr_engine::{EngineError, Server};
-use sr_sqlgen::{generate_queries, PlanSpec, QueryStyle};
-use sr_tagger::{tag_streams, RowSource, StreamInput, TagError};
+use sr_sqlgen::{PlanSpec, QueryStyle};
+use sr_tagger::TagError;
 use sr_viewtree::{EdgeSet, ViewTree};
+
+use crate::materialize::{materialize, materialize_buffered};
 
 /// One measured plan execution.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -101,79 +103,9 @@ fn run_plan_mode(
     timeout: Option<Duration>,
     streaming: bool,
 ) -> Result<Measurement, TagError> {
-    let queries = generate_queries(tree, server.database(), spec)?;
-    let streams = queries.len();
-    let start = Instant::now();
-    let mut inputs = Vec::with_capacity(streams);
-    for q in queries {
-        // Apply the per-query timeout the way the paper did: a query that
-        // exceeds it voids the plan's measurement. On the streaming path
-        // the server reports a timeout at end-of-stream, surfacing below
-        // as `EngineError::Timeout` out of the tagger or in the post-tag
-        // per-stream check.
-        let result = if streaming {
-            server.execute_sql_streaming(&q.sql)
-        } else {
-            server.execute_sql(&q.sql)
-        };
-        let stream = match (result, timeout) {
-            (Ok(s), Some(limit)) if !streaming && s.query_time > limit => {
-                return Ok(timed_out_measurement(tree, spec, streams));
-            }
-            (Ok(s), _) => s,
-            (Err(EngineError::Timeout { .. }), _) => {
-                return Ok(timed_out_measurement(tree, spec, streams));
-            }
-            (Err(e), _) => return Err(e.into()),
-        };
-        inputs.push(StreamInput {
-            schema: stream.schema.clone(),
-            rows: RowSource::Stream(Box::new(stream)),
-            reduced: q.reduced,
-        });
-    }
-    let tag_start = Instant::now();
-    let (stats, _) = match tag_streams(tree, inputs, io::sink(), false) {
-        Ok(r) => r,
-        Err(TagError::Engine(EngineError::Timeout { .. })) => {
-            return Ok(timed_out_measurement(tree, spec, streams));
-        }
-        Err(e) => return Err(e),
-    };
-    let tag_wall = tag_start.elapsed();
-    let total = start.elapsed();
-    if let Some(limit) = timeout {
-        // Pipelined streams only report their server time once fully
-        // consumed; check the per-stream costs after tagging.
-        if stats.per_stream.iter().any(|ps| ps.server_time > limit) {
-            return Ok(timed_out_measurement(tree, spec, streams));
-        }
-    }
-    let query_time: Duration = stats.per_stream.iter().map(|ps| ps.server_time).sum();
-    let wire_bytes: u64 = stats.per_stream.iter().map(|ps| ps.wire_bytes).sum();
-    let transfer = stats.total_transfer_time();
-    let stall = stats.total_stall_time();
-    Ok(Measurement {
+    let timed_out = Measurement {
         edge_bits: spec.edges.bits(),
-        streams,
-        reduce: spec.reduce,
-        style: style_name(spec.style),
-        query_ms: query_time.as_secs_f64() * 1e3,
-        transfer_ms: transfer.as_secs_f64() * 1e3,
-        tag_ms: tag_wall.saturating_sub(transfer + stall).as_secs_f64() * 1e3,
-        total_ms: total.as_secs_f64() * 1e3,
-        tuples: stats.tuples,
-        wire_bytes,
-        xml_bytes: stats.bytes,
-        timed_out: false,
-    })
-}
-
-fn timed_out_measurement(tree: &ViewTree, spec: PlanSpec, streams: usize) -> Measurement {
-    let _ = tree;
-    Measurement {
-        edge_bits: spec.edges.bits(),
-        streams,
+        streams: sr_viewtree::components(tree, spec.edges).len(),
         reduce: spec.reduce,
         style: style_name(spec.style),
         query_ms: f64::NAN,
@@ -184,7 +116,38 @@ fn timed_out_measurement(tree: &ViewTree, spec: PlanSpec, streams: usize) -> Mea
         wire_bytes: 0,
         xml_bytes: 0,
         timed_out: true,
+    };
+    let run = if streaming {
+        materialize(tree, server, spec, io::sink())
+    } else {
+        materialize_buffered(tree, server, spec, io::sink())
+    };
+    // Apply the per-query timeout the way the paper did: a query that
+    // exceeds it voids the plan's measurement. A stream reports its server
+    // time only once fully consumed, so the limit is checked after tagging;
+    // the server's own deadline surfaces as `EngineError::Timeout`.
+    let r = match run {
+        Ok((m, _)) => m.report,
+        Err(TagError::Engine(EngineError::Timeout { .. })) => return Ok(timed_out),
+        Err(e) => return Err(e),
+    };
+    let limit_ms = timeout.map_or(f64::INFINITY, |t| t.as_secs_f64() * 1e3);
+    if r.streams.iter().any(|s| s.server_ms > limit_ms) {
+        return Ok(timed_out);
     }
+    Ok(Measurement {
+        query_ms: r.server_ms(),
+        transfer_ms: r.transfer_ms(),
+        tag_ms: r.tag_ms,
+        // The paper's total runs from the first submission: SQL generation
+        // (the report's plan time) is not part of it.
+        total_ms: r.total_ms - r.plan_ms,
+        tuples: r.tuples,
+        wire_bytes: r.streams.iter().map(|s| s.bytes).sum(),
+        xml_bytes: r.xml_bytes,
+        timed_out: false,
+        ..timed_out
+    })
 }
 
 /// Measure every plan in the `2^|E|` space (the paper's Config-A sweeps,

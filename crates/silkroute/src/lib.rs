@@ -45,11 +45,11 @@ pub use experiment::{
     bucket_by_streams, measure, run_plan, run_plan_buffered, sweep_all_plans, Measurement,
 };
 pub use materialize::{
-    materialize, materialize_buffered, materialize_fragment, materialize_parallel,
+    materialize, materialize_buffered, materialize_fragment, materialize_pretty,
     materialize_to_string, Materialization,
 };
 pub use queries::{query1, query1_tree, query2, query2_tree, QUERY1_RXL, QUERY2_RXL};
-pub use query::{query_view, query_view_to_string, QueryError, QueryOutcome};
+pub use query::{query_view, query_view_to_string, QueryOutcome};
 pub use report::{MaterializeReport, StreamReport};
 
 pub use sr_data as data;
@@ -65,5 +65,6 @@ pub use sr_xpath as xpath;
 
 pub use sr_engine::Server;
 pub use sr_plan::{gen_plan, CostParams, Oracle};
+pub use sr_serve::pipeline::QueryError;
 pub use sr_sqlgen::{PlanSpec, QueryStyle};
 pub use sr_viewtree::EdgeSet;

@@ -2,17 +2,18 @@
 //! XML document.
 //!
 //! This is the full middle-ware loop of the paper's Fig. 7: partition the
-//! view tree, generate one SQL *string* per component, ship each to the
-//! server, read back the sorted tuple streams, and merge + tag them into
-//! the document.
+//! view tree and generate one SQL *string* per component, then hand the
+//! strings to [`sr_serve::pipeline::publish`], which ships each to the server, reads
+//! back the sorted tuple streams, and merges + tags them into the document.
 
 use std::io::Write;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use sr_engine::{EngineError, Server, TupleStream};
+use sr_engine::{EngineError, Server};
 use sr_obs::TraceSpan;
-use sr_sqlgen::{generate_queries, PlanSpec};
-use sr_tagger::{tag_streams_traced, RowSource, StreamInput, TagError, TagStats};
+use sr_serve::pipeline::{publish, Publish};
+use sr_sqlgen::{generate_queries, GeneratedQuery, PlanSpec};
+use sr_tagger::{TagError, TagStats};
 use sr_viewtree::ViewTree;
 
 use crate::report::MaterializeReport;
@@ -30,196 +31,82 @@ pub struct Materialization {
     pub report: MaterializeReport,
 }
 
-/// Shared tail of every materialization: tag the streams, then assemble
-/// statistics and the cost report.
-#[allow(clippy::too_many_arguments)]
-fn tag_and_report<W: Write>(
+/// Generate the component queries under a `plan.generate` span, then
+/// publish them, traced into the server's tracer if it has one.
+fn run<W: Write>(
     tree: &ViewTree,
     server: &Server,
-    sql: Vec<String>,
-    inputs: Vec<StreamInput>,
     out: W,
-    start: Instant,
-    plan_time: std::time::Duration,
-    parallel: bool,
+    streaming: bool,
+    pretty: bool,
+    generate: impl FnOnce() -> Result<Vec<GeneratedQuery>, EngineError>,
 ) -> Result<(Materialization, W), TagError> {
-    let streams = inputs.len();
-    let tag_start = Instant::now();
-    let tracer = server.tracer().map(|t| t.as_ref());
-    let (stats, out) = tag_streams_traced(tree, inputs, out, false, tracer)?;
-    let tag_wall = tag_start.elapsed();
-    let report = MaterializeReport::assemble(
-        &sql,
-        &stats,
-        plan_time,
-        tag_wall,
-        start.elapsed(),
-        parallel,
-        server.shards(),
-    );
-    Ok((
-        Materialization {
-            streams,
-            sql,
-            stats,
-            report,
-        },
-        out,
-    ))
-}
-
-/// How the component SQL queries are executed against the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Submit {
-    /// Pipelined: every query is submitted immediately via
-    /// [`Server::execute_sql_streaming`], so server-side execution and
-    /// encoding overlap with client-side decode + tagging.
-    Streaming,
-    /// Sequential: each query runs to completion via
-    /// [`Server::execute_sql`] before the next is submitted. Kept for
-    /// apples-to-apples cost decomposition (per-stream server times are
-    /// disjoint wall-clock intervals).
-    Buffered,
-}
-
-/// Shared head of every materialization: generate the component queries and
-/// turn each into a tagger [`StreamInput`] under the chosen execution mode.
-/// Submission-time retries of transient server failures, layered on top of
-/// the server's own execute-level retry budget: a component query that
-/// still fails transiently is resubmitted from scratch rather than failing
-/// the whole document. Each resubmission backs off and bumps
-/// `materialize.retries`.
-const SUBMIT_RETRIES: u32 = 1;
-
-fn submit_with_retry(server: &Server, sql: &str, mode: Submit) -> Result<TupleStream, EngineError> {
-    let submitted = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        let result = match mode {
-            Submit::Streaming => server.execute_sql_streaming(sql),
-            Submit::Buffered => server.execute_sql(sql),
-        };
-        match result {
-            Err(EngineError::Transient(_)) if attempt < SUBMIT_RETRIES => {
-                attempt += 1;
-                let backoff = Duration::from_millis(1 << attempt.min(6));
-                // A resubmission must respect the server's deadline just as
-                // the server's own execute-level retries do: if sleeping the
-                // backoff would run past it, surface the timeout now rather
-                // than burning a retry on a query that can no longer finish.
-                if let Some(limit) = server.timeout {
-                    let elapsed = submitted.elapsed();
-                    if elapsed + backoff >= limit {
-                        return Err(EngineError::Timeout {
-                            elapsed_ms: elapsed.as_millis() as u64,
-                            limit_ms: limit.as_millis() as u64,
-                        });
-                    }
-                }
-                server.metrics().counter("materialize.retries").inc();
-                std::thread::sleep(backoff);
-            }
-            other => return other,
-        }
-    }
-}
-
-fn run_pipeline<W: Write>(
-    tree: &ViewTree,
-    server: &Server,
-    queries: Vec<sr_sqlgen::GeneratedQuery>,
-    out: W,
-    start: Instant,
-    plan_time: std::time::Duration,
-    mode: Submit,
-) -> Result<(Materialization, W), TagError> {
-    let mut sql = Vec::with_capacity(queries.len());
-    let mut inputs = Vec::with_capacity(queries.len());
-    for (i, q) in queries.into_iter().enumerate() {
-        let mut stream = submit_with_retry(server, &q.sql, mode)?;
-        if let Some(tracer) = server.tracer() {
-            stream.set_trace(tracer, &i.to_string());
-        }
-        sql.push(q.sql);
-        inputs.push(StreamInput {
-            schema: stream.schema.clone(),
-            rows: RowSource::Stream(Box::new(stream)),
-            reduced: q.reduced,
-        });
-    }
-    let parallel = mode == Submit::Streaming;
-    tag_and_report(tree, server, sql, inputs, out, start, plan_time, parallel)
+    let started = Instant::now();
+    let queries = {
+        let _s = TraceSpan::new(server.tracer().map(|t| t.as_ref()), "plan.generate");
+        generate()?
+    };
+    let args = Publish {
+        started,
+        streaming,
+        pretty,
+        cancels: None,
+        tracer: server.tracer(),
+    };
+    let (p, out) = publish(server, tree, queries, out, args)?;
+    let report = MaterializeReport::assemble(&p, streaming, server.shards());
+    let m = Materialization {
+        streams: p.sqls.len(),
+        sql: p.sqls,
+        stats: p.stats,
+        report,
+    };
+    Ok((m, out))
 }
 
 /// Materialize a view into `out` using the given plan.
 ///
-/// Execution is **pipelined** (the default since the streaming executor
-/// landed): every component query is submitted up front and runs on its own
-/// server worker, while the tagger consumes the resulting tuple streams in
-/// document order as chunks arrive. Use [`materialize_buffered`] to force
-/// the old run-to-completion-per-stream behaviour.
+/// Execution is **pipelined**: every component query is submitted up front
+/// and runs on its own server worker, while the tagger consumes the
+/// resulting tuple streams in document order as chunks arrive. Use
+/// [`materialize_buffered`] for run-to-completion-per-stream execution.
 pub fn materialize<W: Write>(
     tree: &ViewTree,
     server: &Server,
     spec: PlanSpec,
     out: W,
 ) -> Result<(Materialization, W), TagError> {
-    let start = Instant::now();
-    let queries = {
-        let _s = TraceSpan::new(server.tracer().map(|t| t.as_ref()), "plan.generate");
-        generate_queries(tree, server.database(), spec)?
-    };
-    let plan_time = start.elapsed();
-    run_pipeline(
-        tree,
-        server,
-        queries,
-        out,
-        start,
-        plan_time,
-        Submit::Streaming,
-    )
+    run(tree, server, out, true, false, || {
+        generate_queries(tree, server.database(), spec)
+    })
+}
+
+/// [`materialize`] with the document indented, one element per line (the
+/// CLI's `--pretty`).
+pub fn materialize_pretty<W: Write>(
+    tree: &ViewTree,
+    server: &Server,
+    spec: PlanSpec,
+    out: W,
+) -> Result<(Materialization, W), TagError> {
+    run(tree, server, out, true, true, || {
+        generate_queries(tree, server.database(), spec)
+    })
 }
 
 /// Materialize a view with each SQL query executed sequentially and fully
-/// buffered before the next is submitted — the pre-pipelining behaviour.
-/// Per-stream server times are disjoint wall-clock intervals under this
-/// mode, which the cost-decomposition reports rely on.
+/// buffered before the next is submitted. Per-stream server times are
+/// disjoint wall-clock intervals under this mode, which the
+/// cost-decomposition reports rely on.
 pub fn materialize_buffered<W: Write>(
     tree: &ViewTree,
     server: &Server,
     spec: PlanSpec,
     out: W,
 ) -> Result<(Materialization, W), TagError> {
-    let start = Instant::now();
-    let queries = {
-        let _s = TraceSpan::new(server.tracer().map(|t| t.as_ref()), "plan.generate");
-        generate_queries(tree, server.database(), spec)?
-    };
-    let plan_time = start.elapsed();
-    run_pipeline(
-        tree,
-        server,
-        queries,
-        out,
-        start,
-        plan_time,
-        Submit::Buffered,
-    )
-}
-
-/// Materialize a view with all SQL queries executed **concurrently**, one
-/// server worker per stream — the middle-ware client opening several
-/// connections at once. Since pipelined execution became the default this
-/// is equivalent to [`materialize`]: submitting every streaming query up
-/// front already overlaps all server-side work with tagging.
-pub fn materialize_parallel<W: Write>(
-    tree: &ViewTree,
-    server: &Server,
-    spec: PlanSpec,
-    out: W,
-) -> Result<(Materialization, W), TagError> {
-    materialize(tree, server, spec, out)
+    run(tree, server, out, false, false, || {
+        generate_queries(tree, server.database(), spec)
+    })
 }
 
 /// Materialize only the **fragment** of the view under root elements whose
@@ -234,21 +121,9 @@ pub fn materialize_fragment<W: Write>(
     root_filter: &[(sr_viewtree::VarId, sr_data::Value)],
     out: W,
 ) -> Result<(Materialization, W), TagError> {
-    let start = Instant::now();
-    let queries = {
-        let _s = TraceSpan::new(server.tracer().map(|t| t.as_ref()), "plan.generate");
-        sr_sqlgen::generate_queries_filtered(tree, server.database(), spec, root_filter)?
-    };
-    let plan_time = start.elapsed();
-    run_pipeline(
-        tree,
-        server,
-        queries,
-        out,
-        start,
-        plan_time,
-        Submit::Streaming,
-    )
+    run(tree, server, out, true, false, || {
+        sr_sqlgen::generate_queries_filtered(tree, server.database(), spec, root_filter)
+    })
 }
 
 /// Materialize into a `String` (convenience for tests and examples).
@@ -274,50 +149,6 @@ mod tests {
 
     fn server() -> Server {
         Server::new(Arc::new(generate(Scale::mb(0.1)).unwrap()))
-    }
-
-    #[test]
-    fn transient_submission_failure_is_retried_at_materialize_layer() {
-        // The server's own execute-level retry budget is zeroed, so the
-        // first submission fails transiently and the materialize layer's
-        // resubmission is what saves the document.
-        let server = server()
-            .with_transient_retries(0)
-            .with_faults(sr_engine::FaultPlan::parse("transient@scan#1", 1).unwrap());
-        let tree = query1_tree(server.database());
-        // Buffered mode surfaces execution errors synchronously at
-        // submission, which is where this layer's retry lives. (Streaming
-        // submissions hand back a channel; their transients are retried
-        // inside the server worker instead.)
-        let (m, bytes) =
-            materialize_buffered(&tree, &server, PlanSpec::unified(&tree), Vec::new()).unwrap();
-        let xml = String::from_utf8(bytes).unwrap();
-        assert_eq!(m.streams, 1);
-        assert!(xml.starts_with("<supplier>"));
-        let snap = server.metrics().snapshot();
-        assert_eq!(snap.counter("materialize.retries"), 1);
-        assert_eq!(snap.counter("server.retries"), 0);
-    }
-
-    #[test]
-    fn resubmission_respects_server_deadline() {
-        // The deadline (1ms) is shorter than the first backoff (2ms): the
-        // materialize layer must refuse to sleep-and-resubmit past the
-        // server's deadline and surface the timeout instead of burning the
-        // retry on a query that can no longer finish in time.
-        let server = server()
-            .with_transient_retries(0)
-            .with_timeout(Duration::from_millis(1))
-            .with_faults(sr_engine::FaultPlan::parse("transient@scan#1", 1).unwrap());
-        let tree = query1_tree(server.database());
-        let err =
-            materialize_buffered(&tree, &server, PlanSpec::unified(&tree), Vec::new()).unwrap_err();
-        match err {
-            TagError::Engine(EngineError::Timeout { limit_ms, .. }) => assert_eq!(limit_ms, 1),
-            other => panic!("expected timeout, got {other}"),
-        }
-        let snap = server.metrics().snapshot();
-        assert_eq!(snap.counter("materialize.retries"), 0, "retry not burned");
     }
 
     #[test]
@@ -412,10 +243,8 @@ mod tests {
         let server = server();
         let tree = query1_tree(server.database());
         for spec in [PlanSpec::fully_partitioned(), PlanSpec::unified(&tree)] {
-            let (seq_info, seq) = materialize_to_string(&tree, &server, spec).unwrap();
-            let (par_info, par_bytes) =
-                materialize_parallel(&tree, &server, spec, Vec::new()).unwrap();
-            let par = String::from_utf8(par_bytes).unwrap();
+            let (seq_info, seq) = materialize_buffered(&tree, &server, spec, Vec::new()).unwrap();
+            let (par_info, par) = materialize(&tree, &server, spec, Vec::new()).unwrap();
             assert_eq!(seq, par);
             assert_eq!(seq_info.streams, par_info.streams);
             assert_eq!(seq_info.stats.tuples, par_info.stats.tuples);

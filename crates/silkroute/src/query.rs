@@ -4,51 +4,15 @@
 //! materialization pipeline over the pruned tree — so a selective query
 //! ships a few small SQL queries instead of materializing the world.
 
-use std::fmt;
 use std::io::Write;
 
 use sr_engine::Server;
+use sr_serve::pipeline::{compose_xpath, QueryError, XPathResolution};
 use sr_sqlgen::PlanSpec;
 use sr_tagger::TagError;
 use sr_viewtree::ViewTree;
-use sr_xpath::{ComposeError, XPathError};
 
 use crate::materialize::{materialize, Materialization};
-
-/// Why a virtual-view query failed.
-#[derive(Debug)]
-pub enum QueryError {
-    /// The XPath text did not parse.
-    Parse(XPathError),
-    /// The path parsed but cannot be composed with this view.
-    Compose(ComposeError),
-    /// The pruned materialization failed downstream.
-    Tag(TagError),
-}
-
-impl fmt::Display for QueryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueryError::Parse(e) => write!(f, "{e}"),
-            QueryError::Compose(e) => write!(f, "{e}"),
-            QueryError::Tag(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for QueryError {}
-
-impl From<XPathError> for QueryError {
-    fn from(e: XPathError) -> Self {
-        QueryError::Parse(e)
-    }
-}
-
-impl From<TagError> for QueryError {
-    fn from(e: TagError) -> Self {
-        QueryError::Tag(e)
-    }
-}
 
 /// Outcome of a virtual-view query.
 #[derive(Debug)]
@@ -67,8 +31,9 @@ pub struct QueryOutcome {
 /// `out`. `plan` picks the execution plan *for the pruned tree* — e.g.
 /// `PlanSpec::unified` or `|_| PlanSpec::fully_partitioned()`.
 ///
-/// Bumps `query.view_hits` and `query.pruned_nodes` on the server's
-/// metrics registry.
+/// A path that composes (statically empty included) bumps
+/// `query.view_hits` and `query.pruned_nodes` on the server's metrics
+/// registry, exactly as the same path over the wire does.
 pub fn query_view<W: Write>(
     tree: &ViewTree,
     server: &Server,
@@ -76,42 +41,26 @@ pub fn query_view<W: Write>(
     plan: impl FnOnce(&ViewTree) -> PlanSpec,
     out: W,
 ) -> Result<(QueryOutcome, W), QueryError> {
-    let path = sr_xpath::parse(xpath)?;
-    server.metrics().counter("query.view_hits").inc();
-    let composed = match sr_xpath::compose(tree, &path) {
-        Ok(c) => c,
-        Err(ComposeError::NoMatch) => {
-            // Statically empty result: a valid query whose document filter
-            // keeps nothing. No SQL runs.
-            server
-                .metrics()
-                .counter("query.pruned_nodes")
-                .add(tree.nodes.len() as u64);
-            return Ok((
-                QueryOutcome {
-                    materialization: None,
-                    pruned_nodes: tree.nodes.len(),
-                    retained_nodes: 0,
-                },
-                out,
-            ));
-        }
-        Err(e) => return Err(QueryError::Compose(e)),
+    let resolution = compose_xpath(tree, xpath)?;
+    resolution.count(server.metrics());
+    // From here on `tree` is the pruned tree.
+    let XPathResolution::Pruned { tree, pruned_nodes } = resolution else {
+        // Statically empty result: a valid query whose document filter
+        // keeps nothing. No SQL runs.
+        let outcome = QueryOutcome {
+            materialization: None,
+            pruned_nodes: tree.nodes.len(),
+            retained_nodes: 0,
+        };
+        return Ok((outcome, out));
     };
-    server
-        .metrics()
-        .counter("query.pruned_nodes")
-        .add(composed.pruned_nodes as u64);
-    let spec = plan(&composed.tree);
-    let (m, out) = materialize(&composed.tree, server, spec, out)?;
-    Ok((
-        QueryOutcome {
-            materialization: Some(m),
-            pruned_nodes: composed.pruned_nodes,
-            retained_nodes: composed.tree.nodes.len(),
-        },
-        out,
-    ))
+    let (m, out) = materialize(&tree, server, plan(&tree), out)?;
+    let outcome = QueryOutcome {
+        materialization: Some(m),
+        pruned_nodes,
+        retained_nodes: tree.nodes.len(),
+    };
+    Ok((outcome, out))
 }
 
 /// [`query_view`] into a `String` (convenience for tests and the CLI).

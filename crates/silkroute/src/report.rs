@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use sr_obs::Json;
-use sr_tagger::TagStats;
+use sr_serve::pipeline::Published;
 
 /// Cost breakdown for one tuple stream of a materialization.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,22 +54,16 @@ fn ms(d: Duration) -> f64 {
 }
 
 impl MaterializeReport {
-    /// Assemble a report from the tagger's statistics and the wall-clock
-    /// phases measured around the pipeline. `tag_wall` is the time spent
-    /// inside the tagger including stream decode and any time spent stalled
-    /// waiting on pipelined streams; the decode share (from
-    /// [`TagStats::total_transfer_time`]) and the stall share (from
-    /// [`TagStats::total_stall_time`]) are subtracted to isolate tagging.
-    pub fn assemble(
-        sql: &[String],
-        stats: &TagStats,
-        plan_time: Duration,
-        tag_wall: Duration,
-        total: Duration,
-        parallel: bool,
-        shards: usize,
-    ) -> Self {
-        let streams = sql
+    /// Assemble a report from a [`publish`](sr_serve::pipeline::publish) outcome.
+    /// Its `tag_time` is the time spent inside the tagger including stream
+    /// decode and any time spent stalled waiting on pipelined streams; the
+    /// decode share ([`sr_tagger::TagStats::total_transfer_time`]) and the
+    /// stall share ([`sr_tagger::TagStats::total_stall_time`]) are
+    /// subtracted to isolate tagging.
+    pub fn assemble(p: &Published, parallel: bool, shards: usize) -> Self {
+        let stats = &p.stats;
+        let streams = p
+            .sqls
             .iter()
             .zip(&stats.per_stream)
             .map(|(sql, ps)| StreamReport {
@@ -82,11 +76,11 @@ impl MaterializeReport {
             .collect();
         MaterializeReport {
             streams,
-            plan_ms: ms(plan_time),
-            tag_ms: ms(
-                tag_wall.saturating_sub(stats.total_transfer_time() + stats.total_stall_time())
-            ),
-            total_ms: ms(total),
+            plan_ms: ms(p.plan_time),
+            tag_ms: ms(p
+                .tag_time
+                .saturating_sub(stats.total_transfer_time() + stats.total_stall_time())),
+            total_ms: ms(p.total_time),
             parallel,
             shards: shards.max(1),
             tuples: stats.tuples,
@@ -202,7 +196,7 @@ impl MaterializeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sr_tagger::StreamTagStats;
+    use sr_tagger::{StreamTagStats, TagStats};
 
     fn sample() -> MaterializeReport {
         let stats = TagStats {
@@ -227,15 +221,14 @@ mod tests {
                 },
             ],
         };
-        MaterializeReport::assemble(
-            &["SELECT a".to_string(), "SELECT b".to_string()],
-            &stats,
-            Duration::from_millis(1),
-            Duration::from_millis(5),
-            Duration::from_millis(12),
-            false,
-            4,
-        )
+        let published = Published {
+            sqls: vec!["SELECT a".to_string(), "SELECT b".to_string()],
+            stats,
+            plan_time: Duration::from_millis(1),
+            tag_time: Duration::from_millis(5),
+            total_time: Duration::from_millis(12),
+        };
+        MaterializeReport::assemble(&published, false, 4)
     }
 
     #[test]

@@ -199,6 +199,32 @@ fn delayed_execution_trips_the_deadline_cooperatively() {
 }
 
 #[test]
+fn transient_retries_stop_at_the_deadline() {
+    // Every scan fails transiently and the retry budget would back off for
+    // ~1 s (1+2+…+512 ms), but the deadline is 5 ms: the server's retry
+    // loop — the only one there is — must surface the timeout instead of
+    // sleeping through its budget.
+    for mode in MODES {
+        let s = configure(
+            server()
+                .with_transient_retries(10)
+                .with_timeout(Duration::from_millis(5))
+                .with_faults(FaultPlan::parse("transient@scan", 1).unwrap()),
+            mode,
+        );
+        match run(&s, mode) {
+            Err(EngineError::Timeout { limit_ms, .. }) => assert_eq!(limit_ms, 5, "{mode:?}"),
+            other => panic!("{mode:?}: expected Timeout, got {other:?}"),
+        }
+        let retries = s.metrics().snapshot().counter("server.retries");
+        assert!(
+            retries < 10,
+            "{mode:?}: {retries} retries burned past the deadline"
+        );
+    }
+}
+
+#[test]
 fn panicking_workers_do_not_exhaust_the_gate() {
     quiet_injected_panics();
     // One panicking query per gate permit, plus slack: if a panic leaked

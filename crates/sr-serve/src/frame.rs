@@ -90,9 +90,10 @@ impl From<std::io::Error> for ProtoError {
 }
 
 /// How a query's result should be shipped back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Format {
     /// The tagged XML document, as raw bytes in document order.
+    #[default]
     Xml,
     /// The component tuple streams in the engine's wire encoding
     /// ([`sr_engine::wire`]), each chunk tagged with its stream index.

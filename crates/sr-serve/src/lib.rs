@@ -14,6 +14,9 @@
 //!   reader per socket, so client disconnects and CANCEL frames abort
 //!   in-flight producers through their `CancelToken`s immediately, plus
 //!   graceful drain-then-stop shutdown and a mid-frame stall watchdog;
+//! * the **request pipeline** ([`pipeline`]): view, XPath and plan-spec
+//!   resolution plus [`pipeline::publish`], the one submit → merge → tag
+//!   loop the library, the CLI and the socket all run;
 //! * a blocking **client** ([`client`]) used by the CLI, the load
 //!   generator, and the protocol conformance tests.
 //!

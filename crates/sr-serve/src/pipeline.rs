@@ -1,23 +1,28 @@
-//! Request execution: resolve a view, plan it, run the component queries,
-//! and stream the result back as response frames.
+//! Request execution: resolve a view, compose its XPath, plan it, run the
+//! component queries, and tag the result.
 //!
-//! This is the same generate → execute-streaming → tag loop the CLI's
-//! `materialize` command runs in-process, re-shaped for a connection: the
-//! output goes through a chunking frame writer instead of a file, and every
-//! component stream registers its cancel handle with the connection so a
-//! disconnect (or an explicit CANCEL frame) aborts the producers mid-query.
+//! [`publish`] is the paper's middle-ware loop (§1, Fig. 7) and the only
+//! copy of it: submit one SQL string per component, read back the sorted
+//! tuple streams, and merge and tag them into the document. Every entry
+//! point runs it — the library's `materialize` family and `query_view`, the
+//! CLI, the experiment harness, and [`run_query`] for a connection, which
+//! points it at a chunking frame writer and registers every stream's cancel
+//! handle so a disconnect (or an explicit CANCEL frame) aborts the
+//! producers mid-query.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use sr_engine::{EngineError, Server};
-use sr_obs::Tracer;
+use sr_engine::{EngineError, Server, TupleStream};
+use sr_obs::{MetricsRegistry, Tracer};
 use sr_plan::Recoster;
-use sr_sqlgen::{generate_queries, PlanSpec, QueryStyle};
-use sr_tagger::{tag_streams_traced, RowSource, StreamInput, TagError};
-use sr_viewtree::{EdgeSet, ViewTree};
+use sr_sqlgen::{generate_queries, GeneratedQuery, PlanSpec, QueryStyle};
+use sr_tagger::{tag_streams_traced, RowSource, StreamInput, TagError, TagStats};
+use sr_viewtree::ViewTree;
+use sr_xpath::{ComposeError, XPathError};
 
 use crate::frame::{ChunkFrame, DoneStats, ErrorCode, Format, ViewRef, DOC_CHANNEL};
 
@@ -76,6 +81,15 @@ impl PipelineError {
     }
 }
 
+impl fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PipelineError::Typed { message, .. } => f.write_str(message),
+            PipelineError::ClientGone(e) => write!(f, "client connection lost: {e}"),
+        }
+    }
+}
+
 /// Map an engine failure onto its wire error category.
 fn engine_code(e: &EngineError) -> ErrorCode {
     match e {
@@ -88,6 +102,18 @@ fn engine_code(e: &EngineError) -> ErrorCode {
 
 fn engine_err(e: EngineError) -> PipelineError {
     PipelineError::typed(engine_code(&e), e.to_string())
+}
+
+/// Map a tagging failure onto the response: an Io failure is the *client*
+/// socket, not the engine — the peer went away mid-response.
+fn tag_err(e: TagError) -> PipelineError {
+    match e {
+        TagError::Io(e) => PipelineError::ClientGone(e),
+        TagError::Engine(e) => engine_err(e),
+        e @ (TagError::Structure(_) | TagError::MalformedTree(_)) => {
+            PipelineError::typed(ErrorCode::Internal, e.to_string())
+        }
+    }
 }
 
 /// Resolve the request's view reference against the catalog (named) or the
@@ -123,6 +149,41 @@ pub fn resolve_view(
     }
 }
 
+/// Why a virtual-view query failed.
+#[derive(Debug)]
+pub enum QueryError {
+    /// The XPath text did not parse.
+    Parse(XPathError),
+    /// The path parsed but cannot be composed with this view.
+    Compose(ComposeError),
+    /// The pruned materialization failed downstream.
+    Tag(TagError),
+}
+
+impl fmt::Display for QueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QueryError::Parse(e) => write!(f, "{e}"),
+            QueryError::Compose(e) => write!(f, "{e}"),
+            QueryError::Tag(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
+impl From<XPathError> for QueryError {
+    fn from(e: XPathError) -> Self {
+        QueryError::Parse(e)
+    }
+}
+
+impl From<TagError> for QueryError {
+    fn from(e: TagError) -> Self {
+        QueryError::Tag(e)
+    }
+}
+
 /// What composing a request's XPath with its view produced.
 pub enum XPathResolution {
     /// No XPath on the request: materialize the full view.
@@ -143,31 +204,52 @@ pub enum XPathResolution {
     },
 }
 
-/// Compose the request's optional XPath with the resolved view. Path text
-/// that fails to parse, or a path the composer cannot push into this view
-/// (predicate across a `*`/`+` edge, multi-node step, …) is the client's
-/// [`ErrorCode::BadQuery`].
-pub fn resolve_xpath(
-    tree: Arc<ViewTree>,
-    xpath: Option<&str>,
-) -> Result<XPathResolution, PipelineError> {
-    let Some(src) = xpath else {
-        return Ok(XPathResolution::Full(tree));
-    };
-    let path = sr_xpath::parse(src)
-        .map_err(|e| PipelineError::typed(ErrorCode::BadQuery, format!("xpath error: {e}")))?;
-    match sr_xpath::compose(&tree, &path) {
+impl XPathResolution {
+    /// Count a composed path: `query.view_hits` once, `query.pruned_nodes`
+    /// by what it pruned — the one place either counter moves. A request
+    /// without a path, or with one that failed to compose, counts nothing.
+    pub fn count(&self, metrics: &MetricsRegistry) {
+        let pruned_nodes = match self {
+            XPathResolution::Full(_) => return,
+            XPathResolution::Pruned { pruned_nodes, .. }
+            | XPathResolution::Empty { pruned_nodes } => *pruned_nodes,
+        };
+        metrics.counter("query.view_hits").inc();
+        metrics
+            .counter("query.pruned_nodes")
+            .add(pruned_nodes as u64);
+    }
+}
+
+/// Compose an XPath with a view: [`XPathResolution::Pruned`], or
+/// [`XPathResolution::Empty`] when the path statically matches nothing.
+/// The typed core of [`resolve_xpath`], for callers that tell a path that
+/// does not parse from one this view cannot answer (predicate across a
+/// `*`/`+` edge, multi-node step, …).
+pub fn compose_xpath(tree: &ViewTree, xpath: &str) -> Result<XPathResolution, QueryError> {
+    let path = sr_xpath::parse(xpath)?;
+    match sr_xpath::compose(tree, &path) {
         Ok(c) => Ok(XPathResolution::Pruned {
             pruned_nodes: c.pruned_nodes,
             tree: Arc::new(c.tree),
         }),
-        Err(sr_xpath::ComposeError::NoMatch) => Ok(XPathResolution::Empty {
+        Err(ComposeError::NoMatch) => Ok(XPathResolution::Empty {
             pruned_nodes: tree.nodes.len(),
         }),
-        Err(e) => Err(PipelineError::typed(
-            ErrorCode::BadQuery,
-            format!("xpath error: {e}"),
-        )),
+        Err(e) => Err(QueryError::Compose(e)),
+    }
+}
+
+/// Compose the request's optional XPath with the resolved view. Either
+/// failure of [`compose_xpath`] is the client's [`ErrorCode::BadQuery`].
+pub fn resolve_xpath(
+    tree: Arc<ViewTree>,
+    xpath: Option<&str>,
+) -> Result<XPathResolution, PipelineError> {
+    match xpath {
+        None => Ok(XPathResolution::Full(tree)),
+        Some(src) => compose_xpath(&tree, src)
+            .map_err(|e| PipelineError::typed(ErrorCode::BadQuery, format!("xpath error: {e}"))),
     }
 }
 
@@ -183,61 +265,32 @@ pub struct RecostContext<'a> {
     pub engine: &'a Server,
 }
 
-/// Parse a wire plan-spec string: `unified` | `partitioned` | `outer-union`
-/// | `edges:<bits>` are deterministic and always accepted. `greedy`
-/// consults the cost oracle and is only servable when the caller supplies a
-/// [`RecostContext`] — the learned re-coster then plans the view (serving a
-/// cached spec until accumulated Q-error triggers a re-plan); without one,
-/// requesting it over the wire remains a typed error.
+/// Parse a wire plan-spec string with [`PlanSpec::parse`], reduced and
+/// outer-join style. `greedy` consults the cost oracle and is only servable
+/// when the caller supplies a [`RecostContext`] — the learned re-coster then
+/// plans the view (serving a cached spec until accumulated Q-error triggers
+/// a re-plan); without one, requesting it over the wire remains a typed
+/// error.
 pub fn resolve_plan(
     tree: &ViewTree,
     plan: &str,
     recost: Option<&RecostContext<'_>>,
 ) -> Result<PlanSpec, PipelineError> {
-    let spec = match plan {
-        "" | "unified" => PlanSpec {
-            edges: EdgeSet::full(tree),
-            reduce: true,
-            style: QueryStyle::OuterJoin,
+    let bad_plan = |message: String| PipelineError::typed(ErrorCode::BadPlan, message);
+    match PlanSpec::parse(tree, plan, true, QueryStyle::OuterJoin).map_err(bad_plan)? {
+        Some(spec) => Ok(spec),
+        None => match recost {
+            Some(rc) => rc
+                .recoster
+                .plan(rc.view_key, tree, rc.engine)
+                .map_err(engine_err),
+            None => Err(bad_plan(
+                "greedy planning needs the server's re-coster; pick a plan with \
+                 `silkroute plan` and submit it as edges:<bits>"
+                    .into(),
+            )),
         },
-        "partitioned" => PlanSpec {
-            edges: EdgeSet::empty(),
-            reduce: true,
-            style: QueryStyle::OuterJoin,
-        },
-        "outer-union" => PlanSpec::sorted_outer_union(tree),
-        "greedy" => match recost {
-            Some(rc) => {
-                return rc
-                    .recoster
-                    .plan(rc.view_key, tree, rc.engine)
-                    .map_err(engine_err)
-            }
-            None => {
-                return Err(PipelineError::typed(
-                    ErrorCode::BadPlan,
-                    "greedy planning needs the server's re-coster; pick a plan with \
-                     `silkroute plan` and submit it as edges:<bits>",
-                ))
-            }
-        },
-        other => match other.strip_prefix("edges:") {
-            Some(bits) => PlanSpec {
-                edges: EdgeSet::from_bits(bits.parse().map_err(|e| {
-                    PipelineError::typed(ErrorCode::BadPlan, format!("bad edge bits: {e}"))
-                })?),
-                reduce: true,
-                style: QueryStyle::OuterJoin,
-            },
-            None => {
-                return Err(PipelineError::typed(
-                    ErrorCode::BadPlan,
-                    format!("unknown plan spec {other:?}"),
-                ))
-            }
-        },
-    };
-    Ok(spec)
+    }
 }
 
 /// The cancel tokens of every component stream a connection currently has
@@ -292,6 +345,93 @@ impl CancelRegistry {
         st.tokens.clear();
         st.cancelled = false;
     }
+}
+
+/// How [`publish`] runs one request.
+pub struct Publish<'a> {
+    /// When the request started: plan time runs from here to the call of
+    /// [`publish`], total time to its return.
+    pub started: Instant,
+    /// Submit every query up front on the streaming path, so server-side
+    /// execution overlaps with decode and tagging; otherwise run each query
+    /// to completion before submitting the next, which keeps per-stream
+    /// server times disjoint wall-clock intervals.
+    pub streaming: bool,
+    /// Indent the XML.
+    pub pretty: bool,
+    /// Register every stream's cancel handle here.
+    pub cancels: Option<&'a CancelRegistry>,
+    /// Record a lane per stream (`stream 0..n`) and the tagger merge here.
+    pub tracer: Option<&'a Arc<Tracer>>,
+}
+
+/// What [`publish`] did.
+#[derive(Debug, Clone)]
+pub struct Published {
+    /// The SQL text of each stream, in stream order.
+    pub sqls: Vec<String>,
+    /// Tagger statistics, per stream and in total.
+    pub stats: TagStats,
+    /// From [`Publish::started`] to the first submission.
+    pub plan_time: Duration,
+    /// Inside the tagger, stream decode and stalls included.
+    pub tag_time: Duration,
+    /// From [`Publish::started`] to the last byte written.
+    pub total_time: Duration,
+}
+
+impl Publish<'_> {
+    /// Submit component query `i` of a request, with its cancel handle
+    /// registered and its trace lane named `stream {i}`.
+    fn submit(&self, server: &Server, sql: &str, i: usize) -> Result<TupleStream, EngineError> {
+        let mut stream = if self.streaming {
+            server.execute_sql_streaming(sql)?
+        } else {
+            server.execute_sql(sql)?
+        };
+        if let Some(cancels) = self.cancels {
+            cancels.register(stream.cancel_handle());
+        }
+        if let Some(t) = self.tracer {
+            stream.set_trace(t, &i.to_string());
+        }
+        Ok(stream)
+    }
+}
+
+/// Submit every generated query to `server` and merge and tag the tuple
+/// streams into `out` — the one function that feeds server streams to the
+/// tagger.
+pub fn publish<W: Write>(
+    server: &Server,
+    tree: &ViewTree,
+    queries: Vec<GeneratedQuery>,
+    out: W,
+    args: Publish<'_>,
+) -> Result<(Published, W), TagError> {
+    let plan_time = args.started.elapsed();
+    let mut sqls = Vec::with_capacity(queries.len());
+    let mut inputs = Vec::with_capacity(queries.len());
+    for (i, q) in queries.into_iter().enumerate() {
+        let stream = args.submit(server, &q.sql, i)?;
+        sqls.push(q.sql);
+        inputs.push(StreamInput {
+            schema: stream.schema.clone(),
+            rows: RowSource::Stream(Box::new(stream)),
+            reduced: q.reduced,
+        });
+    }
+    let tag_start = Instant::now();
+    let tracer = args.tracer.map(|t| &**t);
+    let (stats, out) = tag_streams_traced(tree, inputs, out, args.pretty, tracer)?;
+    let published = Published {
+        sqls,
+        stats,
+        plan_time,
+        tag_time: tag_start.elapsed(),
+        total_time: args.started.elapsed(),
+    };
+    Ok((published, out))
 }
 
 /// Target payload size for a chunk frame. Small enough that cancellation
@@ -351,7 +491,7 @@ impl<W: Write> Write for FrameChunkWriter<'_, W> {
 /// What [`run_query`] reports beyond the wire-visible [`DoneStats`]: the
 /// per-phase timing breakdown and per-request context for the query log
 /// and the windowed instruments.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunStats {
     /// The DONE-frame summary.
     pub done: DoneStats,
@@ -376,9 +516,12 @@ pub struct RunStats {
 /// frames to `out`. Returns the stats for the DONE frame plus the timing
 /// breakdown; the caller sends DONE / ERROR itself.
 ///
-/// When `tracer` is set, every component stream and the tagger merge
-/// record into it — the serve layer arms one per request when `--slow-ms`
-/// is active and writes the trace out only if the request turns out slow.
+/// An XML request is a [`publish`] into a chunking frame writer; a tuple
+/// request submits the same way but forwards each component stream's wire
+/// chunks untagged. When `tracer` is set, every component stream (and, for
+/// XML, the tagger merge) records into it — the serve layer arms one per
+/// request when `--slow-ms` is active and writes the trace out only if the
+/// request turns out slow.
 pub fn run_query<W: Write>(
     engine: &Server,
     tree: &ViewTree,
@@ -395,68 +538,29 @@ pub fn run_query<W: Write>(
     let queries = generate_queries(tree, engine.database(), spec).map_err(engine_err)?;
     let streams = queries.len() as u64;
     let plan_ms = started.elapsed().as_secs_f64() * 1e3;
-    let cache_hits_before = engine
-        .metrics()
-        .snapshot()
-        .counter("server.plan_cache_hits");
-    let mut sqls = Vec::with_capacity(queries.len());
-    let mut per_stream_rows: Vec<u64> = Vec::with_capacity(queries.len());
+    let plan_cache_hits = engine.metrics().counter("server.plan_cache_hits");
+    let cache_hits_before = plan_cache_hits.get();
+    let mut writer = FrameChunkWriter::new(out);
+    let args = Publish {
+        started,
+        streaming: true,
+        pretty: false,
+        cancels: Some(cancels),
+        tracer,
+    };
 
-    let run = match format {
+    let (sqls, per_stream_rows, elements) = match format {
         Format::Xml => {
-            let mut inputs = Vec::with_capacity(queries.len());
-            for (i, q) in queries.into_iter().enumerate() {
-                let mut stream = engine.execute_sql_streaming(&q.sql).map_err(engine_err)?;
-                cancels.register(stream.cancel_handle());
-                if let Some(t) = tracer {
-                    stream.set_trace(t, &format!("stream {i}"));
-                }
-                sqls.push(q.sql);
-                inputs.push(StreamInput {
-                    schema: stream.schema.clone(),
-                    rows: RowSource::Stream(Box::new(stream)),
-                    reduced: q.reduced,
-                });
-            }
-            let mut writer = FrameChunkWriter::new(out);
-            let stats =
-                match tag_streams_traced(tree, inputs, &mut writer, false, tracer.map(|t| &**t)) {
-                    Ok((stats, _)) => stats,
-                    // An Io failure here is the *client* socket, not the
-                    // engine: the peer went away mid-response.
-                    Err(TagError::Io(e)) => return Err(PipelineError::ClientGone(e)),
-                    Err(TagError::Engine(e)) => return Err(engine_err(e)),
-                    Err(e @ (TagError::Structure(_) | TagError::MalformedTree(_))) => {
-                        return Err(PipelineError::typed(ErrorCode::Internal, e.to_string()))
-                    }
-                };
+            let (p, _) = publish(engine, tree, queries, &mut writer, args).map_err(tag_err)?;
             writer.flush().map_err(PipelineError::ClientGone)?;
-            per_stream_rows = stats.per_stream.iter().map(|s| s.tuples).collect();
-            let shipped = writer.shipped;
-            let encode_ms = writer.write_ns as f64 / 1e6;
-            RunStats {
-                done: DoneStats {
-                    tuples: stats.tuples,
-                    elements: stats.elements,
-                    bytes: shipped,
-                    streams,
-                    elapsed_us: started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                },
-                plan_ms,
-                encode_ms,
-                cache_hit: false,
-                sqls: Vec::new(),
-                per_stream_rows: Vec::new(),
-            }
+            let rows = p.stats.per_stream.iter().map(|s| s.tuples).collect();
+            (p.sqls, rows, p.stats.elements)
         }
         Format::Tuples => {
-            let mut writer = FrameChunkWriter::new(out);
+            let mut sqls = Vec::with_capacity(queries.len());
+            let mut per_stream_rows = Vec::with_capacity(queries.len());
             for (i, q) in queries.into_iter().enumerate() {
-                let mut stream = engine.execute_sql_streaming(&q.sql).map_err(engine_err)?;
-                cancels.register(stream.cancel_handle());
-                if let Some(t) = tracer {
-                    stream.set_trace(t, &format!("stream {i}"));
-                }
+                let mut stream = args.submit(engine, &q.sql, i).map_err(engine_err)?;
                 sqls.push(q.sql);
                 // The engine's chunks are already the response's bytes:
                 // forward them as they are, cut on row boundaries so that
@@ -476,31 +580,22 @@ pub fn run_query<W: Write>(
                 per_stream_rows.push(stream_rows);
             }
             writer.out.flush().map_err(PipelineError::ClientGone)?;
-            RunStats {
-                done: DoneStats {
-                    tuples: per_stream_rows.iter().sum(),
-                    elements: 0,
-                    bytes: writer.shipped,
-                    streams,
-                    elapsed_us: started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                },
-                plan_ms,
-                encode_ms: writer.write_ns as f64 / 1e6,
-                cache_hit: false,
-                sqls: Vec::new(),
-                per_stream_rows: Vec::new(),
-            }
+            (sqls, per_stream_rows, 0)
         }
     };
-    let cache_hits_after = engine
-        .metrics()
-        .snapshot()
-        .counter("server.plan_cache_hits");
     Ok(RunStats {
-        cache_hit: streams > 0 && cache_hits_after - cache_hits_before >= streams,
+        done: DoneStats {
+            tuples: per_stream_rows.iter().sum(),
+            elements,
+            bytes: writer.shipped,
+            streams,
+            elapsed_us: started.elapsed().as_micros().min(u64::MAX as u128) as u64,
+        },
+        plan_ms,
+        encode_ms: writer.write_ns as f64 / 1e6,
+        cache_hit: streams > 0 && plan_cache_hits.get() - cache_hits_before >= streams,
         sqls,
         per_stream_rows,
-        ..run
     })
 }
 

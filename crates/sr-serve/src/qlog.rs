@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use sr_obs::Json;
 
-use crate::frame::{ErrorCode, Format};
+use crate::frame::Format;
 use crate::stats::QlogStat;
 
 /// Records the channel may hold before new ones are dropped. Sized for a
@@ -29,7 +29,7 @@ const QLOG_CHANNEL_DEPTH: usize = 4096;
 
 /// Everything one request contributes to the log. Fields mirror the
 /// `docs/OBSERVABILITY.md` "Query log" schema table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QlogRecord {
     /// Server-wide request sequence number.
     pub seq: u64,
@@ -79,11 +79,6 @@ pub struct QlogRecord {
 }
 
 impl QlogRecord {
-    /// Outcome string for a typed wire error.
-    pub fn outcome_for(code: ErrorCode) -> String {
-        code.to_string()
-    }
-
     /// Render as one JSON object (one line of the log).
     pub fn to_json(&self) -> Json {
         let mut fields = vec![

@@ -576,20 +576,8 @@ fn handle_query(
         xpath: xpath.clone().unwrap_or_default(),
         format,
         shards: shared.engine.shards() as u64,
-        streams: 0,
-        cache_hit: false,
-        queue_ms: 0.0,
-        plan_ms: 0.0,
-        exec_ms: 0.0,
-        encode_ms: 0.0,
-        total_ms: 0.0,
-        rows: 0,
-        bytes: 0,
         outcome: "ok".into(),
-        error: String::new(),
-        slow: false,
-        profile: None,
-        trace_file: None,
+        ..QlogRecord::default()
     };
 
     let admit_started = Instant::now();
@@ -635,33 +623,19 @@ fn handle_query(
     };
     let exec_started = Instant::now();
     let outcome = resolve_view(&shared.catalog, shared.engine.database(), &view).and_then(|tree| {
-        let tree = match resolve_xpath(tree, xpath.as_deref())? {
-            XPathResolution::Full(tree) => tree,
-            XPathResolution::Pruned { tree, pruned_nodes } => {
-                shared.metrics.counter("query.view_hits").inc();
-                shared
-                    .metrics
-                    .counter("query.pruned_nodes")
-                    .add(pruned_nodes as u64);
-                tree
-            }
-            XPathResolution::Empty { pruned_nodes } => {
+        let resolution = resolve_xpath(tree, xpath.as_deref())?;
+        resolution.count(&shared.metrics);
+        let tree = match resolution {
+            XPathResolution::Full(tree) | XPathResolution::Pruned { tree, .. } => tree,
+            XPathResolution::Empty { .. } => {
                 // Statically empty document: nothing to plan or run.
-                shared.metrics.counter("query.view_hits").inc();
-                shared
-                    .metrics
-                    .counter("query.pruned_nodes")
-                    .add(pruned_nodes as u64);
                 return Ok(RunStats {
                     done: crate::frame::DoneStats {
                         elapsed_us: exec_started.elapsed().as_micros().min(u64::MAX as u128) as u64,
                         ..Default::default()
                     },
                     plan_ms: ms_since(exec_started),
-                    encode_ms: 0.0,
-                    cache_hit: false,
-                    sqls: Vec::new(),
-                    per_stream_rows: Vec::new(),
+                    ..RunStats::default()
                 });
             }
         };

@@ -244,17 +244,38 @@ fn qlog_captures_slow_query_with_profile_and_trace() {
             other => panic!("record {i} profile missing or not an array: {other:?}"),
         }
 
-        // The trace file exists, parses, and names the pipeline threads.
+        // The trace file exists, parses, and names the pipeline threads:
+        // one lane per component stream, `stream 0..n`, as the library's
+        // traces name them.
         let trace_file = r
             .get("trace_file")
             .and_then(Json::as_str)
             .unwrap_or_else(|| panic!("record {i} has no trace_file"));
         let trace = Json::parse(&std::fs::read_to_string(trace_file).expect("read trace"))
             .expect("trace parses");
-        match trace.get("traceEvents") {
-            Some(Json::Arr(events)) => assert!(!events.is_empty(), "empty trace"),
-            other => panic!("trace {trace_file} has no traceEvents array: {other:?}"),
+        let Some(Json::Arr(events)) = trace.get("traceEvents") else {
+            panic!("trace {trace_file} has no traceEvents array");
+        };
+        assert!(!events.is_empty(), "empty trace");
+        let lanes: Vec<&str> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+            .filter_map(|e| e.get("args")?.get("name")?.as_str())
+            .collect();
+        let streams = unum(r, &["streams"]) as usize;
+        assert!(streams > 0);
+        for k in 0..streams {
+            let want = format!("stream {k}");
+            assert!(
+                lanes.contains(&want.as_str()),
+                "record {i}: no lane {want} in {lanes:?}"
+            );
         }
+        assert_eq!(
+            lanes.iter().filter(|l| l.starts_with("stream ")).count(),
+            streams,
+            "record {i}: stream lanes {lanes:?}"
+        );
         let _ = std::fs::remove_file(trace_file);
     }
     let _ = std::fs::remove_file(&qlog_path);

@@ -70,6 +70,37 @@ impl PlanSpec {
             style: QueryStyle::OuterUnion,
         }
     }
+
+    /// Parse a plan-spec string — the one grammar the CLI's `--plan` and
+    /// the wire's plan field share: `unified` (or empty) | `partitioned` |
+    /// `outer-union` | `edges:<bits>`. `reduce` and `style` apply to every
+    /// spec except `outer-union`, the fixed baseline of \[9\]. `greedy`
+    /// parses to `Ok(None)`: its edges come from a cost oracle the caller
+    /// owns.
+    pub fn parse(
+        tree: &ViewTree,
+        text: &str,
+        reduce: bool,
+        style: QueryStyle,
+    ) -> Result<Option<PlanSpec>, String> {
+        let edges = match text {
+            "" | "unified" => EdgeSet::full(tree),
+            "partitioned" => EdgeSet::empty(),
+            "outer-union" => return Ok(Some(PlanSpec::sorted_outer_union(tree))),
+            "greedy" => return Ok(None),
+            other => {
+                let bits = other
+                    .strip_prefix("edges:")
+                    .ok_or_else(|| format!("unknown plan spec {other:?}"))?;
+                EdgeSet::from_bits(bits.parse().map_err(|e| format!("bad edge bits: {e}"))?)
+            }
+        };
+        Ok(Some(PlanSpec {
+            edges,
+            reduce,
+            style,
+        }))
+    }
 }
 
 /// One generated SQL query (= one tuple stream) of a plan.

@@ -81,7 +81,7 @@ def validate_report(doc):
     # and every timeout must also have been counted as a cancellation.
     rel = {name: counters.get(name, 0) for name in (
         "server.panics", "server.cancelled", "server.retries",
-        "server.timeouts", "materialize.retries", "cache.evictions")}
+        "server.timeouts", "cache.evictions")}
     for name, v in rel.items():
         check(isinstance(v, int) and v >= 0,
               f"counters.{name}: expected non-negative int, got {v!r}")
