@@ -19,7 +19,6 @@
 use std::io;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use sr_engine::{EngineError, Server};
 use sr_sqlgen::{PlanSpec, QueryStyle};
 use sr_tagger::TagError;
@@ -28,7 +27,7 @@ use sr_viewtree::{EdgeSet, ViewTree};
 use crate::materialize::{materialize, materialize_buffered};
 
 /// One measured plan execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Measurement {
     /// Included-edge bits of the plan.
     pub edge_bits: u64,
@@ -194,7 +193,7 @@ pub fn measure(
 
 /// Summary statistics over a sweep, per stream count — the shape of the
 /// Figs. 13–15 scatter plots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamBucket {
     /// Number of tuple streams.
     pub streams: usize,

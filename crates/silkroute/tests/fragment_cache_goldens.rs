@@ -2,7 +2,7 @@
 //! enabled, a warm materialization (every component query served from
 //! cached wire bytes) must produce documents byte-identical to the cold run
 //! — and to the golden corpus — at every shard count and in both execution
-//! modes (pipelined and buffered). The cache stores encoded result bytes
+//! modes (pipelined and buffered), without executing a component query. The cache stores encoded result bytes
 //! verbatim; any divergence here means it corrupted, truncated, or
 //! mis-keyed a fragment.
 
@@ -62,13 +62,23 @@ fn warm_materialization_is_byte_identical_across_shards_and_modes() {
                     reduce: true,
                     style: QueryStyle::OuterJoin,
                 };
+                let misses_before = srv.metrics().snapshot().counter("cache.fragment.misses");
                 let cold = run(&tree, &srv, spec, Vec::new()).expect("cold run").1;
-                let hits_before = srv.metrics().snapshot().counter("cache.fragment.hits");
-                let warm = run(&tree, &srv, spec, Vec::new()).expect("warm run").1;
-                let hits_after = srv.metrics().snapshot().counter("cache.fragment.hits");
+                let before = srv.metrics().snapshot();
                 assert!(
-                    hits_after > hits_before,
+                    before.counter("cache.fragment.misses") > misses_before,
+                    "{mode} shards={shards} {name}: cold run never missed the cache"
+                );
+                let warm = run(&tree, &srv, spec, Vec::new()).expect("warm run").1;
+                let after = srv.metrics().snapshot();
+                assert!(
+                    after.counter("cache.fragment.hits") > before.counter("cache.fragment.hits"),
                     "{mode} shards={shards} {name}: warm run never hit the cache"
+                );
+                assert_eq!(
+                    after.counter("server.queries"),
+                    before.counter("server.queries"),
+                    "{mode} shards={shards} {name}: warm run executed a component query"
                 );
                 assert_eq!(
                     warm, cold,

@@ -122,18 +122,6 @@ impl Column {
         }
     }
 
-    /// The raw bytes of string cell `i` (empty for NULLs). `None` for
-    /// non-string columns.
-    #[inline]
-    pub fn str_bytes(&self, i: usize) -> Option<&[u8]> {
-        match &*self.data {
-            ColumnData::Utf8 { offsets, bytes } => {
-                Some(&bytes[offsets[i] as usize..offsets[i + 1] as usize])
-            }
-            _ => None,
-        }
-    }
-
     /// Build a column of `dtype` from an iterator of cells.
     pub fn from_cells<'a>(
         dtype: DataType,

@@ -120,13 +120,6 @@ impl TableConstraints {
             fds: Vec::new(),
         }
     }
-
-    /// All FDs of the table: the key FD (key → every column it is declared
-    /// over is added by the caller, who knows the full column set) plus
-    /// explicitly declared ones.
-    pub fn declared_fds(&self) -> &[FunctionalDependency] {
-        &self.fds
-    }
 }
 
 /// Compute the attribute closure `attrs+` under a set of FDs.

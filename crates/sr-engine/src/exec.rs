@@ -55,11 +55,6 @@ impl ExecProfile {
         stat.batches += batches as u64;
     }
 
-    /// Total rows produced across all operators.
-    pub fn total_rows(&self) -> u64 {
-        self.ops.values().map(|s| s.rows_out).sum()
-    }
-
     /// Total column batches produced across all operators.
     pub fn total_batches(&self) -> u64 {
         self.ops.values().map(|s| s.batches).sum()

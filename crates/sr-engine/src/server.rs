@@ -580,7 +580,6 @@ pub struct Server {
     metrics: Arc<MetricsRegistry>,
     tracer: Option<Arc<Tracer>>,
     exec_gate: Arc<ExecGate>,
-    sort_elision: bool,
     stream_workers: bool,
     plan_cache_enabled: bool,
     /// Prepared-plan cache: statement shape (see [`crate::sql::shape`]) →
@@ -788,7 +787,6 @@ impl Server {
             metrics: Arc::new(MetricsRegistry::new()),
             tracer: None,
             exec_gate: ExecGate::new(),
-            sort_elision: true,
             stream_workers: parallel,
             plan_cache_enabled: true,
             plan_cache: Mutex::new(Lru::new(PLAN_CACHE_CAP)),
@@ -875,18 +873,8 @@ impl Server {
         self
     }
 
-    /// Enable or disable the sort-elision optimizer pass (on by default).
-    /// Disabling reproduces the pre-order-propagation behaviour, which the
-    /// pipeline benchmark uses as its baseline.
-    pub fn with_sort_elision(mut self, on: bool) -> Self {
-        self.sort_elision = on;
-        lock_recover(&self.plan_cache).clear();
-        self
-    }
-
-    /// Enable or disable the prepared-plan cache (on by default). The
-    /// pipeline benchmark disables it on its baseline server, which models
-    /// the pre-cache configuration.
+    /// Enable or disable the prepared-plan cache (on by default). Tests
+    /// plan with it off as the reference a cached plan must match.
     pub fn with_plan_cache(mut self, on: bool) -> Self {
         self.plan_cache_enabled = on;
         lock_recover(&self.plan_cache).clear();
@@ -972,13 +960,6 @@ impl Server {
     /// exercise the worker path explicitly through this.
     pub fn with_stream_workers(mut self, on: bool) -> Self {
         self.stream_workers = on;
-        self
-    }
-
-    /// Share an external metrics registry (e.g. the middle-ware's) instead
-    /// of the server's own.
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = metrics;
         self
     }
 
@@ -1077,11 +1058,7 @@ impl Server {
             plan.bind_params(params);
         }
         let estimate = estimate(&plan, &self.db);
-        let (plan, elided) = if self.sort_elision {
-            elide_sorts(plan, &self.db)
-        } else {
-            (plan, 0)
-        };
+        let (plan, elided) = elide_sorts(plan, &self.db);
         let schema = plan.schema(&self.db)?;
         let p = Prepared {
             plan,
@@ -2119,30 +2096,6 @@ mod tests {
             .unwrap();
         assert!(stream.trace.is_none());
         assert!(s.tracer().is_none());
-    }
-
-    #[test]
-    fn sort_elision_can_be_disabled() {
-        let mut db = Database::new();
-        let mut t = Table::new("T", Schema::of(&[("k", DataType::Int)]));
-        for i in 0..10i64 {
-            t.insert(row![i]).unwrap();
-        }
-        db.add_table(t);
-        db.declare_key("T", &["k"]).unwrap();
-        db.declare_clustered_by("T", &["k"]).unwrap();
-        let s = Server::new(Arc::new(db)).with_sort_elision(false);
-        let sql = "SELECT t.k AS k FROM T t ORDER BY k";
-        let (plan, elided) = s.optimized_plan(sql).unwrap();
-        assert_eq!(elided, 0);
-        let mut has_sort = false;
-        plan.visit(&mut |p| has_sort |= matches!(p, Plan::Sort { .. }));
-        assert!(has_sort, "sort must survive with elision off:\n{plan}");
-        let rows = s.execute_sql(sql).unwrap().collect_rows().unwrap();
-        assert_eq!(rows.len(), 10);
-        let snap = s.metrics().snapshot();
-        assert_eq!(snap.counter("exec.sorts_elided"), 0);
-        assert_eq!(snap.counter("exec.calls.sort"), 1);
     }
 
     #[test]

@@ -13,14 +13,13 @@
 //! fully partitioned plan is always permissible (it needs neither outer
 //! joins nor unions), so a plan always exists.
 
-use serde::{Deserialize, Serialize};
 use sr_data::Database;
 use sr_engine::EngineError;
 use sr_sqlgen::{generate_queries, PlanSpec, QueryStyle};
 use sr_viewtree::{all_edge_sets, EdgeSet, ViewTree};
 
 /// SQL constructs the target engine supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
     /// `LEFT OUTER JOIN`.
     pub outer_join: bool,
@@ -53,7 +52,7 @@ impl Default for Capabilities {
 }
 
 /// SQL constructs a concrete plan needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RequiredFeatures {
     /// Needs `LEFT OUTER JOIN`.
     pub outer_join: bool,

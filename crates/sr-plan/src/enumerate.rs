@@ -7,7 +7,6 @@
 //! (no execution) — the experiment harness in `silkroute` does the timed
 //! runs.
 
-use serde::{Deserialize, Serialize};
 use sr_data::Database;
 use sr_engine::EngineError;
 use sr_sqlgen::QueryStyle;
@@ -16,7 +15,7 @@ use sr_viewtree::{all_edge_sets, components, EdgeSet, ViewTree};
 use crate::oracle::Oracle;
 
 /// An enumerated plan with its estimated cost.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RankedPlan {
     /// Included edges (bit i ↔ edge to node i+1).
     pub edge_bits: u64,

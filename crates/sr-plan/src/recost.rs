@@ -226,12 +226,18 @@ mod tests {
             let accum = rc.observe("v", &q.sql, (est.cardinality * 64.0).ceil() as u64);
             assert!(accum > 0.0);
         }
+        let hits_before = server.metrics().counter("oracle.actual_hits").get();
         rc.plan("v", &tree, &server).unwrap();
         assert_eq!(rc.plan_count("v"), 2, "threshold crossed → re-planned");
         assert_eq!(server.metrics().counter("oracle.recost").get(), 1);
+        assert!(
+            server.metrics().counter("oracle.actual_hits").get() > hits_before,
+            "the re-plan never consulted a recorded actual"
+        );
         // The re-plan resets the accumulator: planning again is a no-op.
         rc.plan("v", &tree, &server).unwrap();
         assert_eq!(rc.plan_count("v"), 2);
+        assert_eq!(server.metrics().counter("oracle.recost").get(), 1);
     }
 
     #[test]

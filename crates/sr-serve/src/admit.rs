@@ -143,11 +143,6 @@ impl Admission {
         self.state.lock().expect("admission lock").queue.len()
     }
 
-    /// Whether [`Admission::drain`] has fired.
-    pub fn is_draining(&self) -> bool {
-        self.state.lock().expect("admission lock").draining
-    }
-
     /// Per-client slot usage right now: `(client id, running queries)`,
     /// sorted by client id. Only clients holding at least one slot appear.
     pub fn running_by_client(&self) -> Vec<(u64, usize)> {

@@ -1,5 +1,5 @@
 //! A blocking client for the serve protocol — used by the CLI's `client`
-//! subcommand, the load generator, and the conformance tests.
+//! subcommand, the repo benchmark's `serve_mixed` workload, and the tests.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};

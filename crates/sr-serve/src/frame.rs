@@ -653,11 +653,6 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<Option<Response>, ProtoError>
     }
 }
 
-/// Write one already-encoded frame.
-pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> std::io::Result<()> {
-    w.write_all(frame)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

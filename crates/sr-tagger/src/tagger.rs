@@ -135,11 +135,6 @@ pub struct TagStats {
 }
 
 impl TagStats {
-    /// Total server-side query time across all streams.
-    pub fn total_server_time(&self) -> Duration {
-        self.per_stream.iter().map(|s| s.server_time).sum()
-    }
-
     /// Total client-side decode ("bind and transfer") time across streams.
     pub fn total_transfer_time(&self) -> Duration {
         self.per_stream.iter().map(|s| s.transfer_time).sum()

@@ -466,6 +466,7 @@ fn selective_xpath_beats_full_materialization() {
         full.streams
     );
     assert!(o.pruned_nodes > 0);
+    assert!(m.streams <= o.retained_nodes);
     let sel_bytes: u64 = m.report.streams.iter().map(|s| s.bytes).sum();
     assert!(
         full_bytes >= 5 * sel_bytes,
@@ -473,6 +474,34 @@ fn selective_xpath_beats_full_materialization() {
     );
     let parsed = silkroute::xpath::parse(&xpath).unwrap();
     assert_eq!(xml, filter_reference(full_doc_q1(), &parsed));
+}
+
+/// Pruning only ever shrinks the plan: a narrow branch and a predicate
+/// below a `//` step each prune view nodes, run at most one component
+/// query per retained node and no more than full materialization, and
+/// ship no more SQL result bytes. At 0.2 MB `orderkey < 100` is
+/// selective; at 0.05 MB it keeps every order, and the pruned plan then
+/// ships each ancestor row once per matching order — more bytes than the
+/// full plan.
+#[test]
+fn pruned_paths_never_exceed_full_materialization() {
+    let server = Server::new(Arc::new(generate(Scale::mb(0.2)).unwrap()));
+    let tree = query1_tree(server.database());
+    let (full, _) = materialize_to_string(&tree, &server, PlanSpec::fully_partitioned()).unwrap();
+    let full_bytes: u64 = full.report.streams.iter().map(|s| s.bytes).sum();
+    for xpath in ["/supplier/name", "//order[orderkey < 100]"] {
+        let (o, _) =
+            query_view_to_string(&tree, &server, xpath, |_| PlanSpec::fully_partitioned()).unwrap();
+        let m = o.materialization.expect("path selects something");
+        assert!(o.pruned_nodes > 0 && o.retained_nodes >= 1, "{xpath}");
+        assert!(m.streams <= full.streams, "{xpath}: more streams than full");
+        assert!(
+            m.streams <= o.retained_nodes,
+            "{xpath}: more streams than nodes"
+        );
+        let bytes: u64 = m.report.streams.iter().map(|s| s.bytes).sum();
+        assert!(bytes <= full_bytes, "{xpath}: more SQL bytes than full");
+    }
 }
 
 // ------------------------------------------------------ property testing --
