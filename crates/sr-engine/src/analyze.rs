@@ -295,7 +295,7 @@ mod tests {
             .sort(vec!["s_k".into()]);
         let (_, est) = estimate_with_nodes(&p, &db).unwrap();
         let start = Instant::now();
-        let (rs, _, pp) = execute_analyzed(&p, &db).unwrap();
+        let (rs, _, pp) = execute_analyzed(&p, &db, &crate::cancel::CancelToken::none()).unwrap();
         let analysis = ExplainAnalysis::assemble(
             &p,
             &pp,
@@ -334,7 +334,7 @@ mod tests {
     fn missing_estimates_render_as_dashes() {
         let db = db();
         let p = Plan::scan("T", "t");
-        let (_, _, pp) = execute_analyzed(&p, &db).unwrap();
+        let (_, _, pp) = execute_analyzed(&p, &db, &crate::cancel::CancelToken::none()).unwrap();
         // NaN = "no estimate for this node".
         let analysis =
             ExplainAnalysis::assemble(&p, &pp, &[f64::NAN], 0, Duration::ZERO, 5, "q".into());

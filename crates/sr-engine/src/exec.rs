@@ -18,11 +18,7 @@ use crate::error::EngineError;
 use crate::faults::FaultInjector;
 use crate::plan::Plan;
 use crate::vexec::{vexec_env, VecResultSet};
-
-/// Rows processed between cooperative-cancellation checks — one streaming
-/// chunk's worth, so a query over its deadline stops within one chunk
-/// boundary. One clock read per this many rows is amortized to noise.
-const CANCEL_CHECK_ROWS: u64 = 1024;
+use crate::wire::CHUNK_ROWS;
 
 /// Output statistics for one operator kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,7 +115,9 @@ pub struct PlanProfile {
 pub(crate) struct ExecCtx<'a> {
     pub(crate) profile: &'a mut ExecProfile,
     pub(crate) nodes: Option<&'a mut Vec<NodeStat>>,
-    /// Cooperative cancellation, checked every [`CANCEL_CHECK_ROWS`] rows.
+    /// Cooperative cancellation, checked once per [`CHUNK_ROWS`] rows of
+    /// work: a query over its deadline stops within one chunk's worth, and
+    /// one clock read per chunk is amortized to noise.
     pub(crate) cancel: &'a CancelToken,
     /// Fault injection (tests / CLI only; `None` in production).
     pub(crate) faults: Option<&'a FaultInjector>,
@@ -129,10 +127,10 @@ pub(crate) struct ExecCtx<'a> {
 
 impl ExecCtx<'_> {
     /// Account for `rows` units of work; check the cancel token once per
-    /// [`CANCEL_CHECK_ROWS`]. The fast path is one add and one compare.
+    /// [`CHUNK_ROWS`]. The fast path is one add and one compare.
     pub(crate) fn tick(&mut self, rows: u64) -> Result<(), EngineError> {
         self.ticks += rows;
-        if self.ticks >= CANCEL_CHECK_ROWS {
+        if self.ticks >= CHUNK_ROWS as u64 {
             self.ticks = 0;
             self.cancel.check()?;
         }
@@ -228,7 +226,7 @@ pub fn execute_profiled(
 /// [`execute_profiled`] with cooperative cancellation and (optional) fault
 /// injection: `cancel` is checked once per chunk of rows inside every
 /// operator loop, and `faults` fires at the [`crate::FaultSite::Scan`]
-/// site. This is the entry point every server execution path uses.
+/// site. This is the entry point every server query runs through.
 pub fn execute_profiled_with(
     plan: &Plan,
     db: &Database,
@@ -240,13 +238,15 @@ pub fn execute_profiled_with(
 
 /// Execute a plan collecting, in addition to the kind-level profile, a
 /// timed per-node [`PlanProfile`] — the raw material of `EXPLAIN ANALYZE`.
-/// Self times (total minus direct children) are filled in after the run.
+/// `cancel` is checked as in [`execute_profiled_with`]. Self times (total
+/// minus direct children) are filled in after the run.
 pub fn execute_analyzed(
     plan: &Plan,
     db: &Database,
+    cancel: &CancelToken,
 ) -> Result<(VecResultSet, ExecProfile, PlanProfile), EngineError> {
     let mut nodes = vec![NodeStat::default(); plan.node_count()];
-    let (rs, profile) = run(plan, db, &CancelToken::none(), None, Some(&mut nodes))?;
+    let (rs, profile) = run(plan, db, cancel, None, Some(&mut nodes))?;
     fill_self_times(plan, 0, &mut nodes);
     Ok((rs, profile, PlanProfile { nodes }))
 }
@@ -496,7 +496,7 @@ mod tests {
                 vec![("s_suppkey".into(), "ps_suppkey".into())],
             )
             .sort(vec!["s_suppkey".into()]);
-        let (rs, profile, plan_profile) = execute_analyzed(&p, &db).unwrap();
+        let (rs, profile, plan_profile) = execute_analyzed(&p, &db, &CancelToken::none()).unwrap();
         assert_eq!(rs.len(), 3);
         let n = &plan_profile.nodes;
         assert_eq!(n.len(), 4);
@@ -546,7 +546,7 @@ mod tests {
             ctes: vec![("c".into(), def)],
             body: Box::new(body),
         };
-        let (_, _, pp) = execute_analyzed(&p, &db).unwrap();
+        let (_, _, pp) = execute_analyzed(&p, &db, &CancelToken::none()).unwrap();
         assert_eq!(
             pp.nodes.iter().map(|s| s.op).collect::<Vec<_>>(),
             vec!["with", "scan", "join", "cte_scan", "cte_scan"]
@@ -578,7 +578,7 @@ mod tests {
             ] {
                 for q in sr_sqlgen::generate_queries(&tree, &db, spec).unwrap() {
                     let (plan, _) = server.optimized_plan(&q.sql).unwrap();
-                    let (rs, _, got) = execute_analyzed(&plan, &db).unwrap();
+                    let (rs, _, got) = execute_analyzed(&plan, &db, &CancelToken::none()).unwrap();
                     let (want_rs, _, want) =
                         crate::reference::execute_analyzed(&plan, &db).unwrap();
                     assert_eq!(rs.to_rows(), want_rs.rows, "{}", q.sql);
@@ -633,7 +633,7 @@ mod tests {
         let p = Plan::scan("Supplier", "s").sort(vec!["s_suppkey".into()]);
         let token = crate::cancel::CancelToken::unbounded();
         token.cancel();
-        // The per-chunk check only fires after CANCEL_CHECK_ROWS of work,
+        // The per-chunk check only fires after CHUNK_ROWS of work,
         // so drive enough rows through a cross-join to guarantee a check.
         match execute_profiled_with(&big_cross_join(), &db, &token, None) {
             Err(EngineError::Cancelled) => {}

@@ -7,14 +7,17 @@
 //! The paper's middle-ware interacts with the database exclusively through
 //! two channels, and this crate provides exactly those:
 //!
-//! * **SQL execution** — [`server::Server::execute_sql`] parses a SQL string
+//! * **SQL execution** — [`Server::execute_sql`] parses a SQL string
 //!   (the subset the paper's generated queries need: comma inner joins,
 //!   `LEFT OUTER JOIN … ON`, derived tables, `UNION ALL`, `ORDER BY`,
 //!   `CAST(NULL AS t)`), plans it with predicate push-down, executes it,
-//!   and returns a wire-encoded, sorted [`server::TupleStream`].
-//! * **Cost estimation** — [`server::Server::estimate_sql`] answers the
+//!   and returns a wire-encoded, sorted [`TupleStream`].
+//! * **Cost estimation** — [`Server::estimate_sql`] answers the
 //!   greedy planner's oracle requests (`evaluation_cost`, `cardinality`)
 //!   from catalog statistics, System-R style.
+//!
+//! [`Server`] runs every execution through one body (module `run`), over
+//! an immutable database snapshot; [`TupleStream`] is the client side.
 //!
 //! The executable algebra ([`plan::Plan`]) is also public so the SQL
 //! generator can build plans directly and print them ([`sql::to_sql`]).
@@ -26,15 +29,18 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod faults;
+mod fragment;
 pub mod lru;
 pub mod optimize;
 pub mod ordering;
 pub mod plan;
 #[cfg(test)]
 mod reference;
+mod run;
 pub mod server;
 pub mod shard;
 pub mod sql;
+mod stream;
 pub mod vexec;
 pub mod wire;
 
@@ -48,10 +54,12 @@ pub use exec::{
 };
 pub use expr::{CmpOp, Expr, Predicate};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, FaultTrigger};
+pub use fragment::FragmentCacheInfo;
 pub use lru::{lock_recover, Lru};
 pub use optimize::push_filters;
 pub use ordering::{elide_sorts, order_info, OrderInfo};
 pub use plan::{JoinKind, Plan};
-pub use server::{FragmentCacheInfo, QueryPhases, Server, TupleStream};
+pub use server::Server;
 pub use shard::{range_boundaries, split_plan, ShardPlan};
+pub use stream::TupleStream;
 pub use vexec::VecResultSet;

@@ -7,555 +7,36 @@
 //!
 //! 1. parses and binds the SQL (`query` phase — measured),
 //! 2. executes and **encodes** the sorted result into the wire format, and
-//! 3. hands back a [`TupleStream`] that the client decodes row by row (the
-//!    "bind and transfer" phase of the paper's *total time*).
+//! 3. hands back a [`TupleStream`] that the client decodes chunk by chunk
+//!    (the "bind and transfer" phase of the paper's *total time*).
 //!
-//! Every execution path — buffered, worker thread, inline, sharded — runs
-//! one body, `Exec::run`, and differs only in where the encoded chunks go.
+//! Every execution — inline, worker thread, sharded, `EXPLAIN ANALYZE` —
+//! runs one body, `Exec::run` in the `run` module, and differs only in
+//! where the encoded chunks go.
 
-use std::ops::Range;
-use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sr_data::column::ColumnBatch;
-use sr_data::{Database, Row, Schema, Value};
+use sr_data::{Database, Schema, Value};
 use sr_obs::{MetricsRegistry, TraceSpan, Tracer};
 
 use crate::analyze::ExplainAnalysis;
 use crate::cancel::CancelToken;
 use crate::cost::{estimate, estimate_with_nodes, Estimate};
 use crate::error::EngineError;
-use crate::exec::{execute_analyzed, execute_profiled_with, ExecProfile};
-use crate::faults::{FaultInjector, FaultPlan, FaultSite};
+use crate::exec::PlanProfile;
+use crate::faults::{FaultInjector, FaultPlan};
+use crate::fragment::{CachedFragment, FragmentCache, FragmentCacheInfo, FragmentCapture};
 use crate::lru::{lock_recover, Lru};
 use crate::ordering::elide_sorts;
 use crate::plan::Plan;
+use crate::run::{spawn_worker, Exec, ExecGate};
 use crate::shard::split_plan;
 use crate::sql::binder::bind;
 use crate::sql::lexer::{lex, Spanned};
 use crate::sql::parser::parse_tokens;
 use crate::sql::shape::shape;
-use crate::vexec::VecResultSet;
-use crate::wire::{decode_row, encode_batch_into, CellArena};
-
-/// Render a caught panic payload for an [`EngineError::Internal`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("worker panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("worker panicked: {s}")
-    } else {
-        "worker panicked".into()
-    }
-}
-
-/// Bump the failure counters a cooperative-cancellation error implies:
-/// deadline overruns count as both a timeout and a mid-execution
-/// cancellation; explicit cancels only as the latter.
-fn note_exec_error(metrics: &MetricsRegistry, e: &EngineError) {
-    match e {
-        EngineError::Timeout { .. } => {
-            metrics.counter("server.timeouts").inc();
-            metrics.counter("server.cancelled").inc();
-        }
-        EngineError::Cancelled => {
-            metrics.counter("server.cancelled").inc();
-        }
-        _ => {}
-    }
-}
-
-/// Record the `shard.skew` histogram for one fully drained sharded stream:
-/// the largest shard's row count relative to a perfectly uniform split,
-/// ×1000 fixed point (1000 = no skew, 2000 = the hottest shard carried
-/// twice its fair share). Uniform-split quality is exactly what the
-/// stats-driven range planner is betting on, so this is its report card.
-fn record_shard_skew(metrics: &MetricsRegistry, rows_per_shard: &[u64]) {
-    if rows_per_shard.is_empty() {
-        return;
-    }
-    let total: u64 = rows_per_shard.iter().sum();
-    let max = rows_per_shard.iter().copied().max().unwrap_or(0);
-    let ideal = total.div_ceil(rows_per_shard.len() as u64);
-    let ratio = (max * 1000).checked_div(ideal).unwrap_or(1000);
-    metrics.histogram("shard.skew").record(ratio);
-}
-
-/// Base delay of the transient-retry backoff; attempt `n` sleeps
-/// `base × 2^(n-1)`.
-const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(1);
-
-/// Most rows in one encoded chunk shipped over a stream.
-const STREAM_CHUNK_ROWS: usize = 1024;
-/// Bounded-channel depth: the producer runs at most this many chunks ahead
-/// of the consumer, keeping in-flight memory proportional to chunk size.
-const STREAM_CHANNEL_BOUND: usize = 8;
-
-/// Admission control for streaming workers: at most `available_parallelism`
-/// plans *execute* concurrently. Without this, submitting a partitioned
-/// plan's ten component queries at once puts ten CPU-bound threads in the
-/// scheduler's round-robin; on a small host their working sets evict each
-/// other from cache and the pipelined path runs slower than the sequential
-/// one it replaces. The permit covers only operator execution — never a
-/// channel send, which can block on the consumer and would deadlock the
-/// k-way merge (the tagger may be waiting on a stream whose worker is
-/// queued for a permit).
-struct ExecGate {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl ExecGate {
-    fn new() -> Arc<ExecGate> {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ExecGate::with_permits(n)
-    }
-
-    /// A gate with an explicit permit count (tests: shard fan-out versus a
-    /// starved gate).
-    fn with_permits(n: usize) -> Arc<ExecGate> {
-        Arc::new(ExecGate {
-            permits: Mutex::new(n.max(1)),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Block until a permit is free; released when the guard drops (also on
-    /// panic, so a failed query never wedges the gate). The permit count is
-    /// only ever mutated under the lock, so a poisoned mutex (a worker
-    /// panicked while its guard was live) still holds a consistent count —
-    /// recover it rather than cascading the panic into every later query.
-    fn acquire(self: &Arc<Self>) -> ExecPermit {
-        let mut n = lock_recover(&self.permits);
-        while *n == 0 {
-            n = self.cv.wait(n).unwrap_or_else(PoisonError::into_inner);
-        }
-        *n -= 1;
-        ExecPermit {
-            gate: Arc::clone(self),
-        }
-    }
-}
-
-struct ExecPermit {
-    gate: Arc<ExecGate>,
-}
-
-impl Drop for ExecPermit {
-    fn drop(&mut self) {
-        let mut n = lock_recover(&self.gate.permits);
-        *n += 1;
-        self.gate.cv.notify_one();
-    }
-}
-
-/// Per-phase breakdown of one query's server-side time. Summing the fields
-/// gives (within clock noise) [`TupleStream::query_time`]; the split is what
-/// the paper's Figs. 13–15 need to attribute middle-ware cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryPhases {
-    /// SQL text → bound algebra plan.
-    pub parse_bind: Duration,
-    /// Predicate push-down and plan rewrites.
-    pub optimize: Duration,
-    /// Operator execution (the dominant server cost).
-    pub execute: Duration,
-    /// Encoding the sorted result into the wire format.
-    pub encode: Duration,
-}
-
-impl QueryPhases {
-    /// Sum of all phases.
-    pub fn total(&self) -> Duration {
-        self.parse_bind + self.optimize + self.execute + self.encode
-    }
-}
-
-/// What one execution produced, shipped once its last chunk is out: the
-/// metadata a [`TupleStream`] knows only at end of stream.
-#[derive(Debug, Default)]
-struct StreamSummary {
-    row_count: usize,
-    byte_size: usize,
-    query_time: Duration,
-    phases: QueryPhases,
-}
-
-impl StreamSummary {
-    /// Fold another part's summary into this one (shards of one stream).
-    fn add(&mut self, other: &StreamSummary) {
-        self.row_count += other.row_count;
-        self.byte_size += other.byte_size;
-        self.query_time += other.query_time;
-        self.phases.parse_bind += other.phases.parse_bind;
-        self.phases.optimize += other.phases.optimize;
-        self.phases.execute += other.phases.execute;
-        self.phases.encode += other.phases.encode;
-    }
-}
-
-/// One message on a streaming query's bounded channel.
-#[derive(Debug)]
-enum StreamItem {
-    /// An encoded run of rows.
-    Chunk(Bytes),
-    /// Successful end of stream.
-    Done(StreamSummary),
-    /// The query failed server-side (including post-hoc timeouts).
-    Failed(EngineError),
-}
-
-/// A channel already holding `chunks` and the terminal `last` item — what
-/// inline execution and a cached fragment hand a stream.
-fn queued(chunks: Vec<Bytes>, last: StreamItem) -> Receiver<StreamItem> {
-    let (tx, rx) = sync_channel(chunks.len() + 1);
-    for c in chunks {
-        let _ = tx.send(StreamItem::Chunk(c));
-    }
-    let _ = tx.send(last);
-    rx
-}
-
-/// Concatenate encoded chunks into one buffer. The wire format is
-/// self-delimiting, so the bytes are those of the whole result encoded at
-/// once.
-fn concat(chunks: Vec<Bytes>) -> Bytes {
-    match <[Bytes; 1]>::try_from(chunks) {
-        Ok([one]) => one,
-        Err(chunks) => {
-            let mut buf = BytesMut::with_capacity(chunks.iter().map(Bytes::len).sum());
-            for c in &chunks {
-                buf.put_slice(c);
-            }
-            buf.freeze()
-        }
-    }
-}
-
-/// Where a [`TupleStream`]'s chunks come from.
-#[derive(Debug)]
-enum StreamSource {
-    /// Fully materialized upfront ([`Server::execute_sql`]): one chunk,
-    /// handed out once.
-    Buffered(Bytes),
-    /// Fed by one producer per part — a worker thread, or chunks queued up
-    /// front by inline execution or a cached fragment — each over its own
-    /// channel, consumed in order. Several parts are key-range shards
-    /// whose ranges ascend, so this sequential concatenation *is* the
-    /// order-preserving k-way merge: later shards fill their bounded
-    /// channels and park while an earlier shard drains. Per-part summaries
-    /// are aggregated into the stream's metadata at the final `Done`.
-    Parts {
-        parts: Vec<Receiver<StreamItem>>,
-        /// The part being drained; `parts.len()` once the stream is over.
-        idx: usize,
-        agg: StreamSummary,
-        rows_per_part: Vec<u64>,
-        metrics: Arc<MetricsRegistry>,
-    },
-}
-
-impl StreamSource {
-    fn parts(parts: Vec<Receiver<StreamItem>>, metrics: &Arc<MetricsRegistry>) -> StreamSource {
-        StreamSource::Parts {
-            rows_per_part: Vec::with_capacity(parts.len()),
-            parts,
-            idx: 0,
-            agg: StreamSummary::default(),
-            metrics: Arc::clone(metrics),
-        }
-    }
-}
-
-/// A sorted tuple stream returned by the server.
-///
-/// The stream hands out whole wire chunks ([`TupleStream::next_chunk`]).
-/// Decoding happens lazily on the client, one timed pass per chunk: the
-/// tagger binds a chunk's cells into a reusable arena
-/// ([`TupleStream::bind_next`]) and never owns a tuple;
-/// [`TupleStream::next_row`] / [`TupleStream::collect_rows`] are the
-/// owned-[`Row`] convenience over the same chunks. Either way the per-cell
-/// cost is paid on the client, proportional to tuple count × width, and
-/// accumulates into [`TupleStream::transfer_time`] — the paper's "bind and
-/// transfer" component. For a streaming query, time spent
-/// *blocked waiting* for the server worker accumulates separately into
-/// [`TupleStream::stall_time`], and the metadata fields (`row_count`,
-/// `byte_size`, `query_time`, `phases`) are only final once the stream has
-/// been fully consumed.
-#[derive(Debug)]
-pub struct TupleStream {
-    /// Result schema.
-    pub schema: Schema,
-    /// Number of encoded rows (streaming: known after full consumption).
-    pub row_count: usize,
-    /// Encoded size in bytes (streaming: known after full consumption).
-    pub byte_size: usize,
-    /// Server-side time: parse + bind + execute + encode (streaming: known
-    /// after full consumption).
-    pub query_time: Duration,
-    /// Server-side time split by phase (streaming: known after full
-    /// consumption).
-    pub phases: QueryPhases,
-    /// Client-side decode ("bind and transfer") time accumulated so far.
-    pub transfer_time: Duration,
-    /// Time spent blocked waiting on the streaming worker — overlap the
-    /// pipeline did *not* hide. Always zero for buffered streams.
-    pub stall_time: Duration,
-    /// Rows decoded by the client so far.
-    pub rows_decoded: usize,
-    source: StreamSource,
-    /// The part of the chunk last pulled by [`TupleStream::next_row`] that
-    /// it has not decoded yet.
-    current: Bytes,
-    /// In-flight fragment-cache capture (streaming cache miss only): chunks
-    /// are teed here as they are decoded and committed on a clean `Done`.
-    capture: Option<FragmentCapture>,
-    /// Trace sink for this stream's timeline (stall intervals, decode
-    /// progress), recording onto the stream's own virtual lane.
-    trace: Option<StreamTrace>,
-    /// Cancel token shared with the server-side execution feeding this
-    /// stream; fired by [`TupleStream::cancel`] and on drop.
-    cancel: CancelToken,
-}
-
-/// A stream's handle onto a [`Tracer`]: events recorded by whichever
-/// thread consumes the stream land on the stream's dedicated lane, so each
-/// stream shows up as its own row in the trace viewer.
-#[derive(Debug)]
-struct StreamTrace {
-    tracer: Arc<Tracer>,
-    lane: u64,
-}
-
-impl TupleStream {
-    fn new(schema: Schema, source: StreamSource, cancel: CancelToken) -> TupleStream {
-        TupleStream {
-            schema,
-            row_count: 0,
-            byte_size: 0,
-            query_time: Duration::ZERO,
-            phases: QueryPhases::default(),
-            transfer_time: Duration::ZERO,
-            stall_time: Duration::ZERO,
-            rows_decoded: 0,
-            source,
-            current: Bytes::new(),
-            capture: None,
-            trace: None,
-            cancel,
-        }
-    }
-
-    fn set_summary(&mut self, sum: &StreamSummary) {
-        self.row_count = sum.row_count;
-        self.byte_size = sum.byte_size;
-        self.query_time = sum.query_time;
-        self.phases = sum.phases;
-    }
-
-    /// Attach the stream to a tracer: a named virtual lane
-    /// (`stream <label>`) is allocated and subsequent stall intervals and
-    /// decode-progress counters are recorded onto it.
-    pub fn set_trace(&mut self, tracer: &Arc<Tracer>, label: &str) {
-        let lane = tracer.lane(format!("stream {label}"));
-        self.trace = Some(StreamTrace {
-            tracer: Arc::clone(tracer),
-            lane,
-        });
-    }
-
-    /// Request cooperative cancellation of the server-side execution
-    /// feeding this stream: the worker stops at its next per-chunk check
-    /// and the stream's next blocking read surfaces
-    /// [`EngineError::Cancelled`]. A no-op for buffered streams (execution
-    /// already finished) and idempotent everywhere. Dropping the stream
-    /// cancels implicitly.
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// A clone of the stream's cancel token, detachable from the stream
-    /// itself. A serving front-end hands the stream to the tagger but must
-    /// still be able to abort the producer when its client disconnects —
-    /// cancelling through this handle is exactly [`TupleStream::cancel`]
-    /// from another thread, without holding the stream.
-    pub fn cancel_handle(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// The next wire chunk — a whole number of encoded rows — or `None` at
-    /// end of stream. Blocks on the server worker when none is ready (that
-    /// wait is [`TupleStream::stall_time`]); no byte is decoded. Rows
-    /// [`TupleStream::next_row`] left undecoded in its chunk come first.
-    pub fn next_chunk(&mut self) -> Result<Option<Bytes>, EngineError> {
-        if self.current.has_remaining() {
-            return Ok(Some(std::mem::take(&mut self.current)));
-        }
-        loop {
-            let rx = match &mut self.source {
-                StreamSource::Buffered(data) => {
-                    return Ok(Some(std::mem::take(data)).filter(|d| !d.is_empty()));
-                }
-                StreamSource::Parts { parts, idx, .. } => match parts.get(*idx) {
-                    Some(rx) => rx,
-                    None => return Ok(None),
-                },
-            };
-            if let Some(tr) = &self.trace {
-                tr.tracer.begin(tr.lane, "stream.stall", None);
-            }
-            let wait = Instant::now();
-            let item = rx.recv();
-            self.stall_time += wait.elapsed();
-            if let Some(tr) = &self.trace {
-                tr.tracer.end(tr.lane, "stream.stall");
-            }
-            match item {
-                Ok(StreamItem::Chunk(bytes)) => {
-                    if let Some(tr) = &self.trace {
-                        tr.tracer
-                            .counter(tr.lane, "stream.rows_decoded", self.rows_decoded as f64);
-                    }
-                    if let Some(cap) = &mut self.capture {
-                        if !cap.push(&bytes) {
-                            self.capture = None;
-                        }
-                    }
-                    if !bytes.is_empty() {
-                        return Ok(Some(bytes));
-                    }
-                }
-                Ok(StreamItem::Done(sum)) => self.finish_part(sum),
-                failed => {
-                    self.capture = None;
-                    // Stop the sibling shard workers too: the stream is
-                    // dead, their output has no consumer.
-                    self.cancel.cancel();
-                    if let StreamSource::Parts { parts, idx, .. } = &mut self.source {
-                        *idx = parts.len();
-                    }
-                    return Err(match failed {
-                        Ok(StreamItem::Failed(e)) => e,
-                        // The sender is gone without a terminal item. With
-                        // panic isolation in place this only happens on a
-                        // genuine abort — surface it as a hard truncation,
-                        // never as a clean (but silently short) end.
-                        _ => EngineError::TruncatedStream {
-                            rows_decoded: self.rows_decoded,
-                        },
-                    });
-                }
-            }
-        }
-    }
-
-    /// One producer drained cleanly: fold its summary into the stream's
-    /// metadata and, once the last one has, commit the fragment capture —
-    /// the captured chunks are then the complete result.
-    fn finish_part(&mut self, sum: StreamSummary) {
-        let StreamSource::Parts {
-            parts,
-            idx,
-            agg,
-            rows_per_part,
-            metrics,
-        } = &mut self.source
-        else {
-            return;
-        };
-        rows_per_part.push(sum.row_count as u64);
-        agg.add(&sum);
-        *idx += 1;
-        if *idx < parts.len() {
-            return;
-        }
-        if parts.len() > 1 {
-            record_shard_skew(metrics, rows_per_part);
-        }
-        let total = std::mem::take(agg);
-        self.set_summary(&total);
-        if let Some(tr) = &self.trace {
-            tr.tracer.instant(tr.lane, "stream.done", None);
-        }
-        if let Some(cap) = self.capture.take() {
-            cap.commit(self.row_count, self.byte_size);
-        }
-    }
-
-    /// Bind the stream's next rows into `arena`: the rest of the chunk it
-    /// holds if there is one, else the next chunk. `false` at end of
-    /// stream. The bind pass is what [`TupleStream::transfer_time`] times,
-    /// once per pass rather than per row.
-    pub fn bind_next(&mut self, arena: &mut CellArena) -> Result<bool, EngineError> {
-        loop {
-            if arena.exhausted() {
-                match self.next_chunk()? {
-                    Some(chunk) => arena.load(chunk),
-                    None => return Ok(false),
-                }
-            }
-            let start = Instant::now();
-            let bound = arena.bind();
-            self.transfer_time += start.elapsed();
-            let rows = bound?;
-            self.rows_decoded += rows;
-            if rows > 0 {
-                return Ok(true);
-            }
-        }
-    }
-
-    /// Decode the next row, or `None` at end of stream.
-    pub fn next_row(&mut self) -> Result<Option<Row>, EngineError> {
-        if !self.current.has_remaining() {
-            match self.next_chunk()? {
-                Some(chunk) => self.current = chunk,
-                None => return Ok(None),
-            }
-        }
-        let start = Instant::now();
-        let row = decode_row(&mut self.current);
-        self.transfer_time += start.elapsed();
-        if let Ok(Some(_)) = &row {
-            self.rows_decoded += 1;
-        }
-        row
-    }
-
-    /// Decode every remaining row, a timed pass per chunk.
-    pub fn collect_rows(mut self) -> Result<Vec<Row>, EngineError> {
-        let mut rows = Vec::with_capacity(self.row_count);
-        while let Some(mut chunk) = self.next_chunk()? {
-            let start = Instant::now();
-            let before = rows.len();
-            let end = loop {
-                match decode_row(&mut chunk) {
-                    Ok(Some(row)) => rows.push(row),
-                    end => break end,
-                }
-            };
-            self.transfer_time += start.elapsed();
-            self.rows_decoded += rows.len() - before;
-            end?;
-        }
-        Ok(rows)
-    }
-}
-
-impl Drop for TupleStream {
-    /// Dropping a stream cancels its server-side execution: the worker
-    /// stops at its next per-chunk check instead of running the query to
-    /// completion for a consumer that is no longer there. (For fully
-    /// consumed or buffered streams the token fires into nothing.)
-    fn drop(&mut self) {
-        self.cancel.cancel();
-    }
-}
+use crate::stream::{queued, StreamItem, TupleStream};
 
 /// The database server.
 ///
@@ -573,10 +54,12 @@ impl Drop for TupleStream {
 /// assert!(est.cardinality >= 1.0);
 /// ```
 pub struct Server {
+    /// An immutable snapshot: every cache below is sound for as long as
+    /// the server lives.
     db: Arc<Database>,
     /// Per-query timeout; queries exceeding it report
     /// [`EngineError::Timeout`] (the paper used 5 minutes, §4).
-    pub timeout: Option<Duration>,
+    timeout: Option<Duration>,
     metrics: Arc<MetricsRegistry>,
     tracer: Option<Arc<Tracer>>,
     exec_gate: Arc<ExecGate>,
@@ -585,9 +68,7 @@ pub struct Server {
     /// Prepared-plan cache: statement shape (see [`crate::sql::shape`]) →
     /// the shape prepared once, so every later statement of the shape —
     /// the same component query, or one with other literals — costs a
-    /// lookup, a plan clone and the binding of its literals. Sound while
-    /// the database behind `db` is unchanged; [`Server::set_database`] and
-    /// [`Server::invalidate_plan_cache`] flush it when the catalog moves.
+    /// lookup, a plan clone and the binding of its literals.
     plan_cache: Mutex<Lru<Arc<Prepared>>>,
     /// Deterministic fault injector shared by every execution path; `None`
     /// in production (the common case pays one branch per site).
@@ -625,169 +106,23 @@ const PLAN_CACHE_CAP: usize = 256;
 /// Default number of transient-failure retries per query.
 const DEFAULT_TRANSIENT_RETRIES: u32 = 2;
 
-/// One cached materialized fragment: the wire-encoded chunks of a component
-/// query's full result, plus the stream metadata a warm hit must replay.
-#[derive(Debug, Clone)]
-struct CachedFragment {
-    schema: Schema,
-    chunks: Vec<Bytes>,
-    row_count: usize,
-    byte_size: usize,
-}
-
-impl CachedFragment {
-    /// Serve the fragment with zero server-side time: as one buffered chunk
-    /// (the chunks concatenated), or with streaming semantics — every chunk
-    /// plus the terminal summary pre-queued, the exact item sequence (and
-    /// bytes) the live streaming path produced when it was captured.
-    fn into_stream(self, buffered: bool, metrics: &Arc<MetricsRegistry>) -> TupleStream {
-        let sum = StreamSummary {
-            row_count: self.row_count,
-            byte_size: self.byte_size,
-            ..StreamSummary::default()
-        };
-        if buffered {
-            let source = StreamSource::Buffered(concat(self.chunks));
-            let mut stream = TupleStream::new(self.schema, source, CancelToken::unbounded());
-            stream.set_summary(&sum);
-            return stream;
-        }
-        let rx = queued(self.chunks, StreamItem::Done(sum));
-        let source = StreamSource::parts(vec![rx], metrics);
-        TupleStream::new(self.schema, source, CancelToken::unbounded())
-    }
-}
-
-/// The materialized-fragment cache: an [`Lru`] held to a byte budget,
-/// holding encoded results instead of plans. Keyed by shard spec + SQL —
-/// the inputs that determine the produced chunk sequence. Invalidated
-/// together with the plan cache ([`Server::set_database`] /
-/// [`Server::invalidate_plan_cache`]): a fragment is only sound while the
-/// database is unchanged.
-#[derive(Debug)]
-struct FragmentCache {
-    map: Lru<CachedFragment>,
-    budget: usize,
-    bytes: usize,
-}
-
-/// A point-in-time view of the fragment cache for STATS exposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FragmentCacheInfo {
-    /// Configured byte budget.
-    pub budget: usize,
-    /// Bytes currently held.
-    pub bytes: usize,
-    /// Fragments currently held.
-    pub entries: usize,
-}
-
-impl FragmentCache {
-    fn new(budget: usize) -> FragmentCache {
-        FragmentCache {
-            map: Lru::new(usize::MAX),
-            budget,
-            bytes: 0,
-        }
-    }
-
-    /// Insert a fully captured fragment, evicting least-recently-used
-    /// entries until it fits. A fragment larger than the whole budget is
-    /// dropped outright. Returns the number of evictions.
-    fn insert(&mut self, key: String, frag: CachedFragment) -> u64 {
-        if frag.byte_size > self.budget {
-            return 0;
-        }
-        if let Some(old) = self.map.remove(&key) {
-            self.bytes -= old.byte_size;
-        }
-        let mut evictions = 0;
-        while self.bytes + frag.byte_size > self.budget {
-            let Some(gone) = self.map.pop_lru() else {
-                break;
-            };
-            self.bytes -= gone.byte_size;
-            evictions += 1;
-        }
-        self.bytes += frag.byte_size;
-        self.map.insert(key, frag);
-        evictions
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.bytes = 0;
-    }
-}
-
-/// In-flight capture of a streaming query's chunks for the fragment cache.
-/// Attached to a [`TupleStream`] on a cache miss; every chunk the consumer
-/// decodes is also appended here, and only the clean terminal `Done`
-/// commits the fragment. A `Failed` item, a decode error, or dropping the
-/// stream mid-way discards the capture — a fault or cancellation can never
-/// cache a partial fragment.
-#[derive(Debug)]
-struct FragmentCapture {
-    cache: Arc<Mutex<FragmentCache>>,
-    metrics: Arc<MetricsRegistry>,
-    key: String,
-    schema: Schema,
-    chunks: Vec<Bytes>,
-    size: usize,
-    budget: usize,
-}
-
-impl FragmentCapture {
-    /// Append one chunk; `false` once the capture outgrew the whole budget
-    /// (the caller then drops the capture instead of buffering on).
-    fn push(&mut self, bytes: &Bytes) -> bool {
-        self.size += bytes.len();
-        if self.size > self.budget {
-            return false;
-        }
-        self.chunks.push(bytes.clone());
-        true
-    }
-
-    /// Commit the completed fragment under its key.
-    fn commit(self, row_count: usize, byte_size: usize) {
-        let mut cache = lock_recover(&self.cache);
-        let evicted = cache.insert(
-            self.key,
-            CachedFragment {
-                schema: self.schema,
-                chunks: self.chunks,
-                row_count,
-                byte_size,
-            },
-        );
-        self.metrics
-            .counter("cache.fragment.evictions")
-            .add(evicted);
-        self.metrics
-            .counter("cache.fragment.bytes")
-            .set(cache.bytes as u64);
-    }
-}
-
 impl Server {
     /// A server over a database, with no timeout.
     pub fn new(db: Arc<Database>) -> Self {
-        // A worker thread can only overlap execution with the consumer's
-        // tagging when there is a second core to run on. On a single-CPU
-        // host the handoff buys nothing and costs context switches and
-        // cache interleaving, so streaming queries execute inline there.
-        let parallel = std::thread::available_parallelism()
+        let cores = std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1)
-            > 1;
+            .unwrap_or(1);
         Server {
             db,
             timeout: None,
             metrics: Arc::new(MetricsRegistry::new()),
             tracer: None,
-            exec_gate: ExecGate::new(),
-            stream_workers: parallel,
+            exec_gate: ExecGate::new(cores),
+            // A worker thread can only overlap execution with the
+            // consumer's tagging when there is a second core to run on. On
+            // a single-CPU host the handoff buys nothing and costs context
+            // switches and cache interleaving, so streams execute inline.
+            stream_workers: cores > 1,
             plan_cache_enabled: true,
             plan_cache: Mutex::new(Lru::new(PLAN_CACHE_CAP)),
             faults: None,
@@ -802,8 +137,7 @@ impl Server {
     /// disables it). Completed component-query results are kept as
     /// wire-encoded chunks and served back — byte-identically — without
     /// re-executing the SQL. Evicts least-recently-used fragments when over
-    /// budget; flushed together with the plan cache on
-    /// [`Server::set_database`] / [`Server::invalidate_plan_cache`].
+    /// budget.
     pub fn with_fragment_cache(mut self, budget_bytes: usize) -> Self {
         self.fragment_cache = if budget_bytes == 0 {
             None
@@ -816,19 +150,14 @@ impl Server {
     /// A snapshot of the fragment cache's occupancy, or `None` when the
     /// cache is disabled. For STATS exposition and tests.
     pub fn fragment_cache_info(&self) -> Option<FragmentCacheInfo> {
-        self.fragment_cache.as_ref().map(|fc| {
-            let fc = lock_recover(fc);
-            FragmentCacheInfo {
-                budget: fc.budget,
-                bytes: fc.bytes,
-                entries: fc.map.len(),
-            }
-        })
+        self.fragment_cache
+            .as_ref()
+            .map(|fc| lock_recover(fc).info())
     }
 
     /// The cache key for one fragment: shard spec and SQL — the inputs
     /// that determine the produced chunk sequence (chunks hold at most
-    /// [`STREAM_CHUNK_ROWS`] rows, cut per shard).
+    /// [`crate::wire::CHUNK_ROWS`] rows, cut per shard).
     fn fragment_key(&self, sql: &str) -> String {
         format!("k{}|{}", self.shards, sql)
     }
@@ -836,7 +165,7 @@ impl Server {
     /// Look up `sql` in the fragment cache, bumping hit/miss counters.
     fn fragment_lookup(&self, sql: &str) -> Option<CachedFragment> {
         let fc = self.fragment_cache.as_ref()?;
-        let hit = lock_recover(fc).map.get(&self.fragment_key(sql)).cloned();
+        let hit = lock_recover(fc).get(&self.fragment_key(sql));
         if hit.is_some() {
             self.metrics.counter("cache.fragment.hits").inc();
         } else {
@@ -849,16 +178,12 @@ impl Server {
     /// fragment cache is enabled.
     fn fragment_capture(&self, sql: &str, schema: &Schema) -> Option<FragmentCapture> {
         let fc = self.fragment_cache.as_ref()?;
-        let budget = lock_recover(fc).budget;
-        Some(FragmentCapture {
-            cache: Arc::clone(fc),
-            metrics: Arc::clone(&self.metrics),
-            key: self.fragment_key(sql),
-            schema: schema.clone(),
-            chunks: Vec::new(),
-            size: 0,
-            budget,
-        })
+        Some(FragmentCapture::new(
+            fc,
+            &self.metrics,
+            self.fragment_key(sql),
+            schema.clone(),
+        ))
     }
 
     /// The executor every query runs on — there is one, the vectorized
@@ -903,13 +228,6 @@ impl Server {
         self.shards
     }
 
-    /// Replace the admission gate with one holding exactly `n` permits
-    /// (testing only — production sizes it to `available_parallelism`).
-    pub fn with_exec_permits(mut self, n: usize) -> Self {
-        self.exec_gate = ExecGate::with_permits(n);
-        self
-    }
-
     /// Set how many times a query is retried after a
     /// [`EngineError::Transient`] execution failure (default 2). Each retry
     /// bumps `server.retries` and backs off exponentially.
@@ -924,30 +242,9 @@ impl Server {
         self.faults.as_ref()
     }
 
-    /// Drop every cached plan. Call after anything that changes what a SQL
-    /// string should plan to — the cache cannot observe catalog changes on
-    /// its own.
-    pub fn invalidate_plan_cache(&self) {
-        lock_recover(&self.plan_cache).clear();
-        // Cached fragments are result bytes computed against the same
-        // catalog the plans were — they go stale together.
-        if let Some(fc) = &self.fragment_cache {
-            lock_recover(fc).clear();
-            self.metrics.counter("cache.fragment.bytes").set(0);
-        }
-    }
-
-    /// Swap the underlying database and invalidate the plan cache: cached
-    /// plans hold table/column bindings resolved against the old catalog,
-    /// so serving them against a new one would be silently wrong.
-    pub fn set_database(&mut self, db: Arc<Database>) {
-        self.db = db;
-        self.invalidate_plan_cache();
-    }
-
     /// The cancel token governing one query: carries the server deadline if
-    /// one is configured, and is always live so an explicit
-    /// [`TupleStream::cancel`] (or drop) can stop the worker.
+    /// one is configured, and is always live so dropping the stream (or
+    /// cancelling its [`TupleStream::cancel_handle`]) can stop the worker.
     fn cancel_token(&self) -> CancelToken {
         match self.timeout {
             Some(t) => CancelToken::with_timeout(t),
@@ -1090,13 +387,13 @@ impl Server {
         }
     }
 
-    /// Execute a SQL string, returning a fully buffered tuple stream: the
-    /// result is materialized, sorted, and wire-encoded before the call
-    /// returns. See [`Server::execute_sql_streaming`] for the pipelined
-    /// variant.
+    /// Execute a SQL string inline and unsharded: the result is executed,
+    /// sorted, and wire-encoded before the call returns, so execution
+    /// errors surface here and the stream's metadata is already final. See
+    /// [`Server::execute_sql_streaming`] for the pipelined variant.
     pub fn execute_sql(&self, sql: &str) -> Result<TupleStream, EngineError> {
         if let Some(frag) = self.fragment_lookup(sql) {
-            return Ok(frag.into_stream(true, &self.metrics));
+            return Ok(frag.into_stream(&self.metrics));
         }
         let start = Instant::now();
         let (plan, schema, elided) = {
@@ -1108,18 +405,12 @@ impl Server {
         let exec = self.exec(self.cancel_token(), self.faults.clone(), || {
             sql_summary(sql)
         });
-        let mut sink = Concat(Vec::new());
-        let sum = exec.run(&plan, parse_bind, &mut sink)?;
-        let data = concat(sink.0);
-        // The buffered path completed cleanly — the encoded result is whole
-        // and safe to cache as a single-chunk fragment.
-        if let Some(mut cap) = self.fragment_capture(sql, &schema) {
-            if cap.push(&data) {
-                cap.commit(sum.row_count, sum.byte_size);
-            }
-        }
-        let mut stream = TupleStream::new(schema, StreamSource::Buffered(data), exec.token);
+        let mut chunks = Vec::new();
+        let sum = exec.run(&plan, parse_bind, &mut chunks, None)?;
+        let rx = queued(chunks, StreamItem::Done(sum));
+        let mut stream = TupleStream::new(schema, vec![rx], &self.metrics, exec.token);
         stream.set_summary(&sum);
+        stream.capture = self.fragment_capture(sql, &stream.schema);
         Ok(stream)
     }
 
@@ -1128,7 +419,7 @@ impl Server {
     /// caller decodes (and tags) rows while the server is still executing
     /// and encoding later chunks on a worker thread. Parse/bind/optimize
     /// errors surface synchronously; execution errors and post-hoc timeouts
-    /// surface from [`TupleStream::next_row`]. Dropping the stream early
+    /// surface from [`TupleStream::next_chunk`]. Dropping the stream early
     /// terminates the worker at its next send.
     ///
     /// Under [`Server::with_shards`] a query whose plan has a usable range
@@ -1142,7 +433,7 @@ impl Server {
     /// nothing without a second core.
     pub fn execute_sql_streaming(&self, sql: &str) -> Result<TupleStream, EngineError> {
         if let Some(frag) = self.fragment_lookup(sql) {
-            return Ok(frag.into_stream(false, &self.metrics));
+            return Ok(frag.into_stream(&self.metrics));
         }
         let start = Instant::now();
         let (plan, schema, elided) = self.plan_cached(sql)?;
@@ -1179,7 +470,7 @@ impl Server {
                 }
             });
             // The SQL was parsed once; attribute that to the first part so
-            // the aggregated phases count it exactly once.
+            // the aggregated query time counts it exactly once.
             let parse_bind = if i == 0 { parse_bind } else { Duration::ZERO };
             if self.stream_workers {
                 let lane = if sharded {
@@ -1187,11 +478,12 @@ impl Server {
                 } else {
                     "server execute worker".into()
                 };
-                parts.push(self.spawn_worker(exec, plan, parse_bind, lane));
+                let gate = Arc::clone(&self.exec_gate);
+                parts.push(spawn_worker(exec, gate, plan, parse_bind, lane));
                 continue;
             }
             let mut chunks = Vec::new();
-            let (last, failed) = match exec.run(&plan, parse_bind, &mut chunks) {
+            let (last, failed) = match exec.run(&plan, parse_bind, &mut chunks, None) {
                 Ok(sum) => (StreamItem::Done(sum), false),
                 Err(e) => (StreamItem::Failed(e), true),
             };
@@ -1201,7 +493,7 @@ impl Server {
                 break;
             }
         }
-        let mut stream = TupleStream::new(schema, StreamSource::parts(parts, &self.metrics), token);
+        let mut stream = TupleStream::new(schema, parts, &self.metrics, token);
         // Tee this miss's chunks into the cache; the capture commits only
         // on the stream's clean terminal item.
         stream.capture = self.fragment_capture(sql, &stream.schema);
@@ -1215,47 +507,6 @@ impl Server {
         self.fault_plan
             .as_ref()
             .map(|p| Arc::new(FaultInjector::new(p.clone())))
-    }
-
-    /// Run `plan` on a worker thread that ships its chunks over a bounded
-    /// channel, executing and encoding under an admission permit (see
-    /// [`ExecGate`]). The gate cannot deadlock under shard fan-out: no
-    /// worker holds a permit across a blocking send, so a parked later
-    /// shard always releases its permit to whichever shard the consumer is
-    /// actually draining.
-    fn spawn_worker(
-        &self,
-        exec: Exec,
-        plan: Plan,
-        parse_bind: Duration,
-        lane_label: String,
-    ) -> Receiver<StreamItem> {
-        let (tx, rx) = sync_channel(STREAM_CHANNEL_BOUND);
-        let gate = Arc::clone(&self.exec_gate);
-        std::thread::spawn(move || {
-            let lane = exec
-                .tracer
-                .as_ref()
-                .map(|t| t.name_current_thread(lane_label));
-            let mut sink = ChannelSink {
-                tx,
-                gate,
-                permit: None,
-                exec: &exec,
-                lane,
-            };
-            sink.ready();
-            let last = match exec.run(&plan, parse_bind, &mut sink) {
-                Ok(sum) => StreamItem::Done(sum),
-                Err(e) => StreamItem::Failed(e),
-            };
-            // Send the terminal item *after* releasing the permit: the
-            // consumer may not be draining the channel, and a blocking send
-            // under a permit could wedge the gate.
-            sink.permit = None;
-            let _ = sink.tx.send(last);
-        });
-        rx
     }
 
     /// Cost-estimate endpoint: the paper's oracle. Answers from catalog
@@ -1294,35 +545,30 @@ impl Server {
     /// `EXPLAIN ANALYZE`: plan the query (through the cache, so the
     /// analyzed plan is exactly the one the execution paths run), estimate
     /// every node's cardinality, then execute with per-node timing and
-    /// combine the two into an annotated tree. The execution is real —
-    /// its per-operator profile is exported to the registry — but it bumps
+    /// combine the two into an annotated tree. The execution is real and
+    /// bounded like any query's — deadline, panic isolation — and its
+    /// per-operator profile is exported to the registry, but it bumps
     /// `server.analyze` rather than `server.queries`, and every node with
     /// an estimate records its Q-error into the `oracle.qerror` histogram
     /// (×1000 fixed point, so 1.0 → 1000).
     pub fn explain_analyze(&self, sql: &str) -> Result<ExplainAnalysis, EngineError> {
         let (plan, _, elided) = self.plan_cached(sql)?;
         let (_, est_rows) = estimate_with_nodes(&plan, &self.db)?;
-        let start = Instant::now();
-        let (rs, profile, plan_profile) = {
-            let _s = TraceSpan::with_detail(
-                self.tracer.as_deref(),
-                "query.analyze",
-                self.tracer.as_ref().map(|_| sql_summary(sql)),
-            );
-            execute_analyzed(&plan, &self.db)?
-        };
-        let execute_time = start.elapsed();
+        // No fault injector: re-running a query to analyze it must not
+        // shift the `kind@site#n` hit counts of the queries themselves.
+        let exec = self.exec(self.cancel_token(), None, || sql_summary(sql));
+        let mut profile = PlanProfile::default();
+        let sum = exec.run(&plan, Duration::ZERO, &mut (), Some(&mut profile))?;
         let m = &self.metrics;
-        m.counter("server.analyze").inc();
         m.counter("exec.sorts_elided").add(elided as u64);
-        profile.export_to(m);
         let analysis = ExplainAnalysis::assemble(
             &plan,
-            &plan_profile,
+            &profile,
             &est_rows,
             elided as u64,
-            execute_time,
-            rs.len() as u64,
+            // The root node's wall time is the whole plan's execution.
+            profile.nodes[0].total_time,
+            sum.row_count as u64,
             sql.to_string(),
         );
         for n in &analysis.nodes {
@@ -1332,273 +578,6 @@ impl Server {
             }
         }
         Ok(analysis)
-    }
-}
-
-/// Everything one plan execution needs, owned so a worker thread can carry
-/// it.
-struct Exec {
-    db: Arc<Database>,
-    metrics: Arc<MetricsRegistry>,
-    tracer: Option<Arc<Tracer>>,
-    /// Detail of the `query.execute` trace span (set only when tracing).
-    detail: Option<String>,
-    token: CancelToken,
-    faults: Option<Arc<FaultInjector>>,
-    retries: u32,
-    timeout: Option<Duration>,
-}
-
-/// Where [`Exec::run`] puts the encoded chunks of a result.
-trait ChunkSink {
-    /// Whether chunks leave through a channel: the `Send` fault site fires
-    /// per chunk only then (the buffered path has no send).
-    const SENDS: bool = true;
-
-    /// About to encode the next chunk (a worker re-takes its admission
-    /// permit here).
-    fn ready(&mut self) {}
-
-    /// Take one encoded chunk; an error ends the execution.
-    fn push(&mut self, chunk: Bytes) -> Result<(), EngineError>;
-}
-
-/// Inline streaming: chunks queue up for the stream's channel.
-impl ChunkSink for Vec<Bytes> {
-    fn push(&mut self, chunk: Bytes) -> Result<(), EngineError> {
-        Vec::push(self, chunk);
-        Ok(())
-    }
-}
-
-/// The buffered path: chunks are concatenated into one buffer.
-struct Concat(Vec<Bytes>);
-
-impl ChunkSink for Concat {
-    const SENDS: bool = false;
-
-    fn push(&mut self, chunk: Bytes) -> Result<(), EngineError> {
-        self.0.push(chunk);
-        Ok(())
-    }
-}
-
-/// A streaming worker's end of the channel, holding its admission permit
-/// only while it executes and encodes.
-struct ChannelSink<'a> {
-    tx: SyncSender<StreamItem>,
-    gate: Arc<ExecGate>,
-    permit: Option<ExecPermit>,
-    exec: &'a Exec,
-    lane: Option<u64>,
-}
-
-impl ChunkSink for ChannelSink<'_> {
-    /// Take a permit unless one is held. Time spent waiting for it is
-    /// queueing, not work — it is excluded from the deadline budget.
-    fn ready(&mut self) {
-        if self.permit.is_some() {
-            return;
-        }
-        let trace = self.exec.tracer.as_deref().zip(self.lane);
-        if let Some((t, lane)) = trace {
-            t.begin(lane, "exec.gate.wait", None);
-        }
-        let t_gate = Instant::now();
-        self.permit = Some(self.gate.acquire());
-        self.exec.token.exclude(t_gate.elapsed());
-        if let Some((t, lane)) = trace {
-            t.end(lane, "exec.gate.wait");
-        }
-    }
-
-    /// Hand the chunk over without blocking if the channel has room; if it
-    /// is full, release the permit first, so a slow consumer never holds up
-    /// other plans' execution (or deadlocks the k-way merge). A consumer
-    /// that dropped the stream cancels the execution.
-    fn push(&mut self, chunk: Bytes) -> Result<(), EngineError> {
-        match self.tx.try_send(StreamItem::Chunk(chunk)) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(item)) => {
-                self.permit = None;
-                let _s = TraceSpan::new(self.exec.tracer.as_deref(), "send.backpressure");
-                self.tx.send(item).map_err(|_| EngineError::Cancelled)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(EngineError::Cancelled),
-        }
-    }
-}
-
-impl Exec {
-    /// Execute `plan` and hand each encoded chunk to `sink` — the one
-    /// execution body every path runs. Execution and encoding run under
-    /// `catch_unwind`, so a bug in an operator surfaces as a typed
-    /// `Internal` error rather than aborting the thread; transient failures
-    /// retry; the cancel token is checked at every chunk boundary, so a
-    /// dropped stream, an explicit cancel or a blown deadline stops within
-    /// one chunk. A clean run records the `server.*` counters and
-    /// histograms and the operator profile, then checks the post-hoc
-    /// timeout. Returns the stream's summary, or the error that ends it.
-    fn run<S: ChunkSink>(
-        &self,
-        plan: &Plan,
-        parse_bind: Duration,
-        sink: &mut S,
-    ) -> Result<StreamSummary, EngineError> {
-        let tracer = self.tracer.as_deref();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let t_exec = Instant::now();
-            let (rs, profile) = {
-                let _s = TraceSpan::with_detail(tracer, "query.execute", self.detail.clone());
-                self.execute_with_retry(plan)?
-            };
-            let execute = t_exec.elapsed();
-            let (mut encode, mut bytes) = (Duration::ZERO, 0);
-            let mut chunks = Chunks::new(&rs);
-            while chunks.left > 0 {
-                self.token.check()?;
-                sink.ready();
-                self.fault(FaultSite::Encode)?;
-                let t_enc = Instant::now();
-                let chunk = {
-                    let _s = TraceSpan::new(tracer, "encode");
-                    chunks.next_chunk()
-                };
-                encode += t_enc.elapsed();
-                bytes += chunk.len();
-                if S::SENDS {
-                    self.fault(FaultSite::Send)?;
-                }
-                sink.push(chunk)?;
-            }
-            Ok((rs.len(), bytes, execute, encode, profile))
-        }));
-        let (row_count, byte_size, execute, encode, profile) = match caught {
-            Err(payload) => {
-                self.metrics.counter("server.panics").inc();
-                return Err(EngineError::Internal(panic_message(payload)));
-            }
-            Ok(Err(e)) => {
-                note_exec_error(&self.metrics, &e);
-                return Err(e);
-            }
-            Ok(Ok(v)) => v,
-        };
-        let query_time = parse_bind + execute + encode;
-        let m = &self.metrics;
-        m.counter("server.queries").inc();
-        m.counter("server.rows").add(row_count as u64);
-        m.counter("server.bytes").add(byte_size as u64);
-        m.histogram("server.parse_bind_ns")
-            .record_duration(parse_bind);
-        m.histogram("server.execute_ns").record_duration(execute);
-        m.histogram("server.encode_ns").record_duration(encode);
-        m.histogram("server.query_ns").record_duration(query_time);
-        profile.export_to(m);
-        if let Some(limit) = self.timeout {
-            if query_time > limit {
-                m.counter("server.timeouts").inc();
-                return Err(EngineError::Timeout {
-                    elapsed_ms: query_time.as_millis() as u64,
-                    limit_ms: limit.as_millis() as u64,
-                });
-            }
-        }
-        Ok(StreamSummary {
-            row_count,
-            byte_size,
-            query_time,
-            phases: QueryPhases {
-                parse_bind,
-                optimize: Duration::ZERO,
-                execute,
-                encode,
-            },
-        })
-    }
-
-    /// Execute with bounded retry on [`EngineError::Transient`]: each retry
-    /// backs off exponentially, bumps `server.retries`, and re-checks the
-    /// cancel token so retrying never outlives the query's deadline. All
-    /// other errors (and success) pass straight through.
-    fn execute_with_retry(&self, plan: &Plan) -> Result<(VecResultSet, ExecProfile), EngineError> {
-        let mut attempt = 0u32;
-        loop {
-            match execute_profiled_with(plan, &self.db, &self.token, self.faults.as_deref()) {
-                Err(EngineError::Transient(_)) if attempt < self.retries => {
-                    attempt += 1;
-                    self.metrics.counter("server.retries").inc();
-                    std::thread::sleep(RETRY_BACKOFF_BASE * 2u32.saturating_pow(attempt - 1));
-                    self.token.check()?;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    fn fault(&self, site: FaultSite) -> Result<(), EngineError> {
-        match &self.faults {
-            Some(f) => f.hit(site),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Cuts a result into wire chunks of [`STREAM_CHUNK_ROWS`] rows, packing
-/// consecutive batches together: chunk boundaries depend only on the row
-/// count, never on how the plan's operators happened to batch their
-/// output, so cached fragments and forwarded frames have one shape.
-struct Chunks<'a> {
-    batches: &'a [ColumnBatch],
-    /// Position of the next row: batch index, row within it.
-    batch: usize,
-    row: usize,
-    /// Rows not yet encoded.
-    left: usize,
-}
-
-impl<'a> Chunks<'a> {
-    fn new(rs: &'a VecResultSet) -> Chunks<'a> {
-        Chunks {
-            batches: &rs.batches,
-            batch: 0,
-            row: 0,
-            left: rs.len(),
-        }
-    }
-
-    /// The pieces of the next chunk: `(batch, rows)` spans.
-    fn spans(&self) -> impl Iterator<Item = (&'a ColumnBatch, Range<usize>)> {
-        let (batches, mut row) = (self.batches, self.row);
-        let mut want = STREAM_CHUNK_ROWS.min(self.left);
-        batches[self.batch..].iter().map_while(move |b| {
-            let n = (b.len() - row).min(want);
-            let span = (b, row..row + n);
-            want -= n;
-            row = 0;
-            (n > 0 || b.is_empty()).then_some(span)
-        })
-    }
-
-    /// Encode the next chunk (empty once every row is out).
-    fn next_chunk(&mut self) -> Bytes {
-        // Sized from the pieces' share of their batch's wire width: exact
-        // for whole batches, an estimate for partial ones.
-        let cap = self
-            .spans()
-            .map(|(b, r)| (b.wire_width() * r.len()).div_ceil(b.len().max(1)) + 4 * r.len())
-            .sum();
-        let mut buf = BytesMut::with_capacity(cap);
-        for (b, rows) in self.spans() {
-            encode_batch_into(b, rows.clone(), &mut buf);
-            self.left -= rows.len();
-            self.row = rows.end;
-            if rows.end == b.len() {
-                self.batch += 1;
-                self.row = 0;
-            }
-        }
-        buf.freeze()
     }
 }
 
@@ -1619,8 +598,18 @@ fn sql_summary(sql: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sr_data::{row, DataType, Table};
+    use crate::wire::{Cell, CellArena};
+    use sr_data::{row, DataType, Row, Table};
     use std::collections::HashMap;
+
+    impl Server {
+        /// Replace the admission gate with one holding exactly `n` permits
+        /// (production sizes it to `available_parallelism`).
+        fn with_exec_permits(mut self, n: usize) -> Self {
+            self.exec_gate = ExecGate::new(n);
+            self
+        }
+    }
 
     fn server() -> Server {
         let mut db = Database::new();
@@ -1695,11 +684,8 @@ mod tests {
     #[test]
     fn phases_sum_to_query_time_and_metrics_record() {
         let s = server();
-        let stream = s
-            .execute_sql("SELECT i.id AS id FROM Item i ORDER BY id")
+        s.execute_sql("SELECT i.id AS id FROM Item i ORDER BY id")
             .unwrap();
-        assert!(stream.phases.total() <= stream.query_time);
-        assert!(stream.phases.execute > Duration::ZERO);
         let snap = s.metrics().snapshot();
         assert_eq!(snap.counter("server.queries"), 1);
         assert_eq!(snap.counter("server.rows"), 50);
@@ -1718,7 +704,7 @@ mod tests {
             .execute_sql("SELECT i.id AS id, i.label AS label FROM Item i ORDER BY id")
             .unwrap();
         assert_eq!(stream.transfer_time, Duration::ZERO);
-        while stream.next_row().unwrap().is_some() {}
+        decode(&mut stream);
         assert_eq!(stream.rows_decoded, 50);
         assert!(stream.transfer_time > Duration::ZERO);
     }
@@ -1729,11 +715,7 @@ mod tests {
         let mut stream = s
             .execute_sql("SELECT i.id AS id FROM Item i WHERE i.id < 5 ORDER BY id")
             .unwrap();
-        let mut n = 0;
-        while stream.next_row().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 5);
+        assert_eq!(decode(&mut stream).len(), 5);
     }
 
     #[test]
@@ -1745,11 +727,7 @@ mod tests {
             let sql = "SELECT i.id AS id, i.label AS label FROM Item i ORDER BY id";
             let buffered = s.execute_sql(sql).unwrap().collect_rows().unwrap();
             let mut stream = s.execute_sql_streaming(sql).unwrap();
-            let mut rows = Vec::new();
-            while let Some(r) = stream.next_row().unwrap() {
-                rows.push(r);
-            }
-            assert_eq!(rows, buffered);
+            assert_eq!(decode(&mut stream), buffered);
             // Metadata is final after full consumption.
             assert_eq!(stream.row_count, 50);
             assert!(stream.byte_size > 0);
@@ -1780,7 +758,7 @@ mod tests {
             // The deadline is checked cooperatively at every chunk boundary,
             // so an already-expired budget stops the stream before any rows
             // are shipped — not post-hoc after the whole result was encoded.
-            let err = match stream.next_row() {
+            let err = match stream.next_chunk() {
                 Ok(Some(_)) => panic!("no rows should ship past an expired deadline"),
                 Ok(None) => panic!("expected timeout error"),
                 Err(e) => e,
@@ -1802,8 +780,8 @@ mod tests {
         let mut stream = s
             .execute_sql_streaming("SELECT i.id AS id FROM Item i ORDER BY id")
             .unwrap();
-        stream.cancel();
-        let err = match stream.next_row() {
+        stream.cancel_handle().cancel();
+        let err = match stream.next_chunk() {
             Ok(Some(_)) => panic!("no rows should ship after cancel"),
             Ok(None) => panic!("expected cancellation error"),
             Err(e) => e,
@@ -1814,7 +792,7 @@ mod tests {
 
     #[test]
     fn gate_recovers_from_poisoned_lock() {
-        let gate = ExecGate::new();
+        let gate = ExecGate::new(2);
         let g2 = Arc::clone(&gate);
         let _ = std::thread::spawn(move || {
             let _guard = g2.permits.lock().unwrap();
@@ -1829,7 +807,7 @@ mod tests {
 
     #[test]
     fn permit_released_when_holder_panics() {
-        let gate = ExecGate::new();
+        let gate = ExecGate::new(2);
         let before = *lock_recover(&gate.permits);
         let g2 = Arc::clone(&gate);
         let _ = std::thread::spawn(move || {
@@ -1876,51 +854,18 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_clears_cached_plans() {
-        let s = server();
-        let sql = "SELECT i.id AS id FROM Item i";
-        let _ = s.execute_sql(sql).unwrap();
-        let _ = s.execute_sql(sql).unwrap();
-        assert_eq!(s.metrics().snapshot().counter("server.plan_cache_hits"), 1);
-        s.invalidate_plan_cache();
-        let _ = s.execute_sql(sql).unwrap();
-        assert_eq!(s.metrics().snapshot().counter("server.plan_cache_hits"), 1);
-    }
-
-    #[test]
-    fn set_database_invalidates_plans() {
-        let mut s = server();
-        let sql = "SELECT i.id AS id FROM Item i ORDER BY id";
-        assert_eq!(s.execute_sql(sql).unwrap().row_count, 50);
-        let mut db = Database::new();
-        let mut t = Table::new(
-            "Item",
-            Schema::of(&[("id", DataType::Int), ("label", DataType::Str)]),
-        );
-        for i in 0..3i64 {
-            t.insert(row![i, format!("new-{i}")]).unwrap();
-        }
-        db.add_table(t);
-        s.set_database(Arc::new(db));
-        // The same SQL must re-plan against the new catalog, not serve the
-        // plan bound to the old one.
-        assert_eq!(s.execute_sql(sql).unwrap().row_count, 3);
-        assert_eq!(s.metrics().snapshot().counter("server.plan_cache_hits"), 0);
-    }
-
-    #[test]
     fn vanished_worker_surfaces_truncation() {
-        let (tx, rx) = sync_channel(1);
-        let source = StreamSource::parts(vec![rx], &Arc::new(MetricsRegistry::new()));
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let mut stream = TupleStream::new(
             Schema::of(&[("x", DataType::Int)]),
-            source,
+            vec![rx],
+            &Arc::new(MetricsRegistry::new()),
             CancelToken::none(),
         );
         // The sender vanishes without a Done/Failed terminator — the reader
         // must see a hard truncation error, not a clean end of stream.
         drop(tx);
-        match stream.next_row() {
+        match stream.next_chunk() {
             Err(EngineError::TruncatedStream { rows_decoded: 0 }) => {}
             other => panic!("expected truncation, got {other:?}"),
         }
@@ -1999,11 +944,11 @@ mod tests {
         let first = s.execute_sql(sql).unwrap().collect_rows().unwrap();
         assert_eq!(s.metrics().snapshot().counter("server.plan_cache_hits"), 0);
         let second = s.execute_sql(sql).unwrap().collect_rows().unwrap();
-        let mut stream = s.execute_sql_streaming(sql).unwrap();
-        let mut third = Vec::new();
-        while let Some(r) = stream.next_row().unwrap() {
-            third.push(r);
-        }
+        let third = s
+            .execute_sql_streaming(sql)
+            .unwrap()
+            .collect_rows()
+            .unwrap();
         assert_eq!(first, second);
         assert_eq!(first, third);
         assert_eq!(s.metrics().snapshot().counter("server.plan_cache_hits"), 2);
@@ -2047,6 +992,29 @@ mod tests {
     }
 
     #[test]
+    fn explain_analyze_is_bounded_like_a_query() {
+        let sql = "SELECT i.id AS id FROM Item i ORDER BY id";
+        let s = server().with_timeout(Duration::ZERO);
+        assert!(matches!(
+            s.execute_sql(sql),
+            Err(EngineError::Timeout { .. })
+        ));
+        match s.explain_analyze(sql) {
+            Err(EngineError::Timeout { .. }) => {}
+            other => panic!("expected timeout, got {other:?}"),
+        }
+        let snap = s.metrics().snapshot();
+        assert_eq!(snap.counter("server.timeouts"), 2);
+        assert_eq!(snap.counter("server.analyze"), 0);
+        // Analyze runs leave the fault injector alone: its hit counts
+        // belong to the queries.
+        let s = server().with_faults(FaultPlan::parse("panic@scan", 1).unwrap());
+        assert_eq!(s.explain_analyze(sql).unwrap().row_count, 50);
+        let hits = s.fault_injector().unwrap().hits();
+        assert!(hits.iter().all(|&(_, n)| n == 0), "{hits:?}");
+    }
+
+    #[test]
     fn tracer_records_server_spans_on_all_paths() {
         for workers in [true, false] {
             let tracer = Arc::new(Tracer::new());
@@ -2057,7 +1025,7 @@ mod tests {
             let _ = s.execute_sql(sql).unwrap().collect_rows().unwrap();
             let mut stream = s.execute_sql_streaming(sql).unwrap();
             stream.set_trace(&tracer, "0");
-            while stream.next_row().unwrap().is_some() {}
+            decode(&mut stream);
             let events = tracer.events();
             let names: Vec<&str> = events.iter().map(|e| e.name.as_ref()).collect();
             assert!(names.contains(&"server.parse_bind"), "{names:?}");
@@ -2124,6 +1092,25 @@ mod tests {
         assert_eq!(snap.counter("exec.calls.sort"), 0);
     }
 
+    /// Bind a stream to its end through a cell arena, the tagger's path,
+    /// returning its rows.
+    fn decode(stream: &mut TupleStream) -> Vec<Row> {
+        let mut arena = CellArena::new(stream.schema.arity());
+        let mut rows = Vec::new();
+        while stream.bind_next(&mut arena).unwrap() {
+            for r in 0..arena.rows() {
+                let row = (0..stream.schema.arity()).map(|c| match arena.cell(r, c) {
+                    Cell::Null => Value::Null,
+                    Cell::Int(i) => Value::Int(i),
+                    Cell::Float(x) => Value::Float(x),
+                    Cell::Str(b) => Value::str(std::str::from_utf8(b).unwrap()),
+                });
+                rows.push(Row::new(row.collect()));
+            }
+        }
+        rows
+    }
+
     const SHARD_SQL: &str = "SELECT i.id AS id, i.label AS label FROM Item i ORDER BY id";
 
     #[test]
@@ -2137,11 +1124,7 @@ mod tests {
             for k in [1usize, 2, 4] {
                 let s = server().with_stream_workers(workers).with_shards(k);
                 let mut stream = s.execute_sql_streaming(SHARD_SQL).unwrap();
-                let mut rows = Vec::new();
-                while let Some(r) = stream.next_row().unwrap() {
-                    rows.push(r);
-                }
-                assert_eq!(rows, reference, "workers={workers} k={k}");
+                assert_eq!(decode(&mut stream), reference, "workers={workers} k={k}");
                 // Aggregated metadata is final after full consumption.
                 assert_eq!(stream.row_count, 50);
                 assert!(stream.byte_size > 0);
@@ -2274,11 +1257,11 @@ mod tests {
         for shards in [1usize, 2, 4] {
             for workers in [false, true] {
                 let s = server().with_shards(shards).with_stream_workers(workers);
-                let mut stream = s.execute_sql_streaming(sql).unwrap();
-                let mut rows = Vec::new();
-                while let Some(r) = stream.next_row().unwrap() {
-                    rows.push(r);
-                }
+                let rows = s
+                    .execute_sql_streaming(sql)
+                    .unwrap()
+                    .collect_rows()
+                    .unwrap();
                 assert_eq!(rows, base, "shards={shards} workers={workers}");
             }
         }
@@ -2316,8 +1299,7 @@ mod tests {
     #[test]
     fn chunks_pack_partial_batches_into_full_chunks() {
         // The filter leaves the first scan batch short (1014 rows) and the
-        // rest whole: packed, every path cuts chunks by row count alone,
-        // and the buffered path's one chunk is the same bytes.
+        // rest whole: packed, every path cuts chunks by row count alone.
         let mut db = Database::new();
         let mut t = Table::new(
             "Item",
@@ -2329,30 +1311,28 @@ mod tests {
         db.add_table(t);
         let db = Arc::new(db);
         let sql = "SELECT i.id AS id, i.label AS label FROM Item i WHERE i.id >= 10";
-        let rows = |c: &Bytes| crate::wire::row_prefix(c, usize::MAX).unwrap().1;
+        let chunks = |mut stream: TupleStream| {
+            let mut chunks = Vec::new();
+            while let Some(c) = stream.next_chunk().unwrap() {
+                chunks.push(c);
+            }
+            chunks
+        };
         for workers in [true, false] {
             let s = Server::new(Arc::clone(&db)).with_stream_workers(workers);
-            let mut stream = s.execute_sql_streaming(sql).unwrap();
-            let (mut sizes, mut bytes) = (Vec::new(), Vec::new());
-            while let Some(c) = stream.next_chunk().unwrap() {
-                sizes.push(rows(&c));
-                bytes.extend_from_slice(&c);
-            }
+            let streamed = chunks(s.execute_sql_streaming(sql).unwrap());
+            let sizes: Vec<usize> = streamed
+                .iter()
+                .map(|c| crate::wire::row_prefix(c, usize::MAX).unwrap().1)
+                .collect();
             assert_eq!(sizes, [1024, 1024, 942], "workers={workers}");
-            let mut buffered = s.execute_sql(sql).unwrap();
-            assert_eq!(
-                buffered.next_chunk().unwrap().unwrap().as_ref(),
-                bytes.as_slice()
-            );
+            assert_eq!(chunks(s.execute_sql(sql).unwrap()), streamed);
         }
     }
 
     /// Decode a stream into rows, also returning the terminal metadata.
     fn drain(mut stream: TupleStream) -> (Vec<Row>, usize) {
-        let mut rows = Vec::new();
-        while let Some(r) = stream.next_row().unwrap() {
-            rows.push(r);
-        }
+        let rows = decode(&mut stream);
         (rows, stream.row_count)
     }
 
@@ -2424,28 +1404,6 @@ mod tests {
     }
 
     #[test]
-    fn set_database_invalidates_fragments() {
-        let mut s = server().with_fragment_cache(1 << 20);
-        assert_eq!(s.execute_sql(FRAG_SQL).unwrap().row_count, 50);
-        let mut db = Database::new();
-        let mut t = Table::new(
-            "Item",
-            Schema::of(&[("id", DataType::Int), ("label", DataType::Str)]),
-        );
-        for i in 0..3i64 {
-            t.insert(row![i, format!("new-{i}")]).unwrap();
-        }
-        db.add_table(t);
-        s.set_database(Arc::new(db));
-        assert_eq!(s.fragment_cache_info().unwrap().entries, 0);
-        let warm = s.execute_sql(FRAG_SQL).unwrap();
-        assert_eq!(warm.row_count, 3, "stale fragment must not be served");
-        let rows = warm.collect_rows().unwrap();
-        assert_eq!(rows[0].get(1), &Value::str("new-0"));
-        assert_eq!(s.metrics().snapshot().counter("cache.fragment.hits"), 0);
-    }
-
-    #[test]
     fn fragment_cache_evicts_under_tiny_budget() {
         // Budget fits roughly one result: the second distinct query evicts
         // the first (LRU), and oversized fragments are never admitted.
@@ -2475,17 +1433,13 @@ mod tests {
             .with_faults(FaultPlan::parse("panic@scan", 1).unwrap())
             .with_stream_workers(true);
         let mut stream = s.execute_sql_streaming(FRAG_SQL).unwrap();
-        let mut failed = false;
-        loop {
-            match stream.next_row() {
+        let failed = loop {
+            match stream.next_chunk() {
                 Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
+                Ok(None) => break false,
+                Err(_) => break true,
             }
-        }
+        };
         assert!(failed, "injected fault must surface");
         assert_eq!(
             s.fragment_cache_info().unwrap().entries,
@@ -2500,11 +1454,9 @@ mod tests {
             .with_fragment_cache(1 << 20)
             .with_stream_workers(false);
         let mut stream = s.execute_sql_streaming(FRAG_SQL).unwrap();
-        // Decode a few rows, then drop mid-stream: the capture must be
+        // Take the first chunk, then drop mid-stream: the capture must be
         // discarded, not committed as a short fragment.
-        for _ in 0..5 {
-            stream.next_row().unwrap();
-        }
+        stream.next_chunk().unwrap();
         drop(stream);
         assert_eq!(s.fragment_cache_info().unwrap().entries, 0);
         // The next run executes for real and serves the full result.
@@ -2514,12 +1466,12 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-        /// Interleaving queries with invalidations never serves a stale
+        /// Interleaving queries on both paths never serves a wrong
         /// fragment: after any operation sequence, every query's rows match
-        /// a cache-less server over the same (current) database.
+        /// a cache-less server over the same database.
         #[test]
-        fn fragment_cache_interleaving_never_stale(ops in proptest::collection::vec(0u8..4, 1..24)) {
-            let mut cached = server().with_fragment_cache(1 << 20);
+        fn fragment_cache_interleaving_never_stale(ops in proptest::collection::vec(0u8..6, 1..24)) {
+            let cached = server().with_fragment_cache(1 << 20);
             let plain = server();
             let queries = [
                 FRAG_SQL,
@@ -2527,32 +1479,15 @@ mod tests {
                 "SELECT i.label AS label, i.id AS id FROM Item i ORDER BY label",
             ];
             for op in ops {
-                match op {
-                    0..=2 => {
-                        let sql = queries[op as usize];
-                        let got = cached.execute_sql(sql).unwrap().collect_rows().unwrap();
-                        let want = plain.execute_sql(sql).unwrap().collect_rows().unwrap();
-                        proptest::prop_assert_eq!(got, want);
-                    }
-                    _ => {
-                        // Refresh to an identical catalog: contents do not
-                        // change, but every cached fragment must be dropped
-                        // (set_database cannot see that the data matches).
-                        let mut db = Database::new();
-                        let mut t = Table::new(
-                            "Item",
-                            Schema::of(&[("id", DataType::Int), ("label", DataType::Str)]),
-                        );
-                        for i in 0..50i64 {
-                            t.insert(row![i, format!("item-{i}")]).unwrap();
-                        }
-                        db.add_table(t);
-                        cached.set_database(Arc::new(db));
-                        proptest::prop_assert_eq!(
-                            cached.fragment_cache_info().unwrap().entries, 0
-                        );
-                    }
-                }
+                let sql = queries[op as usize % 3];
+                let stream = if op < 3 {
+                    cached.execute_sql(sql)
+                } else {
+                    cached.execute_sql_streaming(sql)
+                };
+                let got = stream.unwrap().collect_rows().unwrap();
+                let want = plain.execute_sql(sql).unwrap().collect_rows().unwrap();
+                proptest::prop_assert_eq!(got, want);
             }
         }
     }

@@ -22,6 +22,11 @@ use sr_data::{Row, Value};
 
 use crate::error::EngineError;
 
+/// Most rows in one encoded chunk: the server cuts every result into chunks
+/// of this many rows, the executor checks for cancellation once per this
+/// many rows of work, and a serving front-end cuts tuple frames to it.
+pub const CHUNK_ROWS: usize = 1024;
+
 /// Encode one row.
 pub fn encode_row(row: &Row, buf: &mut BytesMut) {
     buf.put_u32(row.arity() as u32);

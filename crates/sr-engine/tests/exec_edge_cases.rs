@@ -167,7 +167,7 @@ fn timeout_mid_plan_leaves_no_partial_stream() {
     ]
     .map(|q| server.execute_sql_streaming(q).unwrap());
     for mut stream in streams {
-        let first = stream.next_row();
+        let first = stream.next_chunk();
         assert!(
             matches!(first, Err(sr_engine::EngineError::Timeout { .. })),
             "expected timeout, got {first:?}"

@@ -3,10 +3,12 @@
 //! abort, or a silently short result.
 //!
 //! The matrix crosses fault sites (scan / encode / send) and kinds
-//! (panic / transient / delay) with the three execution paths: fully
-//! buffered (`execute_sql`), streaming on a worker thread, and the
-//! single-CPU inline streaming fallback. Faults are deterministic
-//! (seeded, hit-counted), so each cell is reproducible.
+//! (panic / transient / delay) with the three execution paths: inline
+//! with the result queued before the call returns (`execute_sql`),
+//! streaming on a worker thread, and the single-CPU inline streaming
+//! fallback. Every cell fires: all three run one execution body, and every
+//! chunk passes the `send` site. Faults are deterministic (seeded,
+//! hit-counted), so each cell is reproducible.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,16 +86,7 @@ fn panic_matrix_surfaces_typed_internal_errors() {
                 server().with_faults(FaultPlan::parse(&spec, 1).unwrap()),
                 mode,
             );
-            let result = run(&s, mode);
-            if mode == Mode::Buffered && site == "send" {
-                // The buffered path has no send site — the fault must not
-                // fire and the query must succeed untouched.
-                assert_eq!(result.unwrap().len(), 50, "{mode:?}/{site}");
-                assert_eq!(s.fault_injector().unwrap().fired(), 0);
-                assert_eq!(s.metrics().snapshot().counter("server.panics"), 0);
-                continue;
-            }
-            match result {
+            match run(&s, mode) {
                 Err(EngineError::Internal(m)) => {
                     assert!(m.contains("injected fault"), "{mode:?}/{site}: {m}")
                 }
@@ -151,11 +144,8 @@ fn transient_at_stream_sites_surfaces_without_truncation() {
     // Encode/send transients happen after execution, outside the retry
     // wrapper: they must surface as the stream's typed terminal error, not
     // as a clean-looking short document.
-    for mode in [Mode::Worker, Mode::Inline, Mode::Buffered] {
+    for mode in MODES {
         for site in ["encode", "send"] {
-            if mode == Mode::Buffered && site == "send" {
-                continue; // no send site on the buffered path
-            }
             let spec = format!("transient@{site}");
             let s = configure(
                 server().with_faults(FaultPlan::parse(&spec, 1).unwrap()),

@@ -16,6 +16,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use sr_engine::wire::CHUNK_ROWS;
 use sr_engine::{EngineError, Server, TupleStream};
 use sr_obs::{MetricsRegistry, Tracer};
 use sr_plan::Recoster;
@@ -439,9 +440,6 @@ pub fn publish<W: Write>(
 /// that framing overhead disappears into the noise.
 const CHUNK_BYTES: usize = 32 * 1024;
 
-/// Rows per tuple-mode chunk.
-const CHUNK_ROWS: usize = 1024;
-
 /// An `io::Write` that packages bytes into `RESP_CHUNK` frames on an
 /// underlying writer. The tagger writes the XML document into this.
 struct FrameChunkWriter<'a, W: Write> {
@@ -648,8 +646,8 @@ mod tests {
             .map(|q| q.sql)
             .collect();
         // Cold, the engine streams chunks of at most `CHUNK_ROWS` rows;
-        // primed through the buffered path, the fragment cache hands each
-        // stream back as one chunk however long. Same frames either way.
+        // primed through `execute_sql`, the fragment cache replays the
+        // chunks that run produced. Same frames either way.
         let cold = Server::new(Arc::clone(&db));
         let primed = Server::new(Arc::clone(&db)).with_fragment_cache(64 << 20);
         let mut expect = Vec::new();

@@ -110,11 +110,14 @@ fn analyze_matches_plain_execution_row_counts() {
     let tree = query2_tree(server.database());
     let sql = unified_sql(&tree, &server);
     let analysis = server.explain_analyze(&sql).expect("explain analyze");
-    let rs = server.execute_sql(&sql).expect("execute");
-    let mut rows = 0u64;
-    let mut stream = rs;
-    while stream.next_row().expect("row decode").is_some() {
-        rows += 1;
-    }
-    assert_eq!(analysis.row_count, rows, "analyze ran the same plan");
+    let rows = server
+        .execute_sql(&sql)
+        .expect("execute")
+        .collect_rows()
+        .expect("row decode");
+    assert_eq!(
+        analysis.row_count,
+        rows.len() as u64,
+        "analyze ran the same plan"
+    );
 }

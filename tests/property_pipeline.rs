@@ -180,16 +180,11 @@ proptest! {
             let queries =
                 sr_sqlgen::generate_queries(&tree, server.database(), spec).unwrap();
             for q in queries {
-                let mut streamed = server.execute_sql_streaming(&q.sql).unwrap();
-                let mut buffered = server.execute_sql(&q.sql).unwrap();
-                loop {
-                    let s = streamed.next_row().unwrap();
-                    let b = buffered.next_row().unwrap();
-                    prop_assert_eq!(&s, &b, "row divergence in {}", &q.sql);
-                    if s.is_none() {
-                        break;
-                    }
-                }
+                let streamed = server.execute_sql_streaming(&q.sql).unwrap();
+                let buffered = server.execute_sql(&q.sql).unwrap();
+                let s = streamed.collect_rows().unwrap();
+                let b = buffered.collect_rows().unwrap();
+                prop_assert_eq!(&s, &b, "row divergence in {}", &q.sql);
             }
         }
     }

@@ -83,14 +83,23 @@ fn full_chunks(n: usize) -> impl Iterator<Item = usize> {
 /// One chunking rule on every path: under the partitioned and the greedy
 /// plan of both views, at shards {1,2,4}, each stream's chunks hold 1024
 /// rows but the last of every shard — whatever batches the plan's
-/// operators produced — and a buffered stream is the same bytes in one
-/// chunk.
+/// operators produced — and `execute_sql`, which runs unsharded, cuts the
+/// same bytes into full chunks of the whole result.
 #[test]
 fn stream_chunks_are_full_but_the_last_of_each_shard() {
     let scale = sr_tpch::Scale::mb(0.5);
     let db = Arc::new(sr_tpch::generate(scale).expect("tpch generation"));
     let planner = Server::new(Arc::clone(&db));
     let rows = |chunk: &[u8]| sr_engine::wire::row_prefix(chunk, usize::MAX).unwrap().1;
+    // Rows per chunk, and the bytes of all chunks.
+    let drain = |mut stream: sr_engine::TupleStream| {
+        let (mut sizes, mut bytes) = (Vec::new(), Vec::new());
+        while let Some(chunk) = stream.next_chunk().unwrap() {
+            sizes.push(rows(&chunk));
+            bytes.extend_from_slice(&chunk);
+        }
+        (sizes, bytes)
+    };
     let mut longest = 0;
     for tree in [query1_tree(&db), query2_tree(&db)] {
         let oracle = Oracle::new(&planner, calibrated_params(scale));
@@ -116,18 +125,13 @@ fn stream_chunks_are_full_but_the_last_of_each_shard() {
                         let server = Server::new(Arc::clone(&db))
                             .with_shards(shards)
                             .with_stream_workers(workers);
-                        let mut stream = server.execute_sql_streaming(&q.sql).unwrap();
-                        let (mut got, mut bytes) = (Vec::new(), Vec::new());
-                        while let Some(chunk) = stream.next_chunk().unwrap() {
-                            got.push(rows(&chunk));
-                            bytes.extend_from_slice(&chunk);
-                        }
+                        let (got, bytes) = drain(server.execute_sql_streaming(&q.sql).unwrap());
                         let at = format!("shards={shards} workers={workers}: {}", q.sql);
                         assert_eq!(got, want, "{at}");
-                        let mut buffered = server.execute_sql(&q.sql).unwrap();
-                        let whole = buffered.next_chunk().unwrap().unwrap_or_default();
-                        assert_eq!(whole.as_ref(), bytes.as_slice(), "{at}");
-                        assert!(buffered.next_chunk().unwrap().is_none(), "{at}");
+                        let (sizes, whole) = drain(server.execute_sql(&q.sql).unwrap());
+                        let total = per_shard.iter().sum();
+                        assert_eq!(sizes, full_chunks(total).collect::<Vec<_>>(), "{at}");
+                        assert_eq!(whole, bytes, "{at}");
                     }
                 }
             }
