@@ -5,10 +5,10 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use sr_data::Schema;
-use sr_obs::MetricsRegistry;
+use sr_obs::{lock_recover, MetricsRegistry};
 
 use crate::cancel::CancelToken;
-use crate::lru::{lock_recover, Lru};
+use crate::lru::Lru;
 use crate::stream::{queued, StreamItem, StreamSummary, TupleStream};
 
 /// One cached materialized fragment: the wire-encoded chunks of a component

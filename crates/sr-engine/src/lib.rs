@@ -55,11 +55,12 @@ pub use exec::{
 pub use expr::{CmpOp, Expr, Predicate};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, FaultTrigger};
 pub use fragment::FragmentCacheInfo;
-pub use lru::{lock_recover, Lru};
+pub use lru::Lru;
 pub use optimize::push_filters;
 pub use ordering::{elide_sorts, order_info, OrderInfo};
 pub use plan::{JoinKind, Plan};
-pub use server::Server;
+pub use server::{NamedEstimate, Server};
 pub use shard::{range_boundaries, split_plan, ShardPlan};
+pub use sr_obs::lock_recover;
 pub use stream::TupleStream;
 pub use vexec::VecResultSet;

@@ -1,15 +1,8 @@
-//! The bounded map behind every cache that outlives a request, and the
-//! poison-recovering lock the caches sit behind.
+//! The bounded map behind every cache that outlives a request. The caches
+//! sit behind [`sr_obs::lock_recover`], re-exported as
+//! `sr_engine::lock_recover`.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Lock a mutex, recovering the data from a poisoned one. Only for state
-/// every update leaves consistent (a permit count, a cache map): propagating
-/// the poison would turn one failed query into a permanently wedged server.
-pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A string-keyed map of at most `cap` entries that evicts the entry least
 /// recently read or written, by a logical clock stamped on every hit and

@@ -11,13 +11,12 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use sr_data::column::ColumnBatch;
 use sr_data::Database;
-use sr_obs::{MetricsRegistry, TraceSpan, Tracer};
+use sr_obs::{lock_recover, MetricsRegistry, TraceSpan, Tracer};
 
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::exec::{execute_analyzed, execute_profiled_with, ExecProfile, PlanProfile};
 use crate::faults::{FaultInjector, FaultSite};
-use crate::lru::lock_recover;
 use crate::plan::Plan;
 use crate::stream::{StreamItem, StreamSummary};
 use crate::vexec::VecResultSet;

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sr_data::{Database, Schema, Value};
-use sr_obs::{MetricsRegistry, TraceSpan, Tracer};
+use sr_obs::{lock_recover, MetricsRegistry, TraceSpan, Tracer};
 
 use crate::analyze::ExplainAnalysis;
 use crate::cancel::CancelToken;
@@ -27,7 +27,7 @@ use crate::error::EngineError;
 use crate::exec::PlanProfile;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::fragment::{CachedFragment, FragmentCache, FragmentCacheInfo, FragmentCapture};
-use crate::lru::{lock_recover, Lru};
+use crate::lru::Lru;
 use crate::ordering::elide_sorts;
 use crate::plan::Plan;
 use crate::run::{spawn_worker, Exec, ExecGate};
@@ -70,6 +70,9 @@ pub struct Server {
     /// the same component query, or one with other literals — costs a
     /// lookup, a plan clone and the binding of its literals.
     plan_cache: Mutex<Lru<Arc<Prepared>>>,
+    /// Named prepared statements (see [`Server::estimate_named`]): a name
+    /// → an alias of the generic shape entry it was first rendered to.
+    names: Mutex<Lru<Named>>,
     /// Deterministic fault injector shared by every execution path; `None`
     /// in production (the common case pays one branch per site).
     faults: Option<Arc<FaultInjector>>,
@@ -99,6 +102,32 @@ struct Prepared {
     estimate: Result<Estimate, EngineError>,
 }
 
+/// A kept name: the shape's prepared entry and its shape key.
+#[derive(Clone)]
+struct Named {
+    prepared: Arc<Prepared>,
+    shape: Arc<str>,
+}
+
+/// The answer to [`Server::estimate_named`].
+#[derive(Debug, Clone)]
+pub struct NamedEstimate {
+    /// The estimate of the statement the name stands for.
+    pub estimate: Estimate,
+    /// What was estimated: the shape key when the name is kept, so every
+    /// name aliasing one shape reports the same statement; otherwise the
+    /// rendered SQL text.
+    pub statement: Arc<str>,
+}
+
+/// Entry cap for the named statements; on overflow the least-recently
+/// used name is dropped (the shape's cache entry is not).
+const NAMES_CAP: usize = 1024;
+
+/// What [`Server::prepared`] yields: the prepared statement, the literals
+/// to bind into it, and the shape key when it is the generic cache entry.
+type PreparedFor = (Arc<Prepared>, Vec<Value>, Option<String>);
+
 /// Entry cap for the prepared-plan cache; on overflow the least-recently
 /// used shape is evicted (`cache.evictions` counts them).
 const PLAN_CACHE_CAP: usize = 256;
@@ -125,6 +154,7 @@ impl Server {
             stream_workers: cores > 1,
             plan_cache_enabled: true,
             plan_cache: Mutex::new(Lru::new(PLAN_CACHE_CAP)),
+            names: Mutex::new(Lru::new(NAMES_CAP)),
             faults: None,
             fault_plan: None,
             transient_retries: DEFAULT_TRANSIENT_RETRIES,
@@ -198,11 +228,13 @@ impl Server {
         self
     }
 
-    /// Enable or disable the prepared-plan cache (on by default). Tests
-    /// plan with it off as the reference a cached plan must match.
+    /// Enable or disable the prepared-plan cache (on by default), and
+    /// with it the named statements. Tests plan with it off as the
+    /// reference a cached plan must match.
     pub fn with_plan_cache(mut self, on: bool) -> Self {
         self.plan_cache_enabled = on;
         lock_recover(&self.plan_cache).clear();
+        lock_recover(&self.names).clear();
         self
     }
 
@@ -278,7 +310,8 @@ impl Server {
     /// The registry all queries record into. Counters: `server.queries`,
     /// `server.streams`, `server.analyze`, `server.rows`, `server.bytes`,
     /// `server.estimates`, `server.timeouts`, `server.plan_cache_hits`,
-    /// `server.plan_cache_prepared`, `server.panics`, `server.cancelled`, `server.retries`,
+    /// `server.plan_cache_prepared`, `server.named_hits`,
+    /// `server.named_kept`, `server.panics`, `server.cancelled`, `server.retries`,
     /// `cache.evictions`, `exec.sorts_elided`, `exec.{calls,rows,batches}.<op>`.
     /// Histograms: `server.<phase>_ns`, `server.query_ns`,
     /// `server.estimate_ns`, `oracle.qerror` (Q-error ×1000).
@@ -303,26 +336,27 @@ impl Server {
     /// prepared plan with the statement's own literals bound, so the
     /// executor sees a plain literal plan.
     fn plan_cached(&self, sql: &str) -> Result<(Plan, Schema, usize), EngineError> {
-        let (p, params) = self.prepared(sql)?;
+        let (p, params, _) = self.prepared(sql)?;
         let mut plan = p.plan.clone();
         plan.bind_params(&params);
         Ok((plan, p.schema.clone(), p.elided))
     }
 
-    /// The prepared form of `sql` and the literals to bind into it. A hit
-    /// on the statement's shape bumps `server.plan_cache_hits`; a miss
-    /// prepares the shape (`server.plan_cache_prepared`) and keeps it
+    /// The prepared form of `sql`, the literals to bind into it, and the
+    /// shape key when the prepared form is the generic one the cache holds.
+    /// A hit on the statement's shape bumps `server.plan_cache_hits`; a
+    /// miss prepares the shape (`server.plan_cache_prepared`) and keeps it
     /// unless its estimate would depend on the literals.
-    fn prepared(&self, sql: &str) -> Result<(Arc<Prepared>, Vec<Value>), EngineError> {
+    fn prepared(&self, sql: &str) -> Result<PreparedFor, EngineError> {
         // The statement prepared from its own text, slots and cache unused.
-        let unshaped = || Ok((Arc::new(self.prepare(lex(sql)?, &[])?.0), Vec::new()));
+        let unshaped = || Ok((Arc::new(self.prepare(lex(sql)?, &[])?.0), Vec::new(), None));
         if !self.plan_cache_enabled {
             return unshaped();
         }
         let shape = shape(sql)?;
         if let Some(hit) = lock_recover(&self.plan_cache).get(&shape.key) {
             self.metrics.counter("server.plan_cache_hits").inc();
-            return Ok((Arc::clone(hit), shape.params));
+            return Ok((Arc::clone(hit), shape.params, Some(shape.key)));
         }
         self.metrics.counter("server.plan_cache_prepared").inc();
         let (p, generic) = match self.prepare(shape.tokens, &shape.params) {
@@ -332,11 +366,12 @@ impl Server {
             Err(_) => return unshaped(),
         };
         let p = Arc::new(p);
-        if generic {
-            let evicted = lock_recover(&self.plan_cache).insert(shape.key, Arc::clone(&p));
-            self.metrics.counter("cache.evictions").add(evicted);
+        if !generic {
+            return Ok((p, shape.params, None));
         }
-        Ok((p, shape.params))
+        let evicted = lock_recover(&self.plan_cache).insert(shape.key.clone(), Arc::clone(&p));
+        self.metrics.counter("cache.evictions").add(evicted);
+        Ok((p, shape.params, Some(shape.key)))
     }
 
     /// Parse → bind → push-down → estimate → elision → schema. Returns
@@ -515,12 +550,68 @@ impl Server {
     /// so every statement of one shape gets the same answer.
     pub fn estimate_sql(&self, sql: &str) -> Result<Estimate, EngineError> {
         let start = Instant::now();
-        let (p, _) = self.prepared(sql)?;
+        let (p, _, _) = self.prepared(sql)?;
+        self.record_estimate(start);
+        p.estimate.clone()
+    }
+
+    /// The estimate endpoint for a named prepared statement, as a real
+    /// RDBMS's `PREPARE name AS …` / `EXPLAIN EXECUTE name`. A kept name
+    /// answers from the statement it stands for (`server.named_hits`)
+    /// without calling `render`. Otherwise `render` yields the SQL text,
+    /// which is estimated like [`Server::estimate_sql`]'s, and the name is
+    /// kept (`server.named_kept`) only if the statement's shape is generic
+    /// — its estimate independent of every literal — so the name is an
+    /// alias of that shape's prepared entry. The database is an immutable
+    /// snapshot, so a kept name stays sound for the server's lifetime.
+    /// With the plan cache off no name is kept.
+    ///
+    /// The caller owns the naming: two statements under one name must
+    /// differ at most in the literals the shape lifts into slots.
+    pub fn estimate_named(
+        &self,
+        name: &str,
+        render: impl FnOnce() -> Result<String, EngineError>,
+    ) -> Result<NamedEstimate, EngineError> {
+        let hit = lock_recover(&self.names).get(name).cloned();
+        let (start, prepared, statement) = match hit {
+            Some(n) => {
+                self.metrics.counter("server.named_hits").inc();
+                (Instant::now(), n.prepared, n.shape)
+            }
+            None => {
+                let sql = render()?;
+                let start = Instant::now();
+                let (p, _, key) = self.prepared(&sql)?;
+                let statement: Arc<str> = match key {
+                    Some(key) => {
+                        let shape: Arc<str> = key.into();
+                        let named = Named {
+                            prepared: Arc::clone(&p),
+                            shape: Arc::clone(&shape),
+                        };
+                        lock_recover(&self.names).insert(name.to_string(), named);
+                        self.metrics.counter("server.named_kept").inc();
+                        shape
+                    }
+                    None => sql.into(),
+                };
+                (start, p, statement)
+            }
+        };
+        self.record_estimate(start);
+        Ok(NamedEstimate {
+            estimate: prepared.estimate.clone()?,
+            statement,
+        })
+    }
+
+    /// Count one answered estimate request and its time since `start`.
+    fn record_estimate(&self, start: Instant) {
         self.metrics.counter("server.estimates").inc();
         self.metrics
             .histogram("server.estimate_ns")
             .record_duration(start.elapsed());
-        p.estimate.clone()
     }
 
     /// Range-shard a SQL query the way the sharded execution path would,

@@ -311,3 +311,140 @@ fn faults_surface_typed_on_a_plan_from_a_shape_hit() {
         }
     }
 }
+
+fn counter(server: &Server, name: &str) -> u64 {
+    server.metrics().counter(name).get()
+}
+
+/// A render that must not run: the name should answer.
+fn unreachable_render() -> Result<String, EngineError> {
+    panic!("a kept name rendered its statement")
+}
+
+/// An order-key range statement; its literal faces a column, so its shape
+/// is generic.
+fn orders_below(k: i64) -> String {
+    format!("SELECT o.orderkey AS k FROM Orders o WHERE o.orderkey < {k} ORDER BY k")
+}
+
+/// Push-down through the constant projection turns `q.one = k` into the
+/// literal comparison `1 = k`, which the estimator prices by value.
+fn literal_sensitive(k: i64) -> String {
+    format!("SELECT q.k AS k FROM (SELECT 1 AS one, o.orderkey AS k FROM Orders o) AS q WHERE q.one = {k}")
+}
+
+#[test]
+fn a_name_is_kept_only_for_a_generic_shape() {
+    let db = database();
+    let server = Server::new(Arc::clone(&db));
+    let reference = Server::new(Arc::clone(&db)).with_plan_cache(false);
+    let first = server
+        .estimate_named("below", || Ok(orders_below(10)))
+        .unwrap();
+    assert_eq!(counter(&server, "server.named_kept"), 1);
+    assert_eq!(
+        bits(&first.estimate),
+        bits(&reference.estimate_sql(&orders_below(10)).unwrap())
+    );
+    // The kept name answers without rendering, from the same statement.
+    let again = server.estimate_named("below", unreachable_render).unwrap();
+    assert_eq!(bits(&again.estimate), bits(&first.estimate));
+    assert_eq!(again.statement, first.statement);
+    assert_eq!(counter(&server, "server.named_hits"), 1);
+    // Another name rendered to another literal of the shape aliases the
+    // same statement, and every literal of it estimates the same.
+    let other = server
+        .estimate_named("below-other", || Ok(orders_below(9_999)))
+        .unwrap();
+    assert_eq!(other.statement, first.statement);
+    assert_eq!(
+        bits(&other.estimate),
+        bits(&reference.estimate_sql(&orders_below(9_999)).unwrap())
+    );
+    assert_eq!(counter(&server, "server.named_kept"), 2);
+    assert_eq!(counter(&server, "server.estimates"), 3);
+}
+
+#[test]
+fn a_non_generic_statement_is_rendered_on_every_call() {
+    let db = database();
+    let server = Server::new(Arc::clone(&db));
+    let reference = Server::new(Arc::clone(&db)).with_plan_cache(false);
+    let mut renders = 0;
+    let mut cardinalities = Vec::new();
+    for k in [1, 2, 1] {
+        let named = server
+            .estimate_named("sensitive", || {
+                renders += 1;
+                Ok(literal_sensitive(k))
+            })
+            .unwrap();
+        let sql = literal_sensitive(k);
+        assert_eq!(
+            bits(&named.estimate),
+            bits(&reference.estimate_sql(&sql).unwrap()),
+            "k = {k}"
+        );
+        assert_eq!(&*named.statement, sql.as_str(), "not an alias: the text");
+        cardinalities.push(named.estimate.cardinality);
+    }
+    assert_eq!(renders, 3);
+    assert_ne!(cardinalities[0], cardinalities[1], "priced by value");
+    assert_eq!(counter(&server, "server.named_kept"), 0);
+    assert_eq!(counter(&server, "server.named_hits"), 0);
+}
+
+#[test]
+fn without_the_plan_cache_no_name_is_kept() {
+    let db = database();
+    let server = Server::new(Arc::clone(&db)).with_plan_cache(false);
+    let mut renders = 0;
+    for _ in 0..3 {
+        let named = server
+            .estimate_named("below", || {
+                renders += 1;
+                Ok(orders_below(10))
+            })
+            .unwrap();
+        assert_eq!(&*named.statement, orders_below(10).as_str());
+    }
+    assert_eq!(renders, 3);
+    assert_eq!(counter(&server, "server.named_kept"), 0);
+    assert_eq!(counter(&server, "server.plan_cache_prepared"), 0);
+    // A render that fails surfaces its own error, and keeps nothing.
+    let got = server.estimate_named("broken", || Err(EngineError::Internal("render".into())));
+    assert!(matches!(got, Err(EngineError::Internal(m)) if m == "render"));
+}
+
+#[test]
+fn faults_surface_typed_on_a_plan_from_a_named_hit() {
+    quiet_injected_panics();
+    let db = database();
+    let reference = Server::new(Arc::clone(&db)).with_plan_cache(false);
+    for rule in ["panic@scan", "transient@scan#1"] {
+        let server = Server::new(Arc::clone(&db)).with_faults(FaultPlan::parse(rule, 1).unwrap());
+        server
+            .estimate_named("below", || Ok(orders_below(10)))
+            .unwrap();
+        // A named hit estimates without executing: no fault site is hit.
+        server.estimate_named("below", unreachable_render).unwrap();
+        let injector = server.fault_injector().unwrap();
+        assert!(injector.hits().iter().all(|&(_, n)| n == 0), "{rule}");
+        // Executing another literal of the named shape plans from the
+        // entry the name aliases, and the fault surfaces typed.
+        let hits = counter(&server, "server.plan_cache_hits");
+        let got = wire(&server, &orders_below(40));
+        assert_eq!(
+            counter(&server, "server.plan_cache_hits"),
+            hits + 1,
+            "{rule}"
+        );
+        match rule {
+            "panic@scan" => assert!(matches!(got, Err(EngineError::Internal(_))), "{got:?}"),
+            _ => {
+                assert_eq!(got, wire(&reference, &orders_below(40)), "{rule}");
+                assert_eq!(counter(&server, "server.retries"), 1);
+            }
+        }
+    }
+}

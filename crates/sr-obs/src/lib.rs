@@ -41,3 +41,14 @@ pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, Snapsh
 pub use span::{SpanGuard, SpanStat, Spans};
 pub use trace::{TraceEvent, TracePhase, TraceSpan, Tracer};
 pub use window::{WindowStats, WindowedCounter, WindowedHistogram};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock a mutex, recovering the data from a poisoned one. Only for state
+/// every update leaves consistent (a registry map, an event buffer, a
+/// permit count, a cache map): propagating the poison would let one failed
+/// request wedge every later one, and telemetry must never panic a
+/// request.
+pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

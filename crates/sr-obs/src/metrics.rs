@@ -6,6 +6,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::json::Json;
+use crate::lock_recover;
 
 /// A monotone atomic counter.
 #[derive(Debug, Default)]
@@ -243,20 +244,12 @@ impl MetricsRegistry {
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("counter registry lock");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
+        get_or_insert(&self.counters, name)
     }
 
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("histogram registry lock");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
+        get_or_insert(&self.histograms, name)
     }
 
     /// Get or create the rolling-window histogram `name`. Windowed
@@ -264,26 +257,12 @@ impl MetricsRegistry {
     /// namespace; a snapshot of the cumulative registry does not include
     /// them (see [`MetricsRegistry::windows_json`]).
     pub fn windowed_histogram(&self, name: &str) -> Arc<crate::window::WindowedHistogram> {
-        let mut map = self
-            .windowed_histograms
-            .lock()
-            .expect("windowed histogram registry lock");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(crate::window::WindowedHistogram::new())),
-        )
+        get_or_insert(&self.windowed_histograms, name)
     }
 
     /// Get or create the rolling-window counter `name`.
     pub fn windowed_counter(&self, name: &str) -> Arc<crate::window::WindowedCounter> {
-        let mut map = self
-            .windowed_counters
-            .lock()
-            .expect("windowed counter registry lock");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(crate::window::WindowedCounter::new())),
-        )
+        get_or_insert(&self.windowed_counters, name)
     }
 
     /// The rolling 1 s / 10 s / 60 s views of every windowed instrument as
@@ -291,17 +270,13 @@ impl MetricsRegistry {
     /// "counters": {...}}`.
     pub fn windows_json(&self) -> Json {
         let histograms = Json::Obj(
-            self.windowed_histograms
-                .lock()
-                .expect("windowed histogram registry lock")
+            lock_recover(&self.windowed_histograms)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.to_json()))
                 .collect(),
         );
         let counters = Json::Obj(
-            self.windowed_counters
-                .lock()
-                .expect("windowed counter registry lock")
+            lock_recover(&self.windowed_counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.to_json()))
                 .collect(),
@@ -311,17 +286,11 @@ impl MetricsRegistry {
 
     /// Immutable snapshot of every instrument.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .counters
-            .lock()
-            .expect("counter registry lock")
+        let counters = lock_recover(&self.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("histogram registry lock")
+        let histograms = lock_recover(&self.histograms)
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
@@ -330,6 +299,16 @@ impl MetricsRegistry {
             histograms,
         }
     }
+}
+
+/// The instrument under `name`, created on first use. A hit allocates
+/// nothing: the key `String` is made only when the name is registered.
+fn get_or_insert<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = lock_recover(map);
+    if let Some(hit) = map.get(name) {
+        return Arc::clone(hit);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
 }
 
 /// An immutable, mergeable view of a registry at a point in time.
@@ -393,6 +372,27 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_poisoned_registry_still_records_and_snapshots() {
+        let reg = Arc::new(MetricsRegistry::new());
+        reg.counter("kept").inc();
+        let held = Arc::clone(&reg);
+        let _ = std::thread::spawn(move || {
+            let _counters = held.counters.lock();
+            let _histograms = held.histograms.lock();
+            panic!("poison the registry");
+        })
+        .join();
+        assert!(reg.counters.is_poisoned() && reg.histograms.is_poisoned());
+        reg.counter("kept").inc();
+        reg.counter("new").inc();
+        reg.histogram("h").record(3);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("kept"), 2);
+        assert_eq!(snap.counter("new"), 1);
+        assert_eq!(snap.histogram("h").unwrap().count, 1);
+    }
 
     #[test]
     fn bucketing_is_base2() {

@@ -40,6 +40,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::lock_recover;
 
 /// Process-wide lane allocator: real threads and virtual lanes draw from
 /// the same sequence, so a lane id is unique across both.
@@ -147,7 +148,7 @@ impl Tracer {
 
     /// Name a lane (replacing any previous name).
     fn set_lane_name(&self, lane: u64, name: String) {
-        let mut names = self.lane_names.lock().expect("lane names poisoned");
+        let mut names = lock_recover(&self.lane_names);
         match names.iter_mut().find(|(l, _)| *l == lane) {
             Some((_, n)) => *n = name,
             None => names.push((lane, name)),
@@ -163,13 +164,10 @@ impl Tracer {
                 return Arc::clone(b);
             }
             let b = Arc::new(EventBuf::default());
-            self.bufs
-                .lock()
-                .expect("tracer bufs poisoned")
-                .push(Arc::clone(&b));
+            lock_recover(&self.bufs).push(Arc::clone(&b));
             bufs.push((self.id, Arc::clone(&b)));
             let lane = thread_lane();
-            let mut names = self.lane_names.lock().expect("lane names poisoned");
+            let mut names = lock_recover(&self.lane_names);
             if !names.iter().any(|(l, _)| *l == lane) {
                 names.push((lane, format!("thread-{lane}")));
             }
@@ -178,11 +176,7 @@ impl Tracer {
     }
 
     fn emit(&self, ev: TraceEvent) {
-        self.buf()
-            .events
-            .lock()
-            .expect("event buf poisoned")
-            .push(ev);
+        lock_recover(&self.buf().events).push(ev);
     }
 
     /// The current thread's lane id (registering a default name).
@@ -262,21 +256,15 @@ impl Tracer {
 
     /// Registered lanes as `(lane id, name)`, in registration order.
     pub fn lanes(&self) -> Vec<(u64, String)> {
-        self.lane_names.lock().expect("lane names poisoned").clone()
+        lock_recover(&self.lane_names).clone()
     }
 
     /// Merge every thread's buffer into one snapshot, sorted by timestamp
     /// (stable, so same-timestamp events keep their recording order).
     pub fn events(&self) -> Vec<TraceEvent> {
         let mut all = Vec::new();
-        for buf in self.bufs.lock().expect("tracer bufs poisoned").iter() {
-            all.extend(
-                buf.events
-                    .lock()
-                    .expect("event buf poisoned")
-                    .iter()
-                    .cloned(),
-            );
+        for buf in lock_recover(&self.bufs).iter() {
+            all.extend(lock_recover(&buf.events).iter().cloned());
         }
         all.sort_by_key(|e| e.ts_ns);
         all

@@ -18,6 +18,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
+use crate::lock_recover;
 use crate::metrics::{HistogramSnapshot, HISTOGRAM_BUCKETS};
 
 /// Ring capacity in slots. With one-second slots this bounds the largest
@@ -197,7 +198,7 @@ impl Default for WindowedHistogram {
 
 impl std::fmt::Debug for WindowedHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ring = self.ring.lock().expect("window ring lock");
+        let ring = lock_recover(&self.ring);
         f.debug_struct("WindowedHistogram")
             .field("head", &ring.head)
             .finish()
@@ -226,7 +227,7 @@ impl WindowedHistogram {
     /// injectable-clock variant the determinism tests drive.
     pub fn record_at(&self, value: u64, elapsed: Duration) {
         let abs = Self::abs_of(elapsed);
-        let mut ring = self.ring.lock().expect("window ring lock");
+        let mut ring = lock_recover(&self.ring);
         let abs = ring.rotate(abs);
         let i = (abs % RING_SLOTS as u64) as usize;
         if ring.slots[i].abs != abs {
@@ -244,7 +245,7 @@ impl WindowedHistogram {
     pub fn window_at(&self, secs: u64, elapsed: Duration) -> WindowStats {
         let secs = secs.max(1).min((RING_SLOTS as u64) * SLOT_SECS);
         let window_slots = secs.div_ceil(SLOT_SECS);
-        let mut ring = self.ring.lock().expect("window ring lock");
+        let mut ring = lock_recover(&self.ring);
         let head = ring.rotate(Self::abs_of(elapsed));
         let hist = ring.merge_window(window_slots);
         drop(ring);

@@ -106,13 +106,19 @@ pub fn gen_plan_capable(
 ) -> Result<GreedyResult, EngineError> {
     // A component's query depends on its nodes alone — every non-root
     // member's parent edge is included by definition — so each distinct
-    // component is built, printed and costed once per call.
+    // component is costed once per call, as a statement named by the
+    // tree's literal-masked shape: built and printed only the first time
+    // the server sees that shape.
+    let view = oracle.view_shape(tree, db);
     let mut memo: HashMap<Vec<NodeId>, f64> = HashMap::new();
     let mut component_cost = |comp: &Component, edges| -> Result<f64, EngineError> {
         if let Some(&cost) = memo.get(&comp.nodes) {
             return Ok(cost);
         }
-        let cost = oracle.component_cost(tree, db, comp, edges, reduce)?;
+        let cost = match &view {
+            Some(view) => oracle.named_component_cost(view, tree, db, comp, edges, reduce)?,
+            None => oracle.component_cost(tree, db, comp, edges, reduce)?,
+        };
         memo.insert(comp.nodes.clone(), cost);
         Ok(cost)
     };

@@ -159,3 +159,55 @@ fn greedy_is_deterministic() {
     assert_eq!(r1.optional, r2.optional);
     assert_eq!(r1.trace.len(), r2.trace.len());
 }
+
+/// The verdict of `genPlan` is a property of an XPath's shape, not of its
+/// literals: for each of the benchmark's three shapes over Query 1, under
+/// 50 literals drawn from the data, the verdict of a warm call (every
+/// costing a named statement the server already holds) equals the verdict
+/// of a cold call on a fresh server, and the warm calls render no SQL.
+#[test]
+fn warm_verdicts_equal_cold_for_every_literal() {
+    let scale = Scale::mb(0.1);
+    let db = Arc::new(generate(scale).unwrap());
+    let warm = Server::new(Arc::clone(&db));
+    let query1 = query1_tree(&db);
+    let part = db.table("Part").unwrap();
+    let name = part.schema().require("name").unwrap();
+    let orders = scale.orders() as i64;
+    let plan = |server: &Server, xpath: &str| {
+        let path = sr_xpath::parse(xpath).unwrap();
+        let tree = sr_xpath::compose(&query1, &path).unwrap().tree;
+        gen_plan(
+            &tree,
+            &db,
+            &Oracle::new(server, calibrated_params(scale)),
+            true,
+        )
+        .unwrap()
+    };
+    let shapes: [&dyn Fn(usize) -> String; 3] = [
+        &|_| "/supplier/name".to_string(),
+        &|i| {
+            let row = &part.rows()[(i * 37) % part.len()];
+            let s = row.get(name).as_str().unwrap();
+            format!("/supplier/part[name = \"{s}\"]/order")
+        },
+        &|i| format!("//order[orderkey < {}]", (i as i64 * 7919) % (orders + 2)),
+    ];
+    for shape in shapes {
+        // Prime the shape once, then every literal must plan warm.
+        plan(&warm, &shape(50));
+        let rendered = warm.metrics().counter("oracle.sql_rendered").get();
+        for i in 0..50 {
+            let xpath = shape(i);
+            let w = plan(&warm, &xpath);
+            let c = plan(&Server::new(Arc::clone(&db)), &xpath);
+            assert_eq!(w.mandatory, c.mandatory, "{xpath}");
+            assert_eq!(w.optional, c.optional, "{xpath}");
+            assert_eq!(w.trace, c.trace, "{xpath}");
+            assert_eq!(w.oracle_requests, c.oracle_requests, "{xpath}");
+        }
+        let now = warm.metrics().counter("oracle.sql_rendered").get();
+        assert_eq!(now, rendered, "{}: warm calls rendered SQL", shape(0));
+    }
+}
