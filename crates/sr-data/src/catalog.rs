@@ -7,8 +7,6 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use std::sync::RwLock;
-
 use crate::constraints::{
     validate_columns, ForeignKey, FunctionalDependency, InclusionDependency, TableConstraints,
 };
@@ -18,8 +16,9 @@ use crate::table::Table;
 
 /// A database: tables, constraints, and lazily computed statistics.
 ///
-/// `Database` is `Sync` (statistics are cached behind a lock) so the engine
-/// "server" can execute queries from multiple streams concurrently.
+/// `Database` is `Sync` (each table keeps its statistics in a `OnceLock`)
+/// so the engine "server" can execute queries from multiple streams
+/// concurrently.
 ///
 /// ```
 /// use sr_data::{row, Database, DataType, Schema, Table};
@@ -37,7 +36,6 @@ pub struct Database {
     clustering: BTreeMap<String, Vec<String>>,
     foreign_keys: Vec<ForeignKey>,
     inclusions: Vec<InclusionDependency>,
-    stats_cache: RwLock<BTreeMap<String, Arc<TableStats>>>,
 }
 
 impl Database {
@@ -49,16 +47,11 @@ impl Database {
             clustering: BTreeMap::new(),
             foreign_keys: Vec::new(),
             inclusions: Vec::new(),
-            stats_cache: RwLock::new(BTreeMap::new()),
         }
     }
 
     /// Add (or replace) a table.
     pub fn add_table(&mut self, table: Table) {
-        self.stats_cache
-            .write()
-            .expect("stats lock")
-            .remove(table.name());
         self.tables.insert(table.name().to_string(), table);
     }
 
@@ -136,7 +129,6 @@ impl Database {
 
     /// Mutable access to a table (e.g. for data loading).
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, DataError> {
-        self.stats_cache.write().expect("stats lock").remove(name);
         self.tables
             .get_mut(name)
             .ok_or_else(|| DataError::UnknownTable(name.to_string()))
@@ -191,18 +183,9 @@ impl Database {
             .find(|fk| fk.table == table && fk.columns == cols)
     }
 
-    /// Statistics for a table, computed on first use and cached.
+    /// Statistics for a table, computed on first use and kept by the table.
     pub fn stats(&self, table: &str) -> Result<Arc<TableStats>, DataError> {
-        if let Some(s) = self.stats_cache.read().expect("stats lock").get(table) {
-            return Ok(Arc::clone(s));
-        }
-        let t = self.table(table)?;
-        let s = Arc::new(TableStats::compute(t));
-        self.stats_cache
-            .write()
-            .expect("stats lock")
-            .insert(table.to_string(), Arc::clone(&s));
-        Ok(s)
+        Ok(self.table(table)?.stats())
     }
 
     /// Validate every declared key and clustering against the data.
@@ -257,7 +240,7 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::schema::Schema;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -364,18 +347,19 @@ mod tests {
     }
 
     #[test]
-    fn stats_cached_and_invalidated() {
+    fn stats_reflect_insert() {
         let mut db = db();
         let s1 = db.stats("Supplier").unwrap();
         assert_eq!(s1.row_count, 2);
-        let s2 = db.stats("Supplier").unwrap();
-        assert!(Arc::ptr_eq(&s1, &s2), "cache hit");
+        assert!(db.stats("Missing").is_err());
         db.table_mut("Supplier")
             .unwrap()
             .insert(row![12i64, "S3", 1i64])
             .unwrap();
-        let s3 = db.stats("Supplier").unwrap();
-        assert_eq!(s3.row_count, 3, "cache invalidated on mutation");
+        let s2 = db.stats("Supplier").unwrap();
+        assert_eq!(s2.row_count, 3, "a table's insert resets its statistics");
+        assert_eq!(s2.column("suppkey").unwrap().max, Some(Value::Int(12)));
+        assert_eq!(s1.row_count, 2, "a held Arc keeps the old statistics");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Columnar batches: the vectorized executor's data representation.
+//! Columnar batches: the stored form of tables and the executor's data.
 //!
 //! A [`ColumnBatch`] holds up to [`BATCH_ROWS`] rows as typed column
 //! vectors ([`Column`]) with validity bitmaps. Strings use an
@@ -24,7 +24,7 @@ use crate::value::{DataType, Value};
 pub const BATCH_ROWS: usize = 1024;
 
 /// Typed storage behind one [`Column`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ColumnData {
     /// 64-bit integers; NULL slots hold 0.
     Int64(Vec<i64>),
@@ -42,19 +42,12 @@ pub enum ColumnData {
 
 /// One typed column vector with a validity bitmap.
 ///
-/// Cloning is O(1): the data and validity words are `Arc`-shared, so a
-/// projection that forwards a column costs a pointer copy, not a copy of
-/// the values.
+/// Cloning is O(1): the cells — a finished [`ColumnBuilder`] — are
+/// `Arc`-shared, so a projection that forwards a column costs a pointer
+/// copy, not a copy of the values.
 #[derive(Debug, Clone)]
 pub struct Column {
-    dtype: DataType,
-    len: usize,
-    nulls: usize,
-    data: Arc<ColumnData>,
-    /// Bit `i` set = cell `i` is non-NULL. `None` = all cells valid.
-    validity: Option<Arc<Vec<u64>>>,
-    /// Min/max over valid cells of an Int64 column (the zone map).
-    zone: Option<(i64, i64)>,
+    cells: Arc<ColumnBuilder>,
 }
 
 #[inline]
@@ -65,45 +58,55 @@ fn bit_get(words: &[u64], i: usize) -> bool {
 impl Column {
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.len
+        self.cells.len
     }
 
     /// `true` iff the column has no cells.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cells.len == 0
     }
 
     /// The column's type.
     pub fn dtype(&self) -> DataType {
-        self.dtype
+        self.cells.dtype
     }
 
     /// Number of NULL cells.
     pub fn null_count(&self) -> usize {
-        self.nulls
+        self.cells.nulls
     }
 
     /// The typed storage.
     pub fn data(&self) -> &ColumnData {
-        &self.data
+        &self.cells.data
     }
 
     /// `true` iff cell `i` is non-NULL.
     #[inline]
     pub fn is_valid(&self, i: usize) -> bool {
-        match &self.validity {
-            None => true,
-            Some(words) => bit_get(words, i),
-        }
+        self.cells.nulls == 0 || bit_get(&self.cells.validity, i)
     }
 
     /// Conservative `(min, max)` bound over the valid cells of an Int64
     /// column; `None` for other types or when every cell is NULL. Exact on
-    /// freshly built columns; `gather`/`concat` carry bounds forward
+    /// built and appended columns; `gather`/`concat` carry bounds forward
     /// without re-scanning, so a derived column's bound may be wider than
     /// its actual values — never narrower, which is what pruning needs.
     pub fn zone(&self) -> Option<(i64, i64)> {
-        self.zone
+        self.cells.zone
+    }
+
+    /// The string in cell `i`, without allocating; `None` if the cell is
+    /// NULL or the column is not a Str column.
+    pub fn str_at(&self, i: usize) -> Option<&str> {
+        match &self.cells.data {
+            ColumnData::Utf8 { offsets, bytes } if self.is_valid(i) => {
+                let s = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
+                // Invariant: the builder only ever stores valid UTF-8.
+                Some(std::str::from_utf8(s).unwrap_or(""))
+            }
+            _ => None,
+        }
     }
 
     /// Materialize cell `i` as a [`Value`] (allocates for strings).
@@ -111,28 +114,11 @@ impl Column {
         if !self.is_valid(i) {
             return Value::Null;
         }
-        match &*self.data {
+        match &self.cells.data {
             ColumnData::Int64(v) => Value::Int(v[i]),
             ColumnData::Float64(v) => Value::Float(v[i]),
-            ColumnData::Utf8 { offsets, bytes } => {
-                let s = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
-                // Invariant: the builder only ever stores valid UTF-8.
-                Value::Str(Arc::from(std::str::from_utf8(s).unwrap_or("")))
-            }
+            ColumnData::Utf8 { .. } => Value::Str(Arc::from(self.str_at(i).unwrap_or(""))),
         }
-    }
-
-    /// Build a column of `dtype` from an iterator of cells.
-    pub fn from_cells<'a>(
-        dtype: DataType,
-        cells: impl Iterator<Item = &'a Value>,
-        capacity: usize,
-    ) -> Result<Column, DataError> {
-        let mut b = ColumnBuilder::new(dtype, capacity);
-        for v in cells {
-            b.push(v)?;
-        }
-        Ok(b.finish())
     }
 
     /// A column of `len` NULLs.
@@ -163,8 +149,8 @@ impl Column {
     pub fn gather(&self, sel: &[u32]) -> Result<Column, DataError> {
         // Fast path for NULL-free sources with no pad entries: straight
         // element moves, no per-cell validity bookkeeping.
-        if self.nulls == 0 && !sel.contains(&u32::MAX) {
-            let data = match &*self.data {
+        if self.null_count() == 0 && !sel.contains(&u32::MAX) {
+            let data = match self.data() {
                 ColumnData::Int64(v) => {
                     ColumnData::Int64(sel.iter().map(|&s| v[s as usize]).collect())
                 }
@@ -201,17 +187,11 @@ impl Column {
                     }
                 }
             };
-            return Ok(Column {
-                dtype: self.dtype,
-                len: sel.len(),
-                nulls: 0,
-                data: Arc::new(data),
-                validity: None,
-                zone: if sel.is_empty() { None } else { self.zone },
-            });
+            let cells = ColumnBuilder::valid(self.dtype(), data, sel.len());
+            return Ok(cells.finish_zoned(self.zone()));
         }
-        let mut b = ColumnBuilder::new(self.dtype, sel.len());
-        match &*self.data {
+        let mut b = ColumnBuilder::new(self.dtype(), sel.len());
+        match self.data() {
             ColumnData::Int64(v) => {
                 for &s in sel {
                     let i = s as usize;
@@ -243,21 +223,21 @@ impl Column {
                 }
             }
         }
-        Ok(b.finish_zoned(self.zone))
+        Ok(b.finish_zoned(self.zone()))
     }
 
     /// Concatenate columns of the same type into one. The zone bound is
     /// the union of the parts' bounds (conservative, no re-scan).
     pub fn concat(parts: &[&Column], dtype: DataType) -> Result<Column, DataError> {
-        let total: usize = parts.iter().map(|c| c.len).sum();
+        let total: usize = parts.iter().map(|c| c.len()).sum();
         let zone = parts
             .iter()
-            .filter_map(|c| c.zone)
+            .filter_map(|c| c.zone())
             .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)));
         if dtype == DataType::Str {
             let payload: usize = parts
                 .iter()
-                .map(|c| match &*c.data {
+                .map(|c| match c.data() {
                     ColumnData::Utf8 { bytes, .. } => bytes.len(),
                     _ => 0,
                 })
@@ -271,12 +251,12 @@ impl Column {
             }
         }
         // Fast path: every part NULL-free — splice the typed vectors.
-        if parts.iter().all(|c| c.nulls == 0) {
+        if parts.iter().all(|c| c.null_count() == 0) {
             let data = match dtype {
                 DataType::Int => {
                     let mut out = Vec::with_capacity(total);
                     for c in parts {
-                        if let ColumnData::Int64(v) = &*c.data {
+                        if let ColumnData::Int64(v) = c.data() {
                             out.extend_from_slice(v);
                         }
                     }
@@ -285,7 +265,7 @@ impl Column {
                 DataType::Float => {
                     let mut out = Vec::with_capacity(total);
                     for c in parts {
-                        if let ColumnData::Float64(v) = &*c.data {
+                        if let ColumnData::Float64(v) = c.data() {
                             out.extend_from_slice(v);
                         }
                     }
@@ -296,7 +276,7 @@ impl Column {
                     let mut out_offsets = Vec::with_capacity(total + 1);
                     out_offsets.push(0u32);
                     for c in parts {
-                        if let ColumnData::Utf8 { offsets, bytes } = &*c.data {
+                        if let ColumnData::Utf8 { offsets, bytes } = c.data() {
                             let first = *offsets.first().unwrap_or(&0);
                             let last = *offsets.last().unwrap_or(&0);
                             let base = out_bytes.len() as u32 - first;
@@ -310,18 +290,11 @@ impl Column {
                     }
                 }
             };
-            return Ok(Column {
-                dtype,
-                len: total,
-                nulls: 0,
-                data: Arc::new(data),
-                validity: None,
-                zone,
-            });
+            return Ok(ColumnBuilder::valid(dtype, data, total).finish_zoned(zone));
         }
         let mut b = ColumnBuilder::new(dtype, total);
         for c in parts {
-            match &*c.data {
+            match c.data() {
                 ColumnData::Int64(v) => {
                     for (i, x) in v.iter().enumerate() {
                         if c.is_valid(i) {
@@ -341,7 +314,7 @@ impl Column {
                     }
                 }
                 ColumnData::Utf8 { offsets, bytes } => {
-                    for i in 0..c.len {
+                    for i in 0..c.len() {
                         if c.is_valid(i) {
                             b.push_str_bytes(&bytes[offsets[i] as usize..offsets[i + 1] as usize])?;
                         } else {
@@ -356,89 +329,108 @@ impl Column {
 
     /// Simulated wire size of all cells (matches `Row::wire_width` summed).
     pub fn wire_width(&self) -> usize {
-        let valid = self.len - self.nulls;
-        match &*self.data {
-            ColumnData::Int64(_) | ColumnData::Float64(_) => 9 * valid + self.nulls,
+        let nulls = self.null_count();
+        let valid = self.len() - nulls;
+        match self.data() {
+            ColumnData::Int64(_) | ColumnData::Float64(_) => 9 * valid + nulls,
             // NULL cells occupy empty byte ranges, so `bytes.len()` is the
             // total payload of the valid cells.
-            ColumnData::Utf8 { bytes, .. } => 5 * valid + bytes.len() + self.nulls,
+            ColumnData::Utf8 { bytes, .. } => 5 * valid + bytes.len() + nulls,
         }
     }
 }
 
-/// Incremental [`Column`] constructor.
+/// Incremental [`Column`] constructor, and the cells of a finished one:
+/// `finish` shares the builder by `Arc`, so appending to a stored column
+/// is this same `push`.
+#[derive(Debug, Clone)]
 pub struct ColumnBuilder {
     dtype: DataType,
-    ints: Vec<i64>,
-    floats: Vec<f64>,
-    offsets: Vec<u32>,
-    bytes: Vec<u8>,
+    data: ColumnData,
+    /// Bit `i` set = cell `i` is non-NULL. Empty until the first NULL,
+    /// then one word per 64 cells; bits past `len` stay set.
     validity: Vec<u64>,
     len: usize,
     nulls: usize,
+    /// Min/max over valid cells of an Int64 column (the zone map), kept
+    /// as cells are pushed.
+    zone: Option<(i64, i64)>,
     byte_cap: u32,
 }
 
 impl ColumnBuilder {
     /// A builder for a column of `dtype`, pre-sized for `capacity` cells.
     pub fn new(dtype: DataType, capacity: usize) -> ColumnBuilder {
-        let mut b = ColumnBuilder {
-            dtype,
-            ints: Vec::new(),
-            floats: Vec::new(),
-            offsets: Vec::new(),
-            bytes: Vec::new(),
-            validity: Vec::with_capacity(capacity.div_ceil(64)),
-            len: 0,
-            nulls: 0,
-            byte_cap: u32::MAX,
-        };
-        match dtype {
-            DataType::Int => b.ints.reserve(capacity),
-            DataType::Float => b.floats.reserve(capacity),
+        let data = match dtype {
+            DataType::Int => ColumnData::Int64(Vec::with_capacity(capacity)),
+            DataType::Float => ColumnData::Float64(Vec::with_capacity(capacity)),
             DataType::Str => {
-                b.offsets.reserve(capacity + 1);
-                b.offsets.push(0);
+                let mut offsets = Vec::with_capacity(capacity + 1);
+                offsets.push(0);
+                ColumnData::Utf8 {
+                    offsets,
+                    bytes: Vec::new(),
+                }
             }
+        };
+        ColumnBuilder::valid(dtype, data, 0)
+    }
+
+    /// A builder over `len` cells in `data`, all of them valid.
+    fn valid(dtype: DataType, data: ColumnData, len: usize) -> ColumnBuilder {
+        ColumnBuilder {
+            dtype,
+            data,
+            validity: Vec::new(),
+            len,
+            nulls: 0,
+            zone: None,
+            byte_cap: u32::MAX,
         }
-        b
     }
 
     #[inline]
     fn note_cell(&mut self, valid: bool) {
-        if self.len.is_multiple_of(64) {
-            self.validity.push(0);
+        let i = self.len;
+        self.len += 1;
+        if valid && self.nulls == 0 {
+            return;
         }
-        if valid {
-            let i = self.len;
-            self.validity[i >> 6] |= 1 << (i & 63);
-        } else {
+        self.validity.resize(self.len.div_ceil(64), u64::MAX);
+        if !valid {
+            self.validity[i >> 6] &= !(1 << (i & 63));
             self.nulls += 1;
         }
-        self.len += 1;
     }
 
     /// Append a NULL cell.
     pub fn push_null(&mut self) {
-        match self.dtype {
-            DataType::Int => self.ints.push(0),
-            DataType::Float => self.floats.push(0.0),
-            DataType::Str => {
-                let end = *self.offsets.last().unwrap_or(&0);
-                self.offsets.push(end);
+        match &mut self.data {
+            ColumnData::Int64(v) => v.push(0),
+            ColumnData::Float64(v) => v.push(0.0),
+            ColumnData::Utf8 { offsets, .. } => {
+                let end = *offsets.last().unwrap_or(&0);
+                offsets.push(end);
             }
         }
         self.note_cell(false);
     }
 
+    // Typed pushes: every caller has matched the builder's type first.
+
     fn push_i64(&mut self, x: i64) {
-        self.ints.push(x);
-        self.note_cell(true);
+        if let ColumnData::Int64(v) = &mut self.data {
+            v.push(x);
+            self.zone = Some(self.zone.map_or((x, x), |(lo, hi)| (lo.min(x), hi.max(x))));
+            self.note_cell(true);
+        }
     }
 
     fn push_f64(&mut self, x: f64) {
-        self.floats.push(x);
-        self.note_cell(true);
+        if let ColumnData::Float64(v) = &mut self.data {
+            v.push(x);
+            self.note_cell(true);
+        }
     }
 
     /// Lower the string payload cap from the `u32::MAX` default — a test
@@ -448,19 +440,30 @@ impl ColumnBuilder {
         self
     }
 
-    fn push_str_bytes(&mut self, s: &[u8]) -> Result<(), DataError> {
+    fn room_for(&self, add: usize) -> Result<(), DataError> {
         // The offsets vector stores u32 positions into `bytes`; past the
         // cap they would wrap and silently corrupt every later cell.
-        if s.len() > self.byte_cap as usize - self.bytes.len() {
+        let have = match &self.data {
+            ColumnData::Utf8 { bytes, .. } => bytes.len(),
+            _ => 0,
+        };
+        if add > self.byte_cap as usize - have {
             return Err(DataError::ColumnOverflow {
-                have: self.bytes.len(),
-                add: s.len(),
+                have,
+                add,
                 cap: self.byte_cap,
             });
         }
-        self.bytes.extend_from_slice(s);
-        self.offsets.push(self.bytes.len() as u32);
-        self.note_cell(true);
+        Ok(())
+    }
+
+    fn push_str_bytes(&mut self, s: &[u8]) -> Result<(), DataError> {
+        self.room_for(s.len())?;
+        if let ColumnData::Utf8 { offsets, bytes } = &mut self.data {
+            bytes.extend_from_slice(s);
+            offsets.push(bytes.len() as u32);
+            self.note_cell(true);
+        }
         Ok(())
     }
 
@@ -480,54 +483,20 @@ impl ColumnBuilder {
         Ok(())
     }
 
-    /// Finalize the column, computing an exact Int zone map.
+    /// Finalize the column, with the exact Int zone map kept while pushing.
     pub fn finish(self) -> Column {
-        let zone = match (self.dtype, self.nulls < self.len) {
-            (DataType::Int, true) => {
-                let mut min = i64::MAX;
-                let mut max = i64::MIN;
-                for (i, &x) in self.ints.iter().enumerate() {
-                    if self.nulls == 0 || bit_get(&self.validity, i) {
-                        min = min.min(x);
-                        max = max.max(x);
-                    }
-                }
-                Some((min, max))
-            }
-            _ => None,
-        };
-        self.finish_zoned(zone)
+        Column {
+            cells: Arc::new(self),
+        }
     }
 
-    /// Finalize with a caller-supplied (conservative) zone bound, skipping
-    /// the min/max scan — used by `gather`/`concat`, which already know a
-    /// sound bound from their sources.
-    fn finish_zoned(self, zone: Option<(i64, i64)>) -> Column {
-        let zone = if self.dtype == DataType::Int && self.nulls < self.len {
-            zone
-        } else {
-            None
-        };
-        let data = match self.dtype {
-            DataType::Int => ColumnData::Int64(self.ints),
-            DataType::Float => ColumnData::Float64(self.floats),
-            DataType::Str => ColumnData::Utf8 {
-                offsets: self.offsets,
-                bytes: self.bytes,
-            },
-        };
-        Column {
-            dtype: self.dtype,
-            len: self.len,
-            nulls: self.nulls,
-            data: Arc::new(data),
-            validity: if self.nulls == 0 {
-                None
-            } else {
-                Some(Arc::new(self.validity))
-            },
-            zone,
-        }
+    /// Finalize with a caller-supplied (conservative) zone bound — used by
+    /// `gather`/`concat`, which already know a sound bound from their
+    /// sources.
+    fn finish_zoned(mut self, zone: Option<(i64, i64)>) -> Column {
+        let has_ints = self.dtype == DataType::Int && self.nulls < self.len;
+        self.zone = zone.filter(|_| has_ints);
+        self.finish()
     }
 }
 
@@ -542,19 +511,35 @@ pub struct ColumnBatch {
 impl ColumnBatch {
     /// Build a batch from rows; every cell must match the schema's types.
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> Result<ColumnBatch, DataError> {
-        let columns = schema
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(c, col)| {
-                Column::from_cells(col.dtype, rows.iter().map(|r| r.get(c)), rows.len())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ColumnBatch {
+        let columns = schema.columns().iter();
+        let mut batch = ColumnBatch {
             schema: schema.clone(),
-            len: rows.len(),
-            columns,
-        })
+            len: 0,
+            columns: columns
+                .map(|c| ColumnBuilder::new(c.dtype, rows.len()).finish())
+                .collect(),
+        };
+        for row in rows {
+            batch.push_row(row)?;
+        }
+        Ok(batch)
+    }
+
+    /// Append a row in place. A column's cells are copied first if a
+    /// clone shares them, so a reader holding that clone keeps its
+    /// snapshot. A string the batch has no payload room for refuses the
+    /// row before any of its cells is written.
+    fn push_row(&mut self, row: &Row) -> Result<(), DataError> {
+        for (col, v) in self.columns.iter().zip(row.values()) {
+            if let Value::Str(s) = v {
+                col.cells.room_for(s.len())?;
+            }
+        }
+        for (col, v) in self.columns.iter_mut().zip(row.values()) {
+            Arc::make_mut(&mut col.cells).push(v)?;
+        }
+        self.len += 1;
+        Ok(())
     }
 
     /// Assemble a batch from pre-built columns. Arity, per-column types,
@@ -680,9 +665,10 @@ pub fn batches_from_rows(
         .collect()
 }
 
-/// A table's rows in column-major form: the store the vectorized scan
-/// reads. Built once per table (lazily or eagerly at load) and shared.
-#[derive(Debug)]
+/// A table's rows in column-major form: the table's one stored copy, and
+/// what the vectorized scan reads. Rows are appended into the last batch,
+/// which seals at [`BATCH_ROWS`].
+#[derive(Debug, Clone)]
 pub struct ColumnTable {
     schema: Schema,
     row_count: usize,
@@ -690,13 +676,26 @@ pub struct ColumnTable {
 }
 
 impl ColumnTable {
-    /// Build the columnar image of `rows` under `schema`.
-    pub fn build(schema: &Schema, rows: &[Row]) -> Result<ColumnTable, DataError> {
-        Ok(ColumnTable {
+    /// An image with no rows.
+    pub(crate) fn new(schema: &Schema) -> ColumnTable {
+        ColumnTable {
             schema: schema.clone(),
-            row_count: rows.len(),
-            batches: batches_from_rows(schema, rows, BATCH_ROWS)?,
-        })
+            row_count: 0,
+            batches: Vec::new(),
+        }
+    }
+
+    /// Append a schema-checked row to the last batch, opening a new batch
+    /// when that one is full.
+    pub(crate) fn push_row(&mut self, row: &Row) -> Result<(), DataError> {
+        if self.batches.last().is_none_or(|b| b.len == BATCH_ROWS) {
+            self.batches
+                .push(ColumnBatch::from_rows(&self.schema, &[])?);
+        }
+        let last = self.batches.len() - 1;
+        self.batches[last].push_row(row)?;
+        self.row_count += 1;
+        Ok(())
     }
 
     /// The table's schema.

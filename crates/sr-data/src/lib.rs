@@ -16,7 +16,7 @@
 //! * [`Value`] — nullable, totally ordered scalar values (`NULL` sorts first,
 //!   matching the sort-key conventions of the paper's §3.2).
 //! * [`Schema`] / [`Column`] — positional schemas with unique column names.
-//! * [`Table`] — a schema plus rows, with key validation.
+//! * [`Table`] — a schema plus rows (stored as column batches), keys checked.
 //! * [`Database`] — named tables plus declared [`constraints`] (keys, foreign
 //!   keys, functional and inclusion dependencies) used by view-tree labeling.
 //! * [`TableStats`] — row counts, per-column distinct counts and widths,

@@ -7,9 +7,11 @@
 //! counts, min/max, and average widths.
 
 use std::collections::HashSet;
+use std::hash::Hash;
 
+use crate::column::Column;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// Statistics for one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,42 +42,41 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Compute full statistics by scanning the table once per column.
+    /// Compute full statistics by scanning the table's columns once each.
     pub fn compute(table: &Table) -> TableStats {
-        let n = table.len();
-        let mut columns = Vec::with_capacity(table.schema().arity());
-        for (i, col) in table.schema().columns().iter().enumerate() {
-            let mut distinct: HashSet<&Value> = HashSet::new();
-            let mut nulls = 0usize;
-            let mut min: Option<&Value> = None;
-            let mut max: Option<&Value> = None;
-            let mut width = 0usize;
-            for row in table.rows() {
-                let v = row.get(i);
-                width += v.wire_width();
-                if v.is_null() {
-                    nulls += 1;
-                    continue;
+        let image = table.columnar();
+        let n = image.row_count();
+        let columns = table
+            .schema()
+            .columns()
+            .iter()
+            .enumerate()
+            .map(|(c, col)| {
+                let parts = || image.batches().iter().map(move |b| b.column(c));
+                let (distinct, min, max) = match col.dtype {
+                    DataType::Str => {
+                        let strs = parts().flat_map(|p| (0..p.len()).filter_map(|i| p.str_at(i)));
+                        let (d, lo, hi) = summarize(strs);
+                        (d, lo.map(Value::str), hi.map(Value::str))
+                    }
+                    // Numeric cells become `Value`s without allocating.
+                    _ => summarize(
+                        parts()
+                            .flat_map(|p| (0..p.len()).map(|i| p.value_at(i)))
+                            .filter(|v| !v.is_null()),
+                    ),
+                };
+                let width = parts().map(Column::wire_width).sum::<usize>() as f64;
+                ColumnStats {
+                    name: col.name.clone(),
+                    distinct,
+                    null_count: parts().map(Column::null_count).sum(),
+                    min,
+                    max,
+                    avg_width: if n == 0 { 0.0 } else { width / n as f64 },
                 }
-                distinct.insert(v);
-                min = Some(match min {
-                    Some(m) if m <= v => m,
-                    _ => v,
-                });
-                max = Some(match max {
-                    Some(m) if m >= v => m,
-                    _ => v,
-                });
-            }
-            columns.push(ColumnStats {
-                name: col.name.clone(),
-                distinct: distinct.len(),
-                null_count: nulls,
-                min: min.cloned(),
-                max: max.cloned(),
-                avg_width: if n == 0 { 0.0 } else { width as f64 / n as f64 },
-            });
-        }
+            })
+            .collect();
         TableStats {
             table: table.name().to_string(),
             row_count: n,
@@ -100,6 +101,17 @@ impl TableStats {
             .map(|c| c.distinct.max(1))
             .unwrap_or_else(|| self.row_count.max(1))
     }
+}
+
+/// Distinct count, minimum and maximum of a column's non-NULL cells.
+/// Cells equal under `Ord` are the same value, so the set's extremes are
+/// the column's.
+fn summarize<K: Ord + Hash + Clone>(
+    cells: impl Iterator<Item = K>,
+) -> (usize, Option<K>, Option<K>) {
+    let distinct: HashSet<K> = cells.collect();
+    let (min, max) = (distinct.iter().min(), distinct.iter().max());
+    (distinct.len(), min.cloned(), max.cloned())
 }
 
 #[cfg(test)]

@@ -79,7 +79,7 @@ fn execute_op(
     match plan {
         Plan::Scan { table, alias: _ } => Ok(ResultSet {
             schema: plan.schema(db)?,
-            rows: db.table(table)?.rows().to_vec(),
+            rows: db.table(table)?.rows(),
         }),
         Plan::Filter { input, predicates } => {
             let mut rs = execute_env(input, db, env, ctx, id + 1)?;

@@ -168,13 +168,6 @@ pub fn generate(scale: Scale) -> Result<Database, DataError> {
     }
 
     db.check_integrity()?;
-    // Build the column-major image of every table eagerly so the vectorized
-    // scan path starts with pre-batched data: query latency then excludes the
-    // one-time pivot cost, matching how a warehouse would load the fragment.
-    let names: Vec<String> = db.table_names().map(str::to_string).collect();
-    for name in &names {
-        db.table(name)?.columnar();
-    }
     Ok(db)
 }
 
