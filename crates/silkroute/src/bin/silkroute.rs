@@ -48,11 +48,6 @@
 //!                            [default 0]
 //!       --retries N          transient-failure retries per query
 //!                            [default 2]
-//!       --shards N|auto      split each component query into N key-range
-//!                            shards executed concurrently and re-merged in
-//!                            order (`auto` = available parallelism; 1
-//!                            disables). Queries without a usable range key
-//!                            fall back to a single shard.  [default auto]
 //!       --fragment-cache B   keep completed component-query results (wire
 //!                            bytes) in a B-byte LRU cache and serve repeats
 //!                            without re-execution; 0 disables. Flushed
@@ -82,8 +77,9 @@
 //!                            default runs until the server goes away)
 //!
 //! `serve` registers the paper's `query1` / `query2` as named views and
-//! accepts inline RXL; it honours --mb, --fault, --retries and --shards
-//! for the engine it fronts, and runs until a client sends SHUTDOWN.
+//! accepts inline RXL; it honours --mb, --fault, --retries and
+//! --fragment-cache for the engine it fronts, and runs until a client
+//! sends SHUTDOWN.
 //! With --metrics-json it prints a final metrics snapshot to stdout after
 //! the graceful drain, so soak runs keep their end-state counters.
 //! The wire protocol and admission semantics are in docs/SERVING.md;
@@ -124,7 +120,6 @@ struct Opts {
     fault: Option<String>,
     fault_seed: u64,
     retries: Option<u32>,
-    shards: Option<usize>,
     fragment_cache: usize,
     listen: String,
     connect: String,
@@ -147,7 +142,7 @@ fn usage() -> ExitCode {
         "usage: silkroute <tree|sql|materialize|query|plan|bench|serve|client|stats|top> [--mb N] \
          [--plan SPEC] [--no-reduce] [--xpath PATH] [--out FILE] [--pretty] [--explain] \
          [--metrics-json] [--analyze] [--trace FILE] [--fault SPEC] [--fault-seed N] \
-         [--retries N] [--shards N|auto] [--fragment-cache BYTES] \
+         [--retries N] [--fragment-cache BYTES] \
          [--listen ADDR] [--connect ADDR] \
          [--slots N] [--per-client N] [--queue-depth N] [--max-conns N] \
          [--read-timeout-ms N] [--format xml|tuples] [--shutdown] \
@@ -185,7 +180,6 @@ fn parse_args() -> Result<Opts, ExitCode> {
         fault: None,
         fault_seed: 0,
         retries: None,
-        shards: None,
         fragment_cache: 0,
         listen: "127.0.0.1:4722".into(),
         connect: "127.0.0.1:4722".into(),
@@ -218,14 +212,6 @@ fn parse_args() -> Result<Opts, ExitCode> {
             "--fault" => opts.fault = Some(value(&mut args)?),
             "--fault-seed" => opts.fault_seed = value(&mut args)?,
             "--retries" => opts.retries = Some(value(&mut args)?),
-            "--shards" => {
-                let v: String = value(&mut args)?;
-                opts.shards = if v == "auto" {
-                    None // resolved to available parallelism below
-                } else {
-                    Some(v.parse().map_err(|_| usage())?)
-                };
-            }
             "--fragment-cache" => opts.fragment_cache = value(&mut args)?,
             "--listen" => opts.listen = value(&mut args)?,
             "--connect" => opts.connect = value(&mut args)?,
@@ -402,9 +388,8 @@ fn render_top(j: &sr_obs::Json, connect: &str) -> String {
     let draining = matches!(j.get("draining"), Some(sr_obs::Json::Bool(true)));
     let _ = writeln!(
         out,
-        "silkroute top — {connect} — up {:.1}s  shards={}{}",
+        "silkroute top — {connect} — up {:.1}s{}",
         jnum(j, &["uptime_s"]),
-        jnum(j, &["shards"]),
         if draining { "  [DRAINING]" } else { "" }
     );
     let _ = writeln!(
@@ -595,21 +580,12 @@ fn run() -> Result<(), String> {
     if let Some(r) = opts.retries {
         server = server.with_transient_retries(r);
     }
-    // Shard fan-out: an explicit --shards N wins; the default scales to the
-    // host (`auto`). Either way the server degrades to a single shard per
-    // query when no usable range key exists, so this is always safe.
-    let shards = opts.shards.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    server = server.with_shards(shards);
     // Materialized-fragment cache: repeated materializations of the same
     // view serve their component-query results from memory, byte for byte.
     server = server.with_fragment_cache(opts.fragment_cache);
     if opts.command == "serve" {
         // The engine was configured by the shared flags above (--fault,
-        // --retries, --shards); hand it to the front-end as-is.
+        // --retries, --fragment-cache); hand it to the front-end as-is.
         return run_serve(&opts, server);
     }
     let db = server.database();

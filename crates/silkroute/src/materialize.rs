@@ -54,7 +54,7 @@ fn run<W: Write>(
         tracer: server.tracer(),
     };
     let (p, out) = publish(server, tree, queries, out, args)?;
-    let report = MaterializeReport::assemble(&p, streaming, server.shards());
+    let report = MaterializeReport::assemble(&p, streaming);
     let m = Materialization {
         streams: p.sqls.len(),
         sql: p.sqls,

@@ -37,10 +37,6 @@ pub struct MaterializeReport {
     pub total_ms: f64,
     /// Whether the streams were executed concurrently.
     pub parallel: bool,
-    /// Shard fan-out each component query was eligible to run with
-    /// (1 = unsharded; the server falls back per query when a range split
-    /// is not possible).
-    pub shards: usize,
     /// Tuples consumed across all streams.
     pub tuples: u64,
     /// XML elements emitted.
@@ -60,7 +56,7 @@ impl MaterializeReport {
     /// decode share ([`sr_tagger::TagStats::total_transfer_time`]) and the
     /// stall share ([`sr_tagger::TagStats::total_stall_time`]) are
     /// subtracted to isolate tagging.
-    pub fn assemble(p: &Published, parallel: bool, shards: usize) -> Self {
+    pub fn assemble(p: &Published, parallel: bool) -> Self {
         let stats = &p.stats;
         let streams = p
             .sqls
@@ -82,7 +78,6 @@ impl MaterializeReport {
                 .saturating_sub(stats.total_transfer_time() + stats.total_stall_time())),
             total_ms: ms(p.total_time),
             parallel,
-            shards: shards.max(1),
             tuples: stats.tuples,
             elements: stats.elements,
             xml_bytes: stats.bytes,
@@ -135,7 +130,6 @@ impl MaterializeReport {
             ("elements", Json::UInt(self.elements)),
             ("xml_bytes", Json::UInt(self.xml_bytes)),
             ("parallel", Json::Bool(self.parallel)),
-            ("shards", Json::UInt(self.shards as u64)),
         ])
     }
 
@@ -145,14 +139,9 @@ impl MaterializeReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "materialization: {} stream(s){}{}, {} tuples, {} elements, {} XML bytes",
+            "materialization: {} stream(s){}, {} tuples, {} elements, {} XML bytes",
             self.streams.len(),
             if self.parallel { " (parallel)" } else { "" },
-            if self.shards > 1 {
-                format!(" (x{} shards)", self.shards)
-            } else {
-                String::new()
-            },
             self.tuples,
             self.elements,
             self.xml_bytes
@@ -228,7 +217,7 @@ mod tests {
             tag_time: Duration::from_millis(5),
             total_time: Duration::from_millis(12),
         };
-        MaterializeReport::assemble(&published, false, 4)
+        MaterializeReport::assemble(&published, false)
     }
 
     #[test]
@@ -258,18 +247,15 @@ mod tests {
             "\"totals\"",
             "\"plan_ms\"",
             "\"tag_ms\"",
-            "\"shards\"",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
-        assert!(j.contains("\"shards\":4"), "{j}");
     }
 
     #[test]
     fn explain_is_tabular() {
         let e = sample().render_explain();
         assert!(e.contains("2 stream(s)"));
-        assert!(e.contains("(x4 shards)"));
         assert!(e.contains("SELECT a"));
         assert!(e.contains("totals: plan"));
     }

@@ -1,10 +1,10 @@
 //! Fragment-cache conformance: with the materialized-fragment cache
 //! enabled, a warm materialization (every component query served from
 //! cached wire bytes) must produce documents byte-identical to the cold run
-//! — and to the golden corpus — at every shard count and in both execution
-//! modes (pipelined and buffered), without executing a component query. The cache stores encoded result bytes
-//! verbatim; any divergence here means it corrupted, truncated, or
-//! mis-keyed a fragment.
+//! — and to the golden corpus — in both execution modes (pipelined and
+//! buffered), without executing a component query. The cache stores
+//! encoded result bytes verbatim; any divergence here means it corrupted,
+//! truncated, or mis-keyed a fragment.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -26,11 +26,9 @@ fn golden(name: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("read golden {}: {e}", path.display()))
 }
 
-fn server(shards: usize) -> Server {
+fn server() -> Server {
     let db = Arc::new(sr_tpch::generate(sr_tpch::Scale::mb(SCALE_MB)).expect("tpch"));
-    Server::new(db)
-        .with_shards(shards)
-        .with_fragment_cache(64 << 20)
+    Server::new(db).with_fragment_cache(64 << 20)
 }
 
 type Materialize =
@@ -41,55 +39,50 @@ fn document(srv: &Server, tree: &ViewTree, spec: PlanSpec) -> Vec<u8> {
     bytes
 }
 
-/// Cold then warm, shards {1,2,4} × {pipelined, buffered}: the warm
-/// document must equal both the cold one and the golden corpus, and the
-/// warm run must actually have been served from the cache.
+/// Cold then warm, pipelined and buffered: the warm document must equal
+/// both the cold one and the golden corpus, and the warm run must actually
+/// have been served from the cache.
 #[test]
-fn warm_materialization_is_byte_identical_across_shards_and_modes() {
+fn warm_materialization_is_byte_identical_across_modes() {
     let modes: [(&str, Materialize); 2] = [
         ("pipelined", materialize::<Vec<u8>>),
         ("buffered", materialize_buffered::<Vec<u8>>),
     ];
     for (mode, run) in modes {
-        for shards in [1usize, 2, 4] {
-            let srv = server(shards);
-            for (name, tree) in [
-                ("query1.xml", query1_tree(srv.database())),
-                ("query2.xml", query2_tree(srv.database())),
-            ] {
-                let spec = PlanSpec {
-                    edges: EdgeSet::full(&tree),
-                    reduce: true,
-                    style: QueryStyle::OuterJoin,
-                };
-                let misses_before = srv.metrics().snapshot().counter("cache.fragment.misses");
-                let cold = run(&tree, &srv, spec, Vec::new()).expect("cold run").1;
-                let before = srv.metrics().snapshot();
-                assert!(
-                    before.counter("cache.fragment.misses") > misses_before,
-                    "{mode} shards={shards} {name}: cold run never missed the cache"
-                );
-                let warm = run(&tree, &srv, spec, Vec::new()).expect("warm run").1;
-                let after = srv.metrics().snapshot();
-                assert!(
-                    after.counter("cache.fragment.hits") > before.counter("cache.fragment.hits"),
-                    "{mode} shards={shards} {name}: warm run never hit the cache"
-                );
-                assert_eq!(
-                    after.counter("server.queries"),
-                    before.counter("server.queries"),
-                    "{mode} shards={shards} {name}: warm run executed a component query"
-                );
-                assert_eq!(
-                    warm, cold,
-                    "{mode} shards={shards} {name}: warm diverges from cold"
-                );
-                assert_eq!(
-                    warm,
-                    golden(name),
-                    "{mode} shards={shards} {name}: warm diverges from golden"
-                );
-            }
+        let srv = server();
+        for (name, tree) in [
+            ("query1.xml", query1_tree(srv.database())),
+            ("query2.xml", query2_tree(srv.database())),
+        ] {
+            let spec = PlanSpec {
+                edges: EdgeSet::full(&tree),
+                reduce: true,
+                style: QueryStyle::OuterJoin,
+            };
+            let misses_before = srv.metrics().snapshot().counter("cache.fragment.misses");
+            let cold = run(&tree, &srv, spec, Vec::new()).expect("cold run").1;
+            let before = srv.metrics().snapshot();
+            assert!(
+                before.counter("cache.fragment.misses") > misses_before,
+                "{mode} {name}: cold run never missed the cache"
+            );
+            let warm = run(&tree, &srv, spec, Vec::new()).expect("warm run").1;
+            let after = srv.metrics().snapshot();
+            assert!(
+                after.counter("cache.fragment.hits") > before.counter("cache.fragment.hits"),
+                "{mode} {name}: warm run never hit the cache"
+            );
+            assert_eq!(
+                after.counter("server.queries"),
+                before.counter("server.queries"),
+                "{mode} {name}: warm run executed a component query"
+            );
+            assert_eq!(warm, cold, "{mode} {name}: warm diverges from cold");
+            assert_eq!(
+                warm,
+                golden(name),
+                "{mode} {name}: warm diverges from golden"
+            );
         }
     }
 }

@@ -89,8 +89,6 @@ fn check_report(doc: &Json) -> &Json {
     for key in ["plan_ms", "server_ms", "transfer_ms", "tag_ms", "total_ms"] {
         assert!(num(totals, key, "totals") >= 0.0, "totals.{key} negative");
     }
-    let shards = uint(doc, "shards", "report");
-    assert!(shards >= 1, "report.shards must be >= 1, got {shards}");
 
     let metrics = field(doc, "metrics", "report");
     field(metrics, "counters", "metrics");
@@ -99,19 +97,6 @@ fn check_report(doc: &Json) -> &Json {
         counter(metrics, "server.queries") >= n,
         "server.queries below the {n} executed streams"
     );
-    // Shard accounting: exec.shards counts the fan-out of every stream that
-    // split; whenever one did, the merge recorded its skew.
-    let exec_shards = counter(metrics, "exec.shards");
-    assert!(
-        exec_shards <= shards * n,
-        "exec.shards {exec_shards} exceeds shards x streams ({shards} x {n})"
-    );
-    if exec_shards > 0 {
-        assert!(
-            has_histogram(metrics, "shard.skew"),
-            "streams were sharded but metrics lack shard.skew"
-        );
-    }
     assert!(
         !has_histogram(metrics, "server.optimize_ns"),
         "retired histogram server.optimize_ns resurfaced"
@@ -237,30 +222,26 @@ fn report_with_analyze_and_trace_is_well_formed() {
 }
 
 /// A single transient scan fault retries to success: the report stays
-/// well formed and counts the retry — sharded and unsharded alike.
+/// well formed and counts the retry.
 #[test]
 fn transient_fault_reports_count_the_retry() {
-    for shards in [Some("4"), None] {
-        let mut args = vec!["materialize", "--mb", "0.2"];
-        if let Some(k) = shards {
-            args.extend(["--shards", k]);
-        }
-        args.extend([
+    let doc = parse(
+        &silkroute(&[
+            "materialize",
+            "--mb",
+            "0.2",
             "--fault",
             "transient@scan#1",
             "--metrics-json",
             "--out",
             "/dev/null",
             "query1",
-        ]);
-        let doc = parse(&silkroute(&args), "fault report");
-        let metrics = check_report(&doc);
-        assert!(
-            counter(metrics, "server.retries") >= 1,
-            "shards {shards:?}: the transient fault was never retried"
-        );
-        if let Some(k) = shards {
-            assert_eq!(uint(&doc, "shards", "report").to_string(), k);
-        }
-    }
+        ]),
+        "fault report",
+    );
+    let metrics = check_report(&doc);
+    assert!(
+        counter(metrics, "server.retries") >= 1,
+        "the transient fault was never retried"
+    );
 }

@@ -4,8 +4,8 @@
 //! vectors ([`Column`]) with validity bitmaps. Strings use an
 //! offsets-into-bytes layout so operators move byte ranges, never
 //! `Arc<str>` clones. Integer columns carry a per-batch min/max zone map,
-//! which lets a filter over a clustered key (the shape range sharding
-//! pushes down) skip whole batches without touching a row.
+//! which lets a filter over a clustered key (a range pushed down to the
+//! scan) skip whole batches without touching a row.
 //!
 //! The representation is deliberately lossless with respect to [`Row`]s:
 //! `from_rows` → `to_rows` round-trips every value, including NULLs, so

@@ -25,22 +25,22 @@ impl CachedFragment {
     /// Serve the fragment with zero server-side time: every chunk plus the
     /// terminal summary pre-queued, the exact item sequence (and bytes) the
     /// execution produced when it was captured.
-    pub(crate) fn into_stream(self, metrics: &Arc<MetricsRegistry>) -> TupleStream {
+    pub(crate) fn into_stream(self) -> TupleStream {
         let sum = StreamSummary {
             row_count: self.row_count,
             byte_size: self.byte_size,
             ..StreamSummary::default()
         };
         let rx = queued(self.chunks, StreamItem::Done(sum));
-        let mut stream = TupleStream::new(self.schema, vec![rx], metrics, CancelToken::unbounded());
+        let mut stream = TupleStream::new(self.schema, rx, CancelToken::unbounded());
         stream.set_summary(&sum);
         stream
     }
 }
 
 /// The materialized-fragment cache: an [`Lru`] held to a byte budget,
-/// holding encoded results instead of plans. Keyed by shard spec + SQL —
-/// the inputs that determine the produced chunk sequence. Sound because
+/// holding encoded results instead of plans. Keyed by the SQL text, which
+/// alone determines the produced chunk sequence. Sound because
 /// the server's database is an immutable snapshot.
 #[derive(Debug)]
 pub(crate) struct FragmentCache {

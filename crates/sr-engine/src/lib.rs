@@ -38,7 +38,6 @@ pub mod plan;
 mod reference;
 mod run;
 pub mod server;
-pub mod shard;
 pub mod sql;
 mod stream;
 pub mod vexec;
@@ -60,7 +59,6 @@ pub use optimize::push_filters;
 pub use ordering::{elide_sorts, order_info, OrderInfo};
 pub use plan::{JoinKind, Plan};
 pub use server::{NamedEstimate, Server};
-pub use shard::{range_boundaries, split_plan, ShardPlan};
 pub use sr_obs::lock_recover;
 pub use stream::TupleStream;
 pub use vexec::VecResultSet;

@@ -196,22 +196,22 @@ impl ChunkSink for ChannelSink<'_> {
 
 /// Run `plan` on a worker thread that ships its chunks over a bounded
 /// channel, executing and encoding under an admission permit from `gate`.
-/// The gate cannot deadlock under shard fan-out: no worker holds a permit
-/// across a blocking send, so a parked later shard always releases its
-/// permit to whichever shard the consumer is actually draining.
+/// The gate cannot deadlock when a consumer drains several component
+/// streams chunk by chunk: no worker holds a permit across a blocking send,
+/// so a worker parked on a full channel always releases its permit to
+/// whichever stream the consumer is actually draining.
 pub(crate) fn spawn_worker(
     exec: Exec,
     gate: Arc<ExecGate>,
     plan: Plan,
     parse_bind: Duration,
-    lane_label: String,
 ) -> Receiver<StreamItem> {
     let (tx, rx) = sync_channel(STREAM_CHANNEL_BOUND);
     std::thread::spawn(move || {
         let lane = exec
             .tracer
             .as_ref()
-            .map(|t| t.name_current_thread(lane_label));
+            .map(|t| t.name_current_thread("server execute worker"));
         let mut sink = ChannelSink {
             tx,
             gate,

@@ -10,8 +10,8 @@
 //! 3. hands back a [`TupleStream`] that the client decodes chunk by chunk
 //!    (the "bind and transfer" phase of the paper's *total time*).
 //!
-//! Every execution — inline, worker thread, sharded, `EXPLAIN ANALYZE` —
-//! runs one body, `Exec::run` in the `run` module, and differs only in
+//! Every execution — inline, worker thread, `EXPLAIN ANALYZE` — runs one
+//! body, `Exec::run` in the `run` module, and differs only in
 //! where the encoded chunks go.
 
 use std::sync::{Arc, Mutex};
@@ -31,7 +31,6 @@ use crate::lru::Lru;
 use crate::ordering::elide_sorts;
 use crate::plan::Plan;
 use crate::run::{spawn_worker, Exec, ExecGate};
-use crate::shard::split_plan;
 use crate::sql::binder::bind;
 use crate::sql::lexer::{lex, Spanned};
 use crate::sql::parser::parse_tokens;
@@ -76,15 +75,8 @@ pub struct Server {
     /// Deterministic fault injector shared by every execution path; `None`
     /// in production (the common case pays one branch per site).
     faults: Option<Arc<FaultInjector>>,
-    /// The plan behind [`Self::faults`], kept so sharded execution can give
-    /// every shard a *fresh* injector over the same rules — `kind@site#n`
-    /// then fires identically in each shard regardless of shard count.
-    fault_plan: Option<FaultPlan>,
     /// Max retries of a [`EngineError::Transient`] execution failure.
     transient_retries: u32,
-    /// Key-range shards per streaming query (1 = unsharded). Queries whose
-    /// plan cannot be sharded safely fall back to one shard silently.
-    shards: usize,
     /// Materialized-fragment cache (`None` = disabled): wire-encoded
     /// results of component queries, served back without re-execution.
     /// Shared behind an `Arc` so in-flight captures outlive the borrow of
@@ -156,9 +148,7 @@ impl Server {
             plan_cache: Mutex::new(Lru::new(PLAN_CACHE_CAP)),
             names: Mutex::new(Lru::new(NAMES_CAP)),
             faults: None,
-            fault_plan: None,
             transient_retries: DEFAULT_TRANSIENT_RETRIES,
-            shards: 1,
             fragment_cache: None,
         }
     }
@@ -185,17 +175,12 @@ impl Server {
             .map(|fc| lock_recover(fc).info())
     }
 
-    /// The cache key for one fragment: shard spec and SQL — the inputs
-    /// that determine the produced chunk sequence (chunks hold at most
-    /// [`crate::wire::CHUNK_ROWS`] rows, cut per shard).
-    fn fragment_key(&self, sql: &str) -> String {
-        format!("k{}|{}", self.shards, sql)
-    }
-
-    /// Look up `sql` in the fragment cache, bumping hit/miss counters.
+    /// Look up `sql` in the fragment cache, bumping hit/miss counters. The
+    /// key is the SQL text: it alone determines the produced chunk sequence
+    /// (chunks hold [`crate::wire::CHUNK_ROWS`] rows, the last one fewer).
     fn fragment_lookup(&self, sql: &str) -> Option<CachedFragment> {
         let fc = self.fragment_cache.as_ref()?;
-        let hit = lock_recover(fc).get(&self.fragment_key(sql));
+        let hit = lock_recover(fc).get(sql);
         if hit.is_some() {
             self.metrics.counter("cache.fragment.hits").inc();
         } else {
@@ -211,7 +196,7 @@ impl Server {
         Some(FragmentCapture::new(
             fc,
             &self.metrics,
-            self.fragment_key(sql),
+            sql.to_string(),
             schema.clone(),
         ))
     }
@@ -241,23 +226,8 @@ impl Server {
     /// Install a deterministic fault-injection plan: every execution path
     /// consults it at its scan/encode/send sites. Testing only.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(FaultInjector::new(plan.clone())));
-        self.fault_plan = Some(plan);
+        self.faults = Some(Arc::new(FaultInjector::new(plan)));
         self
-    }
-
-    /// Split each streaming query into (up to) `k` key-range shards
-    /// executed concurrently and re-merged in order (default 1 =
-    /// unsharded). Sharding is best-effort: a plan without a usable integer
-    /// sort key runs unsharded. Output is byte-identical for every `k`.
-    pub fn with_shards(mut self, k: usize) -> Self {
-        self.shards = k.max(1);
-        self
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Set how many times a query is retried after a
@@ -401,34 +371,29 @@ impl Server {
         Ok((p, generic))
     }
 
-    /// The execution context of one plan run: `faults` and the trace
-    /// `detail` differ between shards of one query, the rest is the
-    /// server's.
-    fn exec(
-        &self,
-        token: CancelToken,
-        faults: Option<Arc<FaultInjector>>,
-        detail: impl FnOnce() -> String,
-    ) -> Exec {
+    /// The execution context of one run of `sql`, with a fresh cancel
+    /// token; `faults` is the server's injector, or `None` where an
+    /// execution must not shift its hit counts.
+    fn exec(&self, sql: &str, faults: Option<Arc<FaultInjector>>) -> Exec {
         Exec {
             db: Arc::clone(&self.db),
             metrics: Arc::clone(&self.metrics),
-            detail: self.tracer.as_ref().map(|_| detail()),
+            detail: self.tracer.as_ref().map(|_| sql_summary(sql)),
             tracer: self.tracer.clone(),
-            token,
+            token: self.cancel_token(),
             faults,
             retries: self.transient_retries,
             timeout: self.timeout,
         }
     }
 
-    /// Execute a SQL string inline and unsharded: the result is executed,
-    /// sorted, and wire-encoded before the call returns, so execution
-    /// errors surface here and the stream's metadata is already final. See
+    /// Execute a SQL string inline: the result is executed, sorted, and
+    /// wire-encoded before the call returns, so execution errors surface
+    /// here and the stream's metadata is already final. See
     /// [`Server::execute_sql_streaming`] for the pipelined variant.
     pub fn execute_sql(&self, sql: &str) -> Result<TupleStream, EngineError> {
         if let Some(frag) = self.fragment_lookup(sql) {
-            return Ok(frag.into_stream(&self.metrics));
+            return Ok(frag.into_stream());
         }
         let start = Instant::now();
         let (plan, schema, elided) = {
@@ -437,13 +402,11 @@ impl Server {
         };
         let parse_bind = start.elapsed();
         self.metrics.counter("exec.sorts_elided").add(elided as u64);
-        let exec = self.exec(self.cancel_token(), self.faults.clone(), || {
-            sql_summary(sql)
-        });
+        let exec = self.exec(sql, self.faults.clone());
         let mut chunks = Vec::new();
         let sum = exec.run(&plan, parse_bind, &mut chunks, None)?;
         let rx = queued(chunks, StreamItem::Done(sum));
-        let mut stream = TupleStream::new(schema, vec![rx], &self.metrics, exec.token);
+        let mut stream = TupleStream::new(schema, rx, exec.token);
         stream.set_summary(&sum);
         stream.capture = self.fragment_capture(sql, &stream.schema);
         Ok(stream)
@@ -457,18 +420,13 @@ impl Server {
     /// surface from [`TupleStream::next_chunk`]. Dropping the stream early
     /// terminates the worker at its next send.
     ///
-    /// Under [`Server::with_shards`] a query whose plan has a usable range
-    /// key runs as one worker per key-range shard, all sharing one cancel
-    /// token; the consumer drains them in shard order, which reproduces
-    /// the unsharded stream byte for byte.
-    ///
     /// On a single-CPU host (or after `with_stream_workers(false)`) the
     /// query instead executes inline and the chunks are queued up front —
     /// same stream semantics, none of the handoff overhead that buys
     /// nothing without a second core.
     pub fn execute_sql_streaming(&self, sql: &str) -> Result<TupleStream, EngineError> {
         if let Some(frag) = self.fragment_lookup(sql) {
-            return Ok(frag.into_stream(&self.metrics));
+            return Ok(frag.into_stream());
         }
         let start = Instant::now();
         let (plan, schema, elided) = self.plan_cached(sql)?;
@@ -476,72 +434,24 @@ impl Server {
         self.metrics.counter("exec.sorts_elided").add(elided as u64);
         self.metrics.counter("server.streams").inc();
 
-        let split = (self.shards > 1)
-            .then(|| split_plan(&plan, &self.db, self.shards))
-            .flatten();
-        let (plans, sharded) = match split {
-            Some(sp) => {
-                self.metrics.counter("exec.shards").add(sp.len() as u64);
-                (sp.plans, true)
-            }
-            None => (vec![plan], false),
-        };
-        let n = plans.len();
-        let token = self.cancel_token();
-        let mut parts = Vec::with_capacity(n);
-        for (i, plan) in plans.into_iter().enumerate() {
-            // Each shard gets a fresh injector over the same rules, so
-            // `kind@site#n` fires identically per shard whatever the count.
-            let faults = if sharded {
-                self.shard_injector()
-            } else {
-                self.faults.clone()
-            };
-            let exec = self.exec(token.clone(), faults, || {
-                if sharded {
-                    format!("shard {i}/{n}: {}", sql_summary(sql))
-                } else {
-                    sql_summary(sql)
-                }
-            });
-            // The SQL was parsed once; attribute that to the first part so
-            // the aggregated query time counts it exactly once.
-            let parse_bind = if i == 0 { parse_bind } else { Duration::ZERO };
-            if self.stream_workers {
-                let lane = if sharded {
-                    format!("server shard worker {i}")
-                } else {
-                    "server execute worker".into()
-                };
-                let gate = Arc::clone(&self.exec_gate);
-                parts.push(spawn_worker(exec, gate, plan, parse_bind, lane));
-                continue;
-            }
+        let exec = self.exec(sql, self.faults.clone());
+        let token = exec.token.clone();
+        let rx = if self.stream_workers {
+            let gate = Arc::clone(&self.exec_gate);
+            spawn_worker(exec, gate, plan, parse_bind)
+        } else {
             let mut chunks = Vec::new();
-            let (last, failed) = match exec.run(&plan, parse_bind, &mut chunks, None) {
-                Ok(sum) => (StreamItem::Done(sum), false),
-                Err(e) => (StreamItem::Failed(e), true),
+            let last = match exec.run(&plan, parse_bind, &mut chunks, None) {
+                Ok(sum) => StreamItem::Done(sum),
+                Err(e) => StreamItem::Failed(e),
             };
-            parts.push(queued(chunks, last));
-            // The stream ends at the failure; later shards never run.
-            if failed {
-                break;
-            }
-        }
-        let mut stream = TupleStream::new(schema, parts, &self.metrics, token);
+            queued(chunks, last)
+        };
+        let mut stream = TupleStream::new(schema, rx, token);
         // Tee this miss's chunks into the cache; the capture commits only
         // on the stream's clean terminal item.
         stream.capture = self.fragment_capture(sql, &stream.schema);
         Ok(stream)
-    }
-
-    /// A fresh fault injector over the configured fault plan, so every
-    /// shard counts its sites from zero — `kind@site#n` fires identically
-    /// per shard under a fixed seed, independent of shard count.
-    fn shard_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.fault_plan
-            .as_ref()
-            .map(|p| Arc::new(FaultInjector::new(p.clone())))
     }
 
     /// Cost-estimate endpoint: the paper's oracle. Answers from catalog
@@ -614,25 +524,6 @@ impl Server {
             .record_duration(start.elapsed());
     }
 
-    /// Range-shard a SQL query the way the sharded execution path would,
-    /// rendering each shard back to SQL text. `Ok(None)` when the plan
-    /// cannot be sharded (no usable integer sort key, missing stats, range
-    /// too narrow). The middle-ware's oracle feeds these through
-    /// [`Server::estimate_sql`] to predict per-shard cardinalities — the
-    /// stats-driven skew estimate behind the `--shards auto` decision.
-    pub fn shard_sql(&self, sql: &str, k: usize) -> Result<Option<Vec<String>>, EngineError> {
-        let (plan, _, _) = self.plan_cached(sql)?;
-        match split_plan(&plan, &self.db, k) {
-            Some(sp) => Ok(Some(
-                sp.plans
-                    .iter()
-                    .map(|p| crate::sql::to_sql(p, &self.db))
-                    .collect::<Result<Vec<_>, _>>()?,
-            )),
-            None => Ok(None),
-        }
-    }
-
     /// `EXPLAIN ANALYZE`: plan the query (through the cache, so the
     /// analyzed plan is exactly the one the execution paths run), estimate
     /// every node's cardinality, then execute with per-node timing and
@@ -647,7 +538,7 @@ impl Server {
         let (_, est_rows) = estimate_with_nodes(&plan, &self.db)?;
         // No fault injector: re-running a query to analyze it must not
         // shift the `kind@site#n` hit counts of the queries themselves.
-        let exec = self.exec(self.cancel_token(), None, || sql_summary(sql));
+        let exec = self.exec(sql, None);
         let mut profile = PlanProfile::default();
         let sum = exec.run(&plan, Duration::ZERO, &mut (), Some(&mut profile))?;
         let m = &self.metrics;
@@ -703,12 +594,17 @@ mod tests {
     }
 
     fn server() -> Server {
+        item_server(50)
+    }
+
+    /// A server over one table `Item(id, label)` of `n` rows.
+    fn item_server(n: i64) -> Server {
         let mut db = Database::new();
         let mut t = Table::new(
             "Item",
             Schema::of(&[("id", DataType::Int), ("label", DataType::Str)]),
         );
-        for i in 0..50i64 {
+        for i in 0..n {
             t.insert(row![i, format!("item-{i}")]).unwrap();
         }
         db.add_table(t);
@@ -827,6 +723,8 @@ mod tests {
             let snap = s.metrics().snapshot();
             assert_eq!(snap.counter("server.queries"), 2);
             assert_eq!(snap.counter("server.streams"), 1);
+            assert_eq!(snap.counter("server.rows"), 100);
+            assert_eq!(snap.counter("server.bytes"), 2 * stream.byte_size as u64);
         }
     }
 
@@ -947,12 +845,8 @@ mod tests {
     #[test]
     fn vanished_worker_surfaces_truncation() {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let mut stream = TupleStream::new(
-            Schema::of(&[("x", DataType::Int)]),
-            vec![rx],
-            &Arc::new(MetricsRegistry::new()),
-            CancelToken::none(),
-        );
+        let mut stream =
+            TupleStream::new(Schema::of(&[("x", DataType::Int)]), rx, CancelToken::none());
         // The sender vanishes without a Done/Failed terminator — the reader
         // must see a hard truncation error, not a clean end of stream.
         drop(tx);
@@ -1202,122 +1096,44 @@ mod tests {
         rows
     }
 
-    const SHARD_SQL: &str = "SELECT i.id AS id, i.label AS label FROM Item i ORDER BY id";
-
     #[test]
-    fn sharded_stream_matches_unsharded_on_both_paths() {
-        let reference = server()
-            .execute_sql(SHARD_SQL)
-            .unwrap()
-            .collect_rows()
-            .unwrap();
-        for workers in [true, false] {
-            for k in [1usize, 2, 4] {
-                let s = server().with_stream_workers(workers).with_shards(k);
-                let mut stream = s.execute_sql_streaming(SHARD_SQL).unwrap();
-                assert_eq!(decode(&mut stream), reference, "workers={workers} k={k}");
-                // Aggregated metadata is final after full consumption.
-                assert_eq!(stream.row_count, 50);
-                assert!(stream.byte_size > 0);
-                assert!(stream.query_time > Duration::ZERO);
-                let snap = s.metrics().snapshot();
-                assert_eq!(snap.counter("server.streams"), 1);
-                if k > 1 {
-                    assert_eq!(snap.counter("exec.shards"), k as u64);
-                    assert_eq!(snap.counter("server.queries"), k as u64);
-                    assert_eq!(
-                        snap.histogram("shard.skew").map(|h| h.count),
-                        Some(1),
-                        "skew recorded once per drained sharded stream"
-                    );
-                } else {
-                    assert_eq!(snap.counter("exec.shards"), 0);
-                }
-                // Rows and bytes sum correctly over the disjoint ranges.
-                assert_eq!(snap.counter("server.rows"), 50);
-                assert_eq!(snap.counter("server.bytes"), stream.byte_size as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_fanout_survives_one_permit_gate() {
-        // Regression: 4 shard workers over a single admission permit must
-        // serialize, not deadlock — no worker holds a permit across a
-        // blocking send, so the permit always circulates back.
-        let s = server()
+    fn component_streams_survive_one_permit_gate() {
+        // Regression: four component streams whose workers share a single
+        // admission permit, drained round-robin chunk by chunk as the
+        // tagger's k-way merge drains them, must serialize, not deadlock.
+        // Each result overflows its channel, so every worker parks on a
+        // full channel; none holds the permit across that blocking send,
+        // so the permit always circulates to the stream being drained.
+        let s = item_server(20_000)
             .with_stream_workers(true)
-            .with_shards(4)
             .with_exec_permits(1);
-        let rows = s
-            .execute_sql_streaming(SHARD_SQL)
-            .unwrap()
-            .collect_rows()
-            .unwrap();
-        assert_eq!(rows.len(), 50);
-        assert_eq!(s.metrics().snapshot().counter("exec.shards"), 4);
-    }
-
-    #[test]
-    fn faults_fire_identically_per_shard() {
-        // transient@scan#1 is counted per injector; each shard gets a fresh
-        // injector over the same seeded plan, so with 2 shards the fault
-        // fires (and retries to success) once in *each* shard, on both
-        // execution paths.
-        for workers in [true, false] {
-            let s = server()
-                .with_stream_workers(workers)
-                .with_shards(2)
-                .with_faults(FaultPlan::parse("transient@scan#1", 7).unwrap());
-            let rows = s
-                .execute_sql_streaming(SHARD_SQL)
-                .unwrap()
-                .collect_rows()
-                .unwrap();
-            assert_eq!(rows.len(), 50, "workers={workers}");
-            let snap = s.metrics().snapshot();
-            assert_eq!(snap.counter("server.retries"), 2, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn unshardable_query_falls_back_to_single_stream() {
-        // A string sort key cannot be range-sharded; the query must still
-        // run (unsharded) with no shard accounting.
-        let s = server().with_stream_workers(true).with_shards(4);
-        let sql = "SELECT i.label AS label FROM Item i ORDER BY label";
-        let rows = s
-            .execute_sql_streaming(sql)
-            .unwrap()
-            .collect_rows()
-            .unwrap();
-        assert_eq!(rows.len(), 50);
-        let snap = s.metrics().snapshot();
-        assert_eq!(snap.counter("exec.shards"), 0);
-        assert_eq!(snap.counter("server.queries"), 1);
-    }
-
-    #[test]
-    fn dropping_sharded_stream_cancels_workers() {
-        // Hold shard workers in an injected scan delay; dropping the stream
-        // cancels the shared token and every worker stops cooperatively.
-        let s = server()
-            .with_stream_workers(true)
-            .with_shards(2)
-            .with_faults(FaultPlan::parse("delay50@scan", 1).unwrap());
-        let stream = s.execute_sql_streaming(SHARD_SQL).unwrap();
-        drop(stream);
-        // Cancellation is cooperative: give the workers a beat to observe
-        // it, then check that at least one execution was cancelled.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let cancelled = s.metrics().snapshot().counter("server.cancelled");
-            if cancelled > 0 {
-                break;
+        let sqls: Vec<String> = (0..4)
+            .map(|i| format!("SELECT i.id AS id, i.label AS l{i} FROM Item i ORDER BY id"))
+            .collect();
+        let mut streams: Vec<TupleStream> = sqls
+            .iter()
+            .map(|sql| s.execute_sql_streaming(sql).unwrap())
+            .collect();
+        let mut rows = [0usize; 4];
+        let mut open = [true; 4];
+        while open.contains(&true) {
+            for (i, stream) in streams.iter_mut().enumerate() {
+                if !open[i] {
+                    continue;
+                }
+                match stream.next_chunk().unwrap() {
+                    Some(chunk) => {
+                        rows[i] += crate::wire::row_prefix(&chunk, usize::MAX).unwrap().1
+                    }
+                    None => open[i] = false,
+                }
             }
-            assert!(Instant::now() < deadline, "workers never saw the cancel");
-            std::thread::sleep(Duration::from_millis(5));
         }
+        for (i, stream) in streams.iter().enumerate() {
+            assert_eq!(rows[i], 20_000, "stream {i}");
+            assert_eq!(stream.row_count, 20_000, "stream {i}");
+        }
+        assert_eq!(s.metrics().snapshot().counter("server.streams"), 4);
     }
 
     /// The reference executor's rows for `sql`, planned as the server plans it.
@@ -1342,19 +1158,17 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_streaming_matches_tuple_for_all_shard_counts() {
+    fn vectorized_streaming_matches_tuple() {
         let sql = "SELECT i.id AS id, i.label AS label FROM Item i ORDER BY id";
         let base = reference_rows(&server(), sql);
-        for shards in [1usize, 2, 4] {
-            for workers in [false, true] {
-                let s = server().with_shards(shards).with_stream_workers(workers);
-                let rows = s
-                    .execute_sql_streaming(sql)
-                    .unwrap()
-                    .collect_rows()
-                    .unwrap();
-                assert_eq!(rows, base, "shards={shards} workers={workers}");
-            }
+        for workers in [false, true] {
+            let s = server().with_stream_workers(workers);
+            let rows = s
+                .execute_sql_streaming(sql)
+                .unwrap()
+                .collect_rows()
+                .unwrap();
+            assert_eq!(rows, base, "workers={workers}");
         }
     }
 
@@ -1371,36 +1185,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_sql_renders_estimable_range_queries() {
-        let s = server();
-        let shards = s.shard_sql(SHARD_SQL, 2).unwrap().expect("shardable");
-        assert_eq!(shards.len(), 2);
-        let mut total = 0.0;
-        for sql in &shards {
-            assert!(sql.contains("ORDER BY"), "shard keeps the sort: {sql}");
-            let est = s.estimate_sql(sql).expect("shard SQL round-trips");
-            total += est.cardinality;
-        }
-        // The per-shard estimates decompose the whole query's cardinality.
-        assert!(total > 0.0);
-        let unshardable = "SELECT i.label AS label FROM Item i ORDER BY label";
-        assert!(s.shard_sql(unshardable, 2).unwrap().is_none());
-    }
-
-    #[test]
     fn chunks_pack_partial_batches_into_full_chunks() {
         // The filter leaves the first scan batch short (1014 rows) and the
         // rest whole: packed, every path cuts chunks by row count alone.
-        let mut db = Database::new();
-        let mut t = Table::new(
-            "Item",
-            Schema::of(&[("id", DataType::Int), ("label", DataType::Str)]),
-        );
-        for i in 0..3000i64 {
-            t.insert(row![i, format!("item-{i}")]).unwrap();
-        }
-        db.add_table(t);
-        let db = Arc::new(db);
         let sql = "SELECT i.id AS id, i.label AS label FROM Item i WHERE i.id >= 10";
         let chunks = |mut stream: TupleStream| {
             let mut chunks = Vec::new();
@@ -1410,7 +1197,7 @@ mod tests {
             chunks
         };
         for workers in [true, false] {
-            let s = Server::new(Arc::clone(&db)).with_stream_workers(workers);
+            let s = item_server(3000).with_stream_workers(workers);
             let streamed = chunks(s.execute_sql_streaming(sql).unwrap());
             let sizes: Vec<usize> = streamed
                 .iter()
@@ -1465,33 +1252,12 @@ mod tests {
     #[test]
     fn fragment_cache_serves_across_buffered_and_streaming() {
         // Same key space: a fragment captured by the buffered path serves
-        // the streaming path (and vice versa) — same shards.
+        // the streaming path (and vice versa).
         let s = server().with_fragment_cache(1 << 20);
         let cold = s.execute_sql(FRAG_SQL).unwrap().collect_rows().unwrap();
         let (warm, _) = drain(s.execute_sql_streaming(FRAG_SQL).unwrap());
         assert_eq!(warm, cold);
         assert_eq!(s.metrics().snapshot().counter("cache.fragment.hits"), 1);
-    }
-
-    #[test]
-    fn fragment_cache_sharded_warm_hit_matches_cold() {
-        for k in [2usize, 4] {
-            let s = server().with_fragment_cache(1 << 20).with_shards(k);
-            let (cold_rows, _) = drain(s.execute_sql_streaming(FRAG_SQL).unwrap());
-            let (warm_rows, _) = drain(s.execute_sql_streaming(FRAG_SQL).unwrap());
-            assert_eq!(warm_rows, cold_rows, "shards={k}");
-            assert_eq!(s.metrics().snapshot().counter("cache.fragment.hits"), 1);
-        }
-    }
-
-    #[test]
-    fn fragment_cache_key_separates_shard_specs() {
-        // k=1 and k=2 chunk differently; their fragments must not collide.
-        let s1 = server().with_fragment_cache(1 << 20);
-        drain(s1.execute_sql_streaming(FRAG_SQL).unwrap());
-        assert_eq!(s1.fragment_key(FRAG_SQL), format!("k1|{FRAG_SQL}"));
-        let s2 = server().with_fragment_cache(1 << 20).with_shards(2);
-        assert_ne!(s1.fragment_key(FRAG_SQL), s2.fragment_key(FRAG_SQL));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The client side of the server contract: a [`TupleStream`] of encoded,
-//! sorted chunks, fed by one producer per part over its own channel.
+//! sorted chunks, fed by one producer over one channel.
 
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -7,25 +7,12 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use sr_data::{Row, Schema};
-use sr_obs::{MetricsRegistry, Tracer};
+use sr_obs::Tracer;
 
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::fragment::FragmentCapture;
 use crate::wire::{decode_row, CellArena};
-
-/// Record the `shard.skew` histogram for one fully drained sharded stream:
-/// the largest shard's row count relative to a perfectly uniform split,
-/// ×1000 fixed point (1000 = no skew, 2000 = the hottest shard carried
-/// twice its fair share). Uniform-split quality is exactly what the
-/// stats-driven range planner is betting on, so this is its report card.
-fn record_shard_skew(metrics: &MetricsRegistry, rows_per_shard: &[u64]) {
-    let total: u64 = rows_per_shard.iter().sum();
-    let max = rows_per_shard.iter().copied().max().unwrap_or(0);
-    let ideal = total.div_ceil(rows_per_shard.len() as u64);
-    let ratio = (max * 1000).checked_div(ideal).unwrap_or(1000);
-    metrics.histogram("shard.skew").record(ratio);
-}
 
 /// What one execution produced, shipped once its last chunk is out: the
 /// metadata a [`TupleStream`] knows only at end of stream.
@@ -36,16 +23,7 @@ pub(crate) struct StreamSummary {
     pub(crate) query_time: Duration,
 }
 
-impl StreamSummary {
-    /// Fold another part's summary into this one (shards of one stream).
-    fn add(&mut self, other: &StreamSummary) {
-        self.row_count += other.row_count;
-        self.byte_size += other.byte_size;
-        self.query_time += other.query_time;
-    }
-}
-
-/// One message on a part's bounded channel.
+/// One message on a stream's bounded channel.
 #[derive(Debug)]
 pub(crate) enum StreamItem {
     /// An encoded run of rows.
@@ -80,14 +58,11 @@ pub(crate) fn queued(chunks: Vec<Bytes>, last: StreamItem) -> Receiver<StreamIte
 /// component. Time spent *blocked waiting* for a server worker accumulates
 /// separately into [`TupleStream::stall_time`].
 ///
-/// Chunks come from one producer per part — a worker thread, or chunks
-/// queued up front by inline execution or a cached fragment — each over its
-/// own channel, consumed in order. Several parts are key-range shards whose
-/// ranges ascend, so this sequential concatenation *is* the
-/// order-preserving k-way merge: later shards fill their bounded channels
-/// and park while an earlier shard drains. The metadata fields
-/// (`row_count`, `byte_size`, `query_time`) are final once the stream has
-/// been fully consumed, or when the server set them up front.
+/// Chunks come from one producer — a worker thread, or chunks queued up
+/// front by inline execution or a cached fragment — over one channel. The
+/// metadata fields (`row_count`, `byte_size`, `query_time`) are final once
+/// the stream has been fully consumed, or when the server set them up
+/// front.
 #[derive(Debug)]
 pub struct TupleStream {
     /// Result schema.
@@ -105,13 +80,8 @@ pub struct TupleStream {
     pub stall_time: Duration,
     /// Rows decoded by the client so far.
     pub rows_decoded: usize,
-    parts: Vec<Receiver<StreamItem>>,
-    /// The part being drained; `parts.len()` once the stream is over.
-    idx: usize,
-    /// Per-part summaries folded so far, published at the last `Done`.
-    agg: StreamSummary,
-    rows_per_part: Vec<u64>,
-    metrics: Arc<MetricsRegistry>,
+    /// The producer's channel; `None` once the stream is over.
+    rx: Option<Receiver<StreamItem>>,
     /// In-flight fragment-cache capture (cache miss only): chunks are teed
     /// here as they are handed out and committed on a clean final `Done`.
     pub(crate) capture: Option<FragmentCapture>,
@@ -135,8 +105,7 @@ pub(crate) struct StreamTrace {
 impl TupleStream {
     pub(crate) fn new(
         schema: Schema,
-        parts: Vec<Receiver<StreamItem>>,
-        metrics: &Arc<MetricsRegistry>,
+        rx: Receiver<StreamItem>,
         cancel: CancelToken,
     ) -> TupleStream {
         TupleStream {
@@ -147,11 +116,7 @@ impl TupleStream {
             transfer_time: Duration::ZERO,
             stall_time: Duration::ZERO,
             rows_decoded: 0,
-            rows_per_part: Vec::with_capacity(parts.len()),
-            parts,
-            idx: 0,
-            agg: StreamSummary::default(),
-            metrics: Arc::clone(metrics),
+            rx: Some(rx),
             capture: None,
             trace: None,
             cancel,
@@ -189,7 +154,7 @@ impl TupleStream {
     /// end of stream. Blocks on the server worker when none is ready (that
     /// wait is [`TupleStream::stall_time`]); no byte is decoded.
     pub fn next_chunk(&mut self) -> Result<Option<Bytes>, EngineError> {
-        while let Some(rx) = self.parts.get(self.idx) {
+        while let Some(rx) = &self.rx {
             if let Some(tr) = &self.trace {
                 tr.tracer.begin(tr.lane, "stream.stall", None);
             }
@@ -214,13 +179,10 @@ impl TupleStream {
                         return Ok(Some(bytes));
                     }
                 }
-                Ok(StreamItem::Done(sum)) => self.finish_part(sum),
+                Ok(StreamItem::Done(sum)) => self.finish(sum),
                 failed => {
                     self.capture = None;
-                    // Stop the sibling shard workers too: the stream is
-                    // dead, their output has no consumer.
-                    self.cancel.cancel();
-                    self.idx = self.parts.len();
+                    self.rx = None;
                     return Err(match failed {
                         Ok(StreamItem::Failed(e)) => e,
                         // The sender is gone without a terminal item. With
@@ -237,21 +199,12 @@ impl TupleStream {
         Ok(None)
     }
 
-    /// One producer drained cleanly: fold its summary into the stream's
-    /// metadata and, once the last one has, commit the fragment capture —
-    /// the captured chunks are then the complete result.
-    fn finish_part(&mut self, sum: StreamSummary) {
-        self.rows_per_part.push(sum.row_count as u64);
-        self.agg.add(&sum);
-        self.idx += 1;
-        if self.idx < self.parts.len() {
-            return;
-        }
-        if self.parts.len() > 1 {
-            record_shard_skew(&self.metrics, &self.rows_per_part);
-        }
-        let total = std::mem::take(&mut self.agg);
-        self.set_summary(&total);
+    /// The producer drained cleanly: publish its summary as the stream's
+    /// metadata and commit the fragment capture — the captured chunks are
+    /// then the complete result.
+    fn finish(&mut self, sum: StreamSummary) {
+        self.rx = None;
+        self.set_summary(&sum);
         if let Some(tr) = &self.trace {
             tr.tracer.instant(tr.lane, "stream.done", None);
         }

@@ -5,8 +5,8 @@
 //! `Arc<[Value]>` allocation per output row, `Arc<str>` refcount traffic in
 //! every projection and union). Filters produce selection vectors instead
 //! of moving rows, integer filters prune whole batches via per-batch
-//! min/max zone maps (which is what makes the range predicates pushed down
-//! by `--shards` cheap), and values are only materialized at the wire
+//! min/max zone maps (so a range predicate over a clustered key reads
+//! only the batches it keeps), and values are only materialized at the wire
 //! encoder ([`crate::wire::encode_batch_into`]) — late materialization.
 //!
 //! Semantics are SQL's as the row-at-a-time reference executor (tests
@@ -906,7 +906,7 @@ mod tests {
 
     #[test]
     fn zone_maps_prune_pushed_ranges() {
-        // A clustered-key range predicate (the shape split_plan pushes)
+        // A clustered-key range predicate pushed to the scan
         // must resolve mostly via zone maps: full batches pass or are
         // dropped without a selection vector.
         let mut db = Database::new();

@@ -353,29 +353,6 @@ impl<'a> Oracle<'a> {
         self.worst.borrow().clone()
     }
 
-    /// Per-shard cardinality estimates for a component query split into `k`
-    /// key-range shards (the same catalog stats that answer `cardinality`
-    /// also pick the range boundaries, so the estimates show how even the
-    /// split is *predicted* to be before anything executes). Returns `None`
-    /// when the query is unshardable — no usable range key, too few
-    /// distinct values, or a stats-less source. Each shard estimate goes
-    /// through the same cache and counters as any other oracle request.
-    pub fn shard_estimates(
-        &self,
-        sql: &str,
-        k: usize,
-    ) -> Result<Option<Vec<(String, Estimate)>>, EngineError> {
-        let Some(shards) = self.server.shard_sql(sql, k)? else {
-            return Ok(None);
-        };
-        let mut out = Vec::with_capacity(shards.len());
-        for shard_sql in shards {
-            let est = self.estimate_sql(&shard_sql)?;
-            out.push((shard_sql, est));
-        }
-        Ok(Some(out))
-    }
-
     /// Combined cost of a SQL query under the linear model.
     pub fn cost_sql(&self, sql: &str) -> Result<f64, EngineError> {
         let e = self.estimate_sql(sql)?;
@@ -585,36 +562,6 @@ mod tests {
         let h = snap.histogram("oracle.qerror").expect("histogram recorded");
         assert_eq!(h.count, 2);
         assert!(h.min >= 1000, "×1000 fixed point, q >= 1");
-    }
-
-    #[test]
-    fn shard_estimates_cover_the_unsharded_cardinality() {
-        let (_, server) = setup();
-        let oracle = Oracle::new(&server, CostParams::default());
-        let sql = "SELECT s.suppkey AS k, s.name AS name FROM Supplier s ORDER BY k";
-        let whole = oracle.estimate_sql(sql).unwrap();
-        let shards = oracle
-            .shard_estimates(sql, 2)
-            .unwrap()
-            .expect("keyed ORDER BY query is shardable");
-        assert_eq!(shards.len(), 2);
-        let sum: f64 = shards.iter().map(|(_, e)| e.cardinality).sum();
-        // Range shards partition the key space, so their estimated
-        // cardinalities should roughly reassemble the whole query's.
-        assert!(
-            sum >= whole.cardinality * 0.5 && sum <= whole.cardinality * 2.0,
-            "sum {sum} vs whole {}",
-            whole.cardinality
-        );
-        // Shard estimates are ordinary oracle requests: cached + counted.
-        assert_eq!(oracle.requests(), 3);
-        oracle.shard_estimates(sql, 2).unwrap().unwrap();
-        assert_eq!(oracle.requests(), 3, "second round fully cached");
-        // An un-keyed ordering cannot be range-sharded.
-        assert!(oracle
-            .shard_estimates("SELECT s.name AS name FROM Supplier s ORDER BY name", 2)
-            .unwrap()
-            .is_none());
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! callers overtake it instead of starving behind it.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use sr_obs::MetricsRegistry;
+use sr_obs::{lock_recover, MetricsRegistry};
 
 /// Admission knobs. All zeros are normalized to "at least one".
 #[derive(Debug, Clone, Copy)]
@@ -99,7 +99,7 @@ pub struct AdmitPermit {
 
 impl Drop for AdmitPermit {
     fn drop(&mut self) {
-        let mut st = self.admission.state.lock().expect("admission lock");
+        let mut st = lock_recover(&self.admission.state);
         st.running -= 1;
         if let Some(n) = st.running_by_client.get_mut(&self.client) {
             *n -= 1;
@@ -135,18 +135,18 @@ impl Admission {
 
     /// Queries currently holding a slot.
     pub fn in_flight(&self) -> usize {
-        self.state.lock().expect("admission lock").running
+        lock_recover(&self.state).running
     }
 
     /// Requests currently parked in the wait queue.
     pub fn queue_len(&self) -> usize {
-        self.state.lock().expect("admission lock").queue.len()
+        lock_recover(&self.state).queue.len()
     }
 
     /// Per-client slot usage right now: `(client id, running queries)`,
     /// sorted by client id. Only clients holding at least one slot appear.
     pub fn running_by_client(&self) -> Vec<(u64, usize)> {
-        let st = self.state.lock().expect("admission lock");
+        let st = lock_recover(&self.state);
         let mut v: Vec<(u64, usize)> = st.running_by_client.iter().map(|(&c, &n)| (c, n)).collect();
         v.sort_unstable();
         v
@@ -164,7 +164,7 @@ impl Admission {
     /// Stop admitting: queued waiters and new arrivals are refused with
     /// [`AdmitRejection::Draining`]; running queries keep their slots.
     pub fn drain(&self) {
-        self.state.lock().expect("admission lock").draining = true;
+        lock_recover(&self.state).draining = true;
         self.cv.notify_all();
     }
 
@@ -197,7 +197,7 @@ impl Admission {
     /// connection for quota purposes.
     pub fn admit(self: &Arc<Self>, client: u64) -> Result<AdmitPermit, AdmitRejection> {
         let started = Instant::now();
-        let mut st = self.state.lock().expect("admission lock");
+        let mut st = lock_recover(&self.state);
         if st.draining {
             self.reject("draining");
             return Err(AdmitRejection::Draining);
@@ -230,7 +230,7 @@ impl Admission {
                 st.queue.retain(|w| w.seq != seq);
                 return Ok(self.grant(st, client, started));
             }
-            st = self.cv.wait(st).expect("admission lock");
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -350,6 +350,36 @@ mod tests {
         a.drain();
         assert_eq!(waiter.join().unwrap(), Err(AdmitRejection::Draining));
         assert!(matches!(a.admit(3), Err(AdmitRejection::Draining)));
+        drop(p);
+        assert_eq!(a.in_flight(), 0);
+    }
+
+    #[test]
+    fn poisoned_state_lock_keeps_admitting() {
+        // A thread that panics while holding the state lock poisons it.
+        // Every update of the state completes under the lock, so admission
+        // recovers it rather than panicking every later request — a waiter
+        // parked on the condvar when the poison lands included.
+        let a = controller(1, 1, 8);
+        let p = a.admit(1).unwrap();
+        let a2 = Arc::clone(&a);
+        let waiter = std::thread::spawn(move || a2.admit(2).map(drop));
+        // The waiter holds the lock from its enqueue until the condvar
+        // releases it, so a visible queue entry means it is parked.
+        while a.queue_len() == 0 {
+            std::thread::yield_now();
+        }
+        let a3 = Arc::clone(&a);
+        let poisoner = std::thread::spawn(move || {
+            let _st = a3.state.lock().unwrap();
+            panic!("poison the admission lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(a.state.is_poisoned());
+        drop(p);
+        assert_eq!(waiter.join().unwrap(), Ok(()));
+        let p = a.admit(3).unwrap();
+        assert_eq!(a.in_flight(), 1);
         drop(p);
         assert_eq!(a.in_flight(), 0);
     }

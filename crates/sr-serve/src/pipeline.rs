@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use sr_engine::wire::CHUNK_ROWS;
 use sr_engine::{EngineError, Server, TupleStream};
-use sr_obs::{MetricsRegistry, Tracer};
+use sr_obs::{lock_recover, MetricsRegistry, Tracer};
 use sr_plan::Recoster;
 use sr_sqlgen::{generate_queries, GeneratedQuery, PlanSpec, QueryStyle};
 use sr_tagger::{tag_streams_traced, RowSource, StreamInput, TagError, TagStats};
@@ -317,7 +317,7 @@ impl CancelRegistry {
     /// Register a stream's cancel handle. If the connection already died,
     /// the token is cancelled on the spot instead of stored.
     pub fn register(&self, token: sr_engine::CancelToken) {
-        let mut st = self.inner.lock().expect("cancel registry lock");
+        let mut st = lock_recover(&self.inner);
         if st.cancelled {
             token.cancel();
         } else {
@@ -327,7 +327,7 @@ impl CancelRegistry {
 
     /// Cancel everything registered and everything registered later.
     pub fn cancel_all(&self) {
-        let mut st = self.inner.lock().expect("cancel registry lock");
+        let mut st = lock_recover(&self.inner);
         st.cancelled = true;
         for t in st.tokens.drain(..) {
             t.cancel();
@@ -336,13 +336,13 @@ impl CancelRegistry {
 
     /// Whether [`CancelRegistry::cancel_all`] has fired.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.lock().expect("cancel registry lock").cancelled
+        lock_recover(&self.inner).cancelled
     }
 
     /// Forget the current request's tokens (it completed); the sticky
     /// cancelled flag is cleared so the connection can run another query.
     pub fn reset(&self) {
-        let mut st = self.inner.lock().expect("cancel registry lock");
+        let mut st = lock_recover(&self.inner);
         st.tokens.clear();
         st.cancelled = false;
     }

@@ -45,8 +45,6 @@ pub struct QlogRecord {
     pub xpath: String,
     /// `xml` or `tuples`.
     pub format: Format,
-    /// Engine shard fan-out for this server.
-    pub shards: u64,
     /// Component streams the plan decomposed into (0 when planning failed).
     pub streams: u64,
     /// Whether every component plan came out of the prepared-plan cache.
@@ -97,7 +95,6 @@ impl QlogRecord {
                     .into(),
                 ),
             ),
-            ("shards", Json::UInt(self.shards)),
             ("streams", Json::UInt(self.streams)),
             ("cache_hit", Json::Bool(self.cache_hit)),
             ("queue_ms", Json::Float(self.queue_ms)),
@@ -217,7 +214,6 @@ mod tests {
             plan: "unified".into(),
             xpath: String::new(),
             format: Format::Xml,
-            shards: 1,
             streams: 2,
             cache_hit: seq > 0,
             queue_ms: 0.1,

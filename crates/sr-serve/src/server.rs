@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sr_engine::Server as Engine;
-use sr_obs::{Json, MetricsRegistry, Tracer};
+use sr_obs::{lock_recover, Json, MetricsRegistry, Tracer};
 use sr_plan::{RecostConfig, Recoster};
 
 use crate::admit::{Admission, AdmitConfig};
@@ -120,10 +120,7 @@ impl Shared {
     fn stats_json(&self) -> Json {
         let running: std::collections::HashMap<u64, usize> =
             self.admission.running_by_client().into_iter().collect();
-        let clients: Vec<ClientStat> = self
-            .clients
-            .lock()
-            .expect("client registry lock")
+        let clients: Vec<ClientStat> = lock_recover(&self.clients)
             .iter()
             .map(|(&id, e)| ClientStat {
                 id,
@@ -138,7 +135,6 @@ impl Shared {
             draining: self.draining.load(Ordering::SeqCst),
             active_conns: self.active.load(Ordering::SeqCst),
             max_conns: self.max_connections,
-            shards: self.engine.shards(),
             admission: &self.admission,
             metrics: &self.metrics,
             clients,
@@ -200,7 +196,7 @@ impl ServeHandle {
             let _ = h.join();
         }
         loop {
-            let handle = self.conns.lock().expect("conn registry lock").pop();
+            let handle = lock_recover(&self.conns).pop();
             match handle {
                 Some(h) => {
                     let _ = h.join();
@@ -309,7 +305,7 @@ fn accept_loop(
         shared.active.fetch_add(1, Ordering::SeqCst);
         shared.metrics.counter("serve.connections").inc();
         let client_id = shared.next_client.fetch_add(1, Ordering::SeqCst);
-        shared.clients.lock().expect("client registry lock").insert(
+        lock_recover(&shared.clients).insert(
             client_id,
             ClientEntry {
                 addr: sock
@@ -327,7 +323,7 @@ fn accept_loop(
                 handle_connection(sock, shared2, client_id);
             })
             .expect("spawn connection thread");
-        conns.lock().expect("conn registry lock").push(handle);
+        lock_recover(&conns).push(handle);
     }
 }
 
@@ -442,11 +438,7 @@ fn handle_connection(sock: TcpStream, shared: Arc<Shared>, client_id: u64) {
     if let Some(r) = reader {
         let _ = r.join();
     }
-    shared
-        .clients
-        .lock()
-        .expect("client registry lock")
-        .remove(&client_id);
+    lock_recover(&shared.clients).remove(&client_id);
     shared.active.fetch_sub(1, Ordering::SeqCst);
 }
 
@@ -556,12 +548,7 @@ fn handle_query(
 ) -> bool {
     shared.metrics.counter("serve.requests").inc();
     let seq = shared.request_seq.fetch_add(1, Ordering::SeqCst);
-    if let Some(e) = shared
-        .clients
-        .lock()
-        .expect("client registry lock")
-        .get_mut(&client_id)
-    {
+    if let Some(e) = lock_recover(&shared.clients).get_mut(&client_id) {
         e.queries += 1;
     }
     let mut record = QlogRecord {
@@ -575,7 +562,6 @@ fn handle_query(
         plan: plan.clone(),
         xpath: xpath.clone().unwrap_or_default(),
         format,
-        shards: shared.engine.shards() as u64,
         outcome: "ok".into(),
         ..QlogRecord::default()
     };

@@ -21,7 +21,7 @@ use sr_obs::{Json, MetricsRegistry};
 use crate::admit::Admission;
 
 /// Schema version carried in the snapshot, bumped on breaking changes.
-pub const STATS_PROTO: u64 = 1;
+pub const STATS_PROTO: u64 = 2;
 
 /// One connected client as seen by the server: connection registry data
 /// joined with the admission controller's live slot usage.
@@ -62,8 +62,6 @@ pub struct StatsSources<'a> {
     pub active_conns: usize,
     /// The configured connection cap.
     pub max_conns: usize,
-    /// Engine shard fan-out.
-    pub shards: usize,
     /// The admission controller.
     pub admission: &'a Admission,
     /// The shared metrics registry.
@@ -99,7 +97,6 @@ pub fn build(src: &StatsSources<'_>) -> Json {
         ("proto", Json::UInt(STATS_PROTO)),
         ("uptime_s", Json::Float(src.uptime.as_secs_f64())),
         ("draining", Json::Bool(src.draining)),
-        ("shards", Json::UInt(src.shards as u64)),
         (
             "connections",
             Json::obj(vec![
@@ -334,7 +331,6 @@ mod tests {
             draining: false,
             active_conns: 2,
             max_conns: 64,
-            shards: 1,
             admission: &admission,
             metrics: &metrics,
             clients: vec![ClientStat {

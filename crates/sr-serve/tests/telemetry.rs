@@ -77,7 +77,6 @@ fn check_stats(j: &Json) {
     assert_eq!(unum(j, &["proto"]) as u64, STATS_PROTO);
     assert!(unum(j, &["uptime_s"]) >= 0.0);
     assert!(is_bool(j, "draining"));
-    assert!(unum(j, &["shards"]) >= 1.0);
 
     let active = unum(j, &["connections", "active"]);
     assert!(active <= unum(j, &["connections", "max"]), "active > max");
@@ -192,7 +191,7 @@ fn read_qlog(path: &Path) -> Vec<Json> {
             seqs.insert(unum(r, &["seq"]) as u64),
             "record {i}: duplicate seq"
         );
-        for key in ["client", "shards", "streams", "rows", "bytes"] {
+        for key in ["client", "streams", "rows", "bytes"] {
             unum(r, &[key]);
         }
         text("view");

@@ -20,7 +20,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use silkroute::{
-    materialize_to_string, query1_tree, query2_tree, EdgeSet, PlanSpec, QueryStyle, Server,
+    calibrated_params, gen_plan, materialize_to_string, query1_tree, query2_tree, EdgeSet, Oracle,
+    PlanSpec, QueryStyle, Server,
 };
 use sr_viewtree::ViewTree;
 
@@ -167,4 +168,57 @@ fn fragment_is_golden_substring() {
         golden.contains(&fragment),
         "fragment for suppkey=1 not a contiguous slice of the golden document"
     );
+}
+
+/// Rows per chunk of an `n`-row result: full chunks, then the remainder.
+fn full_chunks(n: usize) -> Vec<usize> {
+    (0..n)
+        .step_by(1024)
+        .map(|start| (n - start).min(1024))
+        .collect()
+}
+
+/// One chunking rule on every path: under the partitioned and the greedy
+/// plan of both views, each stream's chunks hold 1024 rows but the last —
+/// whatever batches the plan's operators produced — on the worker and the
+/// inline path, and `execute_sql` cuts the same bytes.
+#[test]
+fn stream_chunks_are_full_but_the_last() {
+    let scale = sr_tpch::Scale::mb(0.5);
+    let db = Arc::new(sr_tpch::generate(scale).expect("tpch generation"));
+    let planner = Server::new(Arc::clone(&db));
+    // Rows per chunk, and the bytes of all chunks.
+    let drain = |mut stream: sr_engine::TupleStream| {
+        let (mut sizes, mut bytes) = (Vec::new(), Vec::new());
+        while let Some(chunk) = stream.next_chunk().unwrap() {
+            sizes.push(sr_engine::wire::row_prefix(&chunk, usize::MAX).unwrap().1);
+            bytes.extend_from_slice(&chunk);
+        }
+        (sizes, bytes)
+    };
+    let mut longest = 0;
+    for tree in [query1_tree(&db), query2_tree(&db)] {
+        let oracle = Oracle::new(&planner, calibrated_params(scale));
+        let greedy = PlanSpec {
+            edges: gen_plan(&tree, &db, &oracle, true).unwrap().recommended(),
+            reduce: true,
+            style: QueryStyle::OuterJoin,
+        };
+        for spec in [PlanSpec::fully_partitioned(), greedy] {
+            for q in sr_sqlgen::generate_queries(&tree, &db, spec).unwrap() {
+                for workers in [true, false] {
+                    let server = Server::new(Arc::clone(&db)).with_stream_workers(workers);
+                    let (got, bytes) = drain(server.execute_sql_streaming(&q.sql).unwrap());
+                    let want = full_chunks(got.iter().sum());
+                    longest = longest.max(want.len());
+                    let at = format!("workers={workers}: {}", q.sql);
+                    assert_eq!(got, want, "{at}");
+                    let (sizes, whole) = drain(server.execute_sql(&q.sql).unwrap());
+                    assert_eq!(sizes, want, "{at}");
+                    assert_eq!(whole, bytes, "{at}");
+                }
+            }
+        }
+    }
+    assert!(longest > 2, "no stream spanned more than two chunks");
 }

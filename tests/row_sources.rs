@@ -1,8 +1,8 @@
 //! One tagger, two row sources: `RowSource::Stream` (wire chunks bound into
 //! a cell arena, no tuple ever owned) and `RowSource::Materialized` (owned
 //! `Row`s) must tag the same component queries into the same bytes and the
-//! same statistics — for both paper views, every plan family, every shard
-//! count, and whether the chunks come from execution or the fragment cache.
+//! same statistics — for both paper views, every plan family, and whether
+//! the chunks come from execution or the fragment cache.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -73,18 +73,14 @@ fn tag(tree: &ViewTree, server: &Server, spec: PlanSpec, materialize_rows: bool)
 #[test]
 fn stream_and_materialized_sources_tag_identically() {
     let db = Arc::new(sr_tpch::generate(Scale::mb(SCALE_MB)).expect("tpch"));
-    let new_server = |shards| {
-        Server::new(Arc::clone(&db))
-            .with_shards(shards)
-            .with_fragment_cache(64 << 20)
-    };
+    let new_server = || Server::new(Arc::clone(&db)).with_fragment_cache(64 << 20);
     for (golden_file, tree) in [
         ("query1.xml", query1_tree(&db)),
         ("query2.xml", query2_tree(&db)),
     ] {
         let expect = golden(golden_file);
         let greedy = {
-            let server = new_server(1);
+            let server = new_server();
             let oracle = Oracle::new(&server, calibrated_params(Scale::mb(SCALE_MB)));
             let r = gen_plan(&tree, &db, &oracle, true).expect("genPlan");
             PlanSpec {
@@ -100,22 +96,20 @@ fn stream_and_materialized_sources_tag_identically() {
             ("greedy", greedy),
         ];
         for (plan, spec) in plans {
-            for shards in [1usize, 2, 4] {
-                // A server per source, so that each source's first run is
-                // cold and its second is served from the fragment cache.
-                let servers = [new_server(shards), new_server(shards)];
-                for cache in ["cold", "warm"] {
-                    let streamed = tag(&tree, &servers[0], spec, false);
-                    let materialized = tag(&tree, &servers[1], spec, true);
-                    let case = format!("{golden_file} {plan} shards={shards} {cache}");
-                    assert_eq!(streamed.xml, expect, "{case}: stream source vs golden");
-                    assert_eq!(streamed, materialized, "{case}: stream vs materialized");
-                    assert_eq!(streamed.bytes, expect.len() as u64, "{case}");
-                }
-                for server in &servers {
-                    let hits = server.metrics().snapshot().counter("cache.fragment.hits");
-                    assert!(hits > 0, "{plan} shards={shards}: second run was not warm");
-                }
+            // A server per source, so that each source's first run is cold
+            // and its second is served from the fragment cache.
+            let servers = [new_server(), new_server()];
+            for cache in ["cold", "warm"] {
+                let streamed = tag(&tree, &servers[0], spec, false);
+                let materialized = tag(&tree, &servers[1], spec, true);
+                let case = format!("{golden_file} {plan} {cache}");
+                assert_eq!(streamed.xml, expect, "{case}: stream source vs golden");
+                assert_eq!(streamed, materialized, "{case}: stream vs materialized");
+                assert_eq!(streamed.bytes, expect.len() as u64, "{case}");
+            }
+            for server in &servers {
+                let hits = server.metrics().snapshot().counter("cache.fragment.hits");
+                assert!(hits > 0, "{plan}: second run was not warm");
             }
         }
     }

@@ -6,7 +6,7 @@
 //! The reference oracle here parses the full golden document (our own
 //! writer's output format) into a DOM, applies the XPath filter semantics
 //! instance-by-instance, and re-serializes; the composed/pruned execution
-//! must be byte-identical to it at every shard count, executor, and plan.
+//! must be byte-identical to it under every executor and plan.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -538,7 +538,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Random paths over the golden query1 view: the pruned execution must
-    /// equal the reference filter at shards {1,2,4}, under both plan shapes.
+    /// equal the reference filter under both plan shapes.
     #[test]
     fn xpath_equals_reference_filter_across_configs(src in arb_xpath()) {
         let parsed = match silkroute::xpath::parse(&src) {
@@ -546,20 +546,8 @@ proptest! {
             Err(_) => return, // e.g. a bare-`*` pool artifact
         };
         let want = filter_reference(full_doc_q1(), &parsed);
-        let mut supported = None;
-        for shards in [1usize, 2, 4] {
-            let server = Server::new(db()).with_shards(shards);
-            match run_both_plans(&server, false, &src) {
-                Some(got) => {
-                    prop_assert_eq!(&got, &want, "mismatch for {} at shards={}", src, shards);
-                    supported = Some(true);
-                }
-                None => {
-                    // Unsupported must be consistent across configs.
-                    prop_assert_ne!(supported, Some(true));
-                    supported = Some(false);
-                }
-            }
+        if let Some(got) = run_both_plans(&Server::new(db()), false, &src) {
+            prop_assert_eq!(&got, &want, "mismatch for {}", src);
         }
     }
 }
