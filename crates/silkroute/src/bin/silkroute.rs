@@ -16,7 +16,7 @@
 //! OPTS: --mb <size>          TPC-H database size in MB   [default 0.5]
 //!       --plan <spec>        unified | partitioned | outer-union | greedy
 //!                            | edges:<bits>              [default greedy]
-//!       --style <s>          outer-join | outer-union | with  [default outer-join]
+//!       --style <s>          outer-join | outer-union    [default outer-join]
 //!       --no-reduce          disable view-tree reduction
 //!       --xpath PATH         XPath over the virtual view: prune the view
 //!                            tree to the subtrees the path touches and
@@ -140,7 +140,7 @@ struct Opts {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: silkroute <tree|sql|materialize|query|plan|bench|serve|client|stats|top> [--mb N] \
-         [--plan SPEC] [--no-reduce] [--xpath PATH] [--out FILE] [--pretty] [--explain] \
+         [--plan SPEC] [--style outer-join|outer-union] [--no-reduce] [--xpath PATH] [--out FILE] [--pretty] [--explain] \
          [--metrics-json] [--analyze] [--trace FILE] [--fault SPEC] [--fault-seed N] \
          [--retries N] [--fragment-cache BYTES] \
          [--listen ADDR] [--connect ADDR] \
@@ -288,7 +288,6 @@ fn resolve_plan(
     let style = match opts.style.as_str() {
         "outer-join" => QueryStyle::OuterJoin,
         "outer-union" => QueryStyle::OuterUnion,
-        "with" => QueryStyle::OuterJoinWith,
         other => return Err(format!("unknown style: {other}")),
     };
     if let Some(spec) = PlanSpec::parse(tree, plan, opts.reduce, style)? {

@@ -61,7 +61,6 @@ fn style_name(style: QueryStyle) -> String {
     match style {
         QueryStyle::OuterJoin => "outer-join".to_string(),
         QueryStyle::OuterUnion => "outer-union".to_string(),
-        QueryStyle::OuterJoinWith => "outer-join-with".to_string(),
     }
 }
 

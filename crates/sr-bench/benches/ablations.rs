@@ -32,24 +32,13 @@ fn main() {
 
     println!("-- ablation 1+2: style × reduction (median of 3, total ms) --");
     println!(
-        "{:>18} {:>8} | {:>12} {:>12} | {:>12} {:>12} | {:>12} {:>12}",
-        "edges",
-        "streams",
-        "oj+reduce",
-        "oj plain",
-        "ou+reduce",
-        "ou plain",
-        "with+reduce",
-        "with plain"
+        "{:>18} {:>8} | {:>12} {:>12} | {:>12} {:>12}",
+        "edges", "streams", "oj+reduce", "oj plain", "ou+reduce", "ou plain"
     );
     for (label, edges) in families {
         let mut cells = Vec::new();
         let mut streams = 0;
-        for style in [
-            QueryStyle::OuterJoin,
-            QueryStyle::OuterUnion,
-            QueryStyle::OuterJoinWith,
-        ] {
+        for style in [QueryStyle::OuterJoin, QueryStyle::OuterUnion] {
             for reduce in [true, false] {
                 let mut ts: Vec<f64> = (0..3)
                     .map(|_| {
@@ -73,8 +62,8 @@ fn main() {
             }
         }
         println!(
-            "{label:>18} {streams:>8} | {:>12.1} {:>12.1} | {:>12.1} {:>12.1} | {:>12.1} {:>12.1}",
-            cells[0], cells[1], cells[2], cells[3], cells[4], cells[5]
+            "{label:>18} {streams:>8} | {:>12.1} {:>12.1} | {:>12.1} {:>12.1}",
+            cells[0], cells[1], cells[2], cells[3]
         );
     }
 

@@ -233,11 +233,6 @@ fn node_label(plan: &Plan) -> String {
         Plan::OuterUnion { .. } => "OuterUnion".to_string(),
         Plan::Sort { keys, .. } => format!("Sort [{}]", keys.join(", ")),
         Plan::Distinct { .. } => "Distinct".to_string(),
-        Plan::With { ctes, .. } => {
-            let names: Vec<&str> = ctes.iter().map(|(n, _)| n.as_str()).collect();
-            format!("With [{}]", names.join(", "))
-        }
-        Plan::CteScan { cte, alias, .. } => format!("CteScan {cte} AS {alias}"),
     }
 }
 

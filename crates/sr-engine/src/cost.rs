@@ -72,7 +72,7 @@ fn default_width(t: DataType) -> f64 {
 
 /// Estimate a plan bottom-up.
 pub fn estimate(plan: &Plan, db: &Database) -> Result<Estimate, EngineError> {
-    estimate_env(plan, db, &HashMap::new(), 0, &mut Vec::new())
+    estimate_node(plan, db, 0, &mut Vec::new())
 }
 
 /// Estimate a plan, also reporting the estimated cardinality of **every**
@@ -85,7 +85,7 @@ pub fn estimate_with_nodes(
     db: &Database,
 ) -> Result<(Estimate, Vec<f64>), EngineError> {
     let mut nodes = vec![f64::NAN; plan.node_count()];
-    let e = estimate_env(plan, db, &HashMap::new(), 0, &mut nodes)?;
+    let e = estimate_node(plan, db, 0, &mut nodes)?;
     Ok((e, nodes))
 }
 
@@ -93,14 +93,13 @@ pub fn estimate_with_nodes(
 /// cardinality into `nodes[id]` when a per-node vector is in use (the
 /// plain [`estimate`] entry point passes an empty vector, making the
 /// recording a no-op).
-fn estimate_env(
+fn estimate_node(
     plan: &Plan,
     db: &Database,
-    env: &HashMap<String, Estimate>,
     id: usize,
     nodes: &mut Vec<f64>,
 ) -> Result<Estimate, EngineError> {
-    let e = estimate_op(plan, db, env, id, nodes)?;
+    let e = estimate_op(plan, db, id, nodes)?;
     if let Some(slot) = nodes.get_mut(id) {
         *slot = e.cardinality;
     }
@@ -110,7 +109,6 @@ fn estimate_env(
 fn estimate_op(
     plan: &Plan,
     db: &Database,
-    env: &HashMap<String, Estimate>,
     id: usize,
     nodes: &mut Vec<f64>,
 ) -> Result<Estimate, EngineError> {
@@ -138,7 +136,7 @@ fn estimate_op(
             })
         }
         Plan::Filter { input, predicates } => {
-            let mut e = estimate_env(input, db, env, id + 1, nodes)?;
+            let mut e = estimate_node(input, db, id + 1, nodes)?;
             e.eval_cost += e.cardinality;
             for p in predicates {
                 let sel = selectivity(&p.left, p.op, &p.right, &e);
@@ -148,7 +146,7 @@ fn estimate_op(
             Ok(e)
         }
         Plan::Project { input, items } => {
-            let inner = estimate_env(input, db, env, id + 1, nodes)?;
+            let inner = estimate_node(input, db, id + 1, nodes)?;
             let schema = plan.schema(db)?;
             let mut columns = BTreeMap::new();
             for ((name, expr), col) in items.iter().zip(schema.columns()) {
@@ -184,8 +182,8 @@ fn estimate_op(
             kind,
             on,
         } => {
-            let le = estimate_env(left, db, env, id + 1, nodes)?;
-            let re = estimate_env(right, db, env, id + 1 + left.node_count(), nodes)?;
+            let le = estimate_node(left, db, id + 1, nodes)?;
+            let re = estimate_node(right, db, id + 1 + left.node_count(), nodes)?;
             // Containment assumption with *joint* key distincts: treating
             // each key pair independently grossly underestimates multi-key
             // joins whose key columns are correlated (e.g. (suppkey,
@@ -258,7 +256,7 @@ fn estimate_op(
             let mut estimates = Vec::with_capacity(inputs.len());
             let mut child_id = id + 1;
             for i in inputs {
-                estimates.push(estimate_env(i, db, env, child_id, nodes)?);
+                estimates.push(estimate_node(i, db, child_id, nodes)?);
                 child_id += i.node_count();
             }
             for e in &estimates {
@@ -308,13 +306,13 @@ fn estimate_op(
             Ok(e)
         }
         Plan::Sort { input, keys: _ } => {
-            let mut e = estimate_env(input, db, env, id + 1, nodes)?;
+            let mut e = estimate_node(input, db, id + 1, nodes)?;
             let n = e.cardinality.max(1.0);
             e.eval_cost += n * n.log2().max(1.0);
             Ok(e)
         }
         Plan::Distinct { input } => {
-            let mut e = estimate_env(input, db, env, id + 1, nodes)?;
+            let mut e = estimate_node(input, db, id + 1, nodes)?;
             e.eval_cost += e.cardinality;
             // Upper-bounded by the product of column distincts.
             let product: f64 = e
@@ -325,60 +323,6 @@ fn estimate_op(
             e.cardinality = e.cardinality.min(product);
             Ok(e)
         }
-        Plan::With { ctes, body } => {
-            // Each definition is evaluated once (the executor memoizes), so
-            // its evaluation cost is charged once here, up front; references
-            // only pay a re-scan.
-            let mut local = env.clone();
-            let mut setup = 0.0;
-            let mut child_id = id + 1;
-            for (name, def) in ctes {
-                let e = estimate_env(def, db, &local, child_id, nodes)?;
-                child_id += def.node_count();
-                setup += e.eval_cost;
-                local.insert(name.clone(), e);
-            }
-            let mut e = estimate_env(body, db, &local, child_id, nodes)?;
-            e.eval_cost += setup;
-            Ok(e)
-        }
-        Plan::CteScan { cte, alias, schema } => match env.get(cte) {
-            Some(def) => {
-                let columns = def
-                    .columns
-                    .iter()
-                    .map(|(n, ci)| (format!("{alias}_{n}"), *ci))
-                    .collect();
-                Ok(Estimate {
-                    cardinality: def.cardinality,
-                    // Re-scan of a materialized result: row-count cost only.
-                    eval_cost: def.cardinality,
-                    columns,
-                })
-            }
-            None => {
-                // No environment (estimated in isolation): fall back to the
-                // embedded schema with default statistics.
-                let columns = schema
-                    .columns()
-                    .iter()
-                    .map(|c| {
-                        (
-                            format!("{alias}_{}", c.name),
-                            ColInfo {
-                                distinct: 100.0,
-                                width: default_width(c.dtype),
-                            },
-                        )
-                    })
-                    .collect();
-                Ok(Estimate {
-                    cardinality: 100.0,
-                    eval_cost: 100.0,
-                    columns,
-                })
-            }
-        },
     }
 }
 

@@ -8,7 +8,7 @@
 //! in the result on the server", §4) — which is exactly the behaviour of a
 //! materializing executor whose final operator is a sort.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use sr_data::{Database, Row, Schema};
@@ -17,7 +17,7 @@ use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::faults::FaultInjector;
 use crate::plan::Plan;
-use crate::vexec::{vexec_env, VecResultSet};
+use crate::vexec::{vexec, VecResultSet};
 use crate::wire::CHUNK_ROWS;
 
 /// Output statistics for one operator kind.
@@ -87,8 +87,7 @@ impl ExecProfile {
 pub struct NodeStat {
     /// Operator kind name (`scan`, `join`, …); empty if the node never ran.
     pub op: &'static str,
-    /// Times this node was evaluated (CTE definitions run once; a node
-    /// under a re-evaluated subtree could run more).
+    /// Times this node was evaluated (once per run of the plan).
     pub calls: u64,
     /// Rows this node produced in total.
     pub rows_out: u64,
@@ -174,8 +173,6 @@ fn op_name(plan: &Plan) -> &'static str {
         Plan::OuterUnion { .. } => "outer_union",
         Plan::Sort { .. } => "sort",
         Plan::Distinct { .. } => "distinct",
-        Plan::With { .. } => "with",
-        Plan::CteScan { .. } => "cte_scan",
     }
 }
 
@@ -266,7 +263,7 @@ fn run(
         faults,
         ticks: 0,
     };
-    let rs = vexec_env(plan, db, &HashMap::new(), &mut ctx, 0)?;
+    let rs = vexec(plan, db, &mut ctx, 0)?;
     Ok((rs, profile))
 }
 
@@ -522,41 +519,6 @@ mod tests {
         assert_eq!(plain.rows, rs.to_rows());
     }
 
-    #[test]
-    fn analyzed_with_cte_counts_single_evaluation() {
-        let db = db();
-        let def = Plan::scan("Supplier", "s");
-        let schema = sr_data::Schema::of(&[("suppkey", DataType::Int), ("name", DataType::Str)]);
-        // 0=With, 1=Scan (cte def), 2=Join, 3=CteScan, 4=CteScan
-        let body = Plan::CteScan {
-            cte: "c".into(),
-            alias: "x".into(),
-            schema: schema.clone(),
-        }
-        .join(
-            Plan::CteScan {
-                cte: "c".into(),
-                alias: "y".into(),
-                schema,
-            },
-            JoinKind::Inner,
-            vec![("x_suppkey".into(), "y_suppkey".into())],
-        );
-        let p = Plan::With {
-            ctes: vec![("c".into(), def)],
-            body: Box::new(body),
-        };
-        let (_, _, pp) = execute_analyzed(&p, &db, &CancelToken::none()).unwrap();
-        assert_eq!(
-            pp.nodes.iter().map(|s| s.op).collect::<Vec<_>>(),
-            vec!["with", "scan", "join", "cte_scan", "cte_scan"]
-        );
-        // The definition ran exactly once despite two references.
-        assert_eq!(pp.nodes[1].calls, 1);
-        assert_eq!(pp.nodes[3].calls, 1);
-        assert_eq!(pp.nodes[4].calls, 1);
-    }
-
     /// Per-node `op` / `calls` / `rows_out` of an analyzed run equal the
     /// reference executor's on every node of both views' component plans:
     /// EXPLAIN ANALYZE counts what the one executor really did.
@@ -566,15 +528,10 @@ mod tests {
         let server = crate::Server::new(std::sync::Arc::clone(&db));
         let mut nodes = 0;
         for tree in [silkroute::query1_tree(&db), silkroute::query2_tree(&db)] {
-            let unified = silkroute::PlanSpec::unified(&tree);
             for spec in [
-                unified,
+                silkroute::PlanSpec::unified(&tree),
                 silkroute::PlanSpec::fully_partitioned(),
                 silkroute::PlanSpec::sorted_outer_union(&tree),
-                silkroute::PlanSpec {
-                    style: silkroute::QueryStyle::OuterJoinWith,
-                    ..unified
-                },
             ] {
                 for q in sr_sqlgen::generate_queries(&tree, &db, spec).unwrap() {
                     let (plan, _) = server.optimized_plan(&q.sql).unwrap();

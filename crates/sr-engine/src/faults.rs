@@ -236,7 +236,7 @@ impl FaultInjector {
         self.fired.load(Ordering::Relaxed)
     }
 
-    /// Hit counts per site, in [`FaultSite::ALL`] order — lets tests
+    /// Hit counts per site, in `FaultSite::ALL` order — lets tests
     /// assert a site was actually reached.
     pub fn hits(&self) -> Vec<(FaultSite, u64)> {
         FaultSite::ALL

@@ -36,42 +36,12 @@ pub fn push_filters(plan: Plan, db: &Database) -> Result<Plan, EngineError> {
             let input = push_filters(*input, db)?;
             push_preds_into(input, predicates, db)
         }
-        Plan::Project { input, items } => Ok(Plan::Project {
-            input: Box::new(push_filters(*input, db)?),
-            items,
-        }),
-        Plan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => Ok(Plan::Join {
-            left: Box::new(push_filters(*left, db)?),
-            right: Box::new(push_filters(*right, db)?),
-            kind,
-            on,
-        }),
-        Plan::OuterUnion { inputs } => Ok(Plan::OuterUnion {
-            inputs: inputs
-                .into_iter()
-                .map(|p| push_filters(p, db))
-                .collect::<Result<_, _>>()?,
-        }),
-        Plan::Sort { input, keys } => Ok(Plan::Sort {
-            input: Box::new(push_filters(*input, db)?),
-            keys,
-        }),
-        Plan::Distinct { input } => Ok(Plan::Distinct {
-            input: Box::new(push_filters(*input, db)?),
-        }),
-        Plan::With { ctes, body } => Ok(Plan::With {
-            ctes: ctes
-                .into_iter()
-                .map(|(n, d)| Ok((n, push_filters(d, db)?)))
-                .collect::<Result<_, EngineError>>()?,
-            body: Box::new(push_filters(*body, db)?),
-        }),
-        leaf @ (Plan::Scan { .. } | Plan::CteScan { .. }) => Ok(leaf),
+        mut other => {
+            for child in other.children_mut() {
+                *child = push_filters(child.take(), db)?;
+            }
+            Ok(other)
+        }
     }
 }
 
@@ -182,11 +152,7 @@ fn push_preds_into(
         Plan::Distinct { input } => Ok(Plan::Distinct {
             input: Box::new(push_preds_into(*input, predicates, db)?),
         }),
-        Plan::With { ctes, body } => Ok(Plan::With {
-            ctes,
-            body: Box::new(push_preds_into(*body, predicates, db)?),
-        }),
-        leaf @ (Plan::Scan { .. } | Plan::CteScan { .. }) => Ok(leaf.filter(predicates)),
+        leaf @ Plan::Scan { .. } => Ok(leaf.filter(predicates)),
     }
 }
 

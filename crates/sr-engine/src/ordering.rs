@@ -272,8 +272,6 @@ fn derive(plan: &Plan, db: &Database) -> (OrderInfo, Option<Schema>) {
             let info = union_over(branches, &schemas[0]);
             (info, plan.output_schema(db, &schemas).ok())
         }
-        Plan::With { body, .. } => derive(body, db),
-        Plan::CteScan { .. } => (OrderInfo::unknown(), plan.output_schema(db, &[]).ok()),
     }
 }
 
@@ -664,104 +662,24 @@ fn join_over(
 /// derived order properties. Returns the rewritten plan and the number of
 /// sorts elided. Because the executor's sort is stable, an elided sort is
 /// exactly the identity — row content *and* order are unchanged.
-pub fn elide_sorts(plan: Plan, db: &Database) -> (Plan, usize) {
-    match plan {
-        Plan::Sort { input, keys } => {
-            let (input, mut n) = elide_sorts(*input, db);
-            if order_info(&input, db).satisfies(&keys) {
-                n += 1;
-                (input, n)
-            } else {
-                (
-                    Plan::Sort {
-                        input: Box::new(input),
-                        keys,
-                    },
-                    n,
-                )
-            }
+pub fn elide_sorts(mut plan: Plan, db: &Database) -> (Plan, usize) {
+    let n = elide_in(&mut plan, db);
+    (plan, n)
+}
+
+fn elide_in(plan: &mut Plan, db: &Database) -> usize {
+    let mut n = plan
+        .children_mut()
+        .into_iter()
+        .map(|c| elide_in(c, db))
+        .sum();
+    if let Plan::Sort { input, keys } = plan {
+        if order_info(input, db).satisfies(keys) {
+            *plan = input.take();
+            n += 1;
         }
-        Plan::Filter { input, predicates } => {
-            let (input, n) = elide_sorts(*input, db);
-            (
-                Plan::Filter {
-                    input: Box::new(input),
-                    predicates,
-                },
-                n,
-            )
-        }
-        Plan::Project { input, items } => {
-            let (input, n) = elide_sorts(*input, db);
-            (
-                Plan::Project {
-                    input: Box::new(input),
-                    items,
-                },
-                n,
-            )
-        }
-        Plan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let (left, nl) = elide_sorts(*left, db);
-            let (right, nr) = elide_sorts(*right, db);
-            (
-                Plan::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    kind,
-                    on,
-                },
-                nl + nr,
-            )
-        }
-        Plan::OuterUnion { inputs } => {
-            let mut n = 0;
-            let inputs = inputs
-                .into_iter()
-                .map(|p| {
-                    let (p, k) = elide_sorts(p, db);
-                    n += k;
-                    p
-                })
-                .collect();
-            (Plan::OuterUnion { inputs }, n)
-        }
-        Plan::Distinct { input } => {
-            let (input, n) = elide_sorts(*input, db);
-            (
-                Plan::Distinct {
-                    input: Box::new(input),
-                },
-                n,
-            )
-        }
-        Plan::With { ctes, body } => {
-            let mut n = 0;
-            let ctes = ctes
-                .into_iter()
-                .map(|(name, def)| {
-                    let (def, k) = elide_sorts(def, db);
-                    n += k;
-                    (name, def)
-                })
-                .collect();
-            let (body, k) = elide_sorts(*body, db);
-            n += k;
-            (
-                Plan::With {
-                    ctes,
-                    body: Box::new(body),
-                },
-                n,
-            )
-        }
-        leaf @ (Plan::Scan { .. } | Plan::CteScan { .. }) => (leaf, 0),
     }
+    n
 }
 
 #[cfg(test)]

@@ -80,28 +80,6 @@ pub enum Plan {
         /// Input plan.
         input: Box<Plan>,
     },
-    /// Common table expressions (`WITH name AS (…), … body`) — the paper's
-    /// §3.4 footnote: "We also can use the SQL 'with' clause to construct
-    /// partitioned relations." Each definition is evaluated **once** and
-    /// shared by every reference in later definitions and the body.
-    With {
-        /// `(name, definition)` pairs, in order; later definitions may
-        /// reference earlier ones.
-        ctes: Vec<(String, Plan)>,
-        /// The main query.
-        body: Box<Plan>,
-    },
-    /// A reference to a CTE, exposing its columns as `alias_col`. The
-    /// definition's schema is embedded at construction so schema queries
-    /// need no environment.
-    CteScan {
-        /// CTE name.
-        cte: String,
-        /// Alias prefixing every column.
-        alias: String,
-        /// The definition's output schema (un-aliased).
-        schema: Schema,
-    },
 }
 
 impl Plan {
@@ -158,41 +136,17 @@ impl Plan {
     /// Compute the output schema against a database catalog, validating all
     /// column references along the way.
     pub fn schema(&self, db: &Database) -> Result<Schema, EngineError> {
-        match self {
-            Plan::Scan { .. } | Plan::CteScan { .. } => self.output_schema(db, &[]),
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Distinct { input } => {
-                let s = input.schema(db)?;
-                self.output_schema(db, std::slice::from_ref(&s))
-            }
-            Plan::Join { left, right, .. } => {
-                let kids = [left.schema(db)?, right.schema(db)?];
-                self.output_schema(db, &kids)
-            }
-            Plan::OuterUnion { inputs } => {
-                let kids = inputs
-                    .iter()
-                    .map(|p| p.schema(db))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.output_schema(db, &kids)
-            }
-            Plan::With { ctes, body } => {
-                // Validate definitions, then the body (CteScan schemas are
-                // embedded, so no environment is needed).
-                for (_, def) in ctes {
-                    def.schema(db)?;
-                }
-                let s = body.schema(db)?;
-                self.output_schema(db, std::slice::from_ref(&s))
-            }
-        }
+        let kids = self
+            .children()
+            .into_iter()
+            .map(|p| p.schema(db))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.output_schema(db, &kids)
     }
 
     /// Output schema of this operator given the schemas of its direct
     /// inputs, in operand order: `[input]` for unary operators, `[left,
-    /// right]` for joins, one per branch for unions, `[body]` for `With`.
+    /// right]` for joins, one per branch for unions.
     /// Lets bottom-up analysis passes derive every node's schema in a
     /// single traversal instead of re-walking each subtree per node.
     pub fn output_schema(&self, db: &Database, children: &[Schema]) -> Result<Schema, EngineError> {
@@ -283,88 +237,53 @@ impl Plan {
                 }
                 Ok(s)
             }
-            Plan::Distinct { .. } | Plan::With { .. } => Ok(children[0].clone()),
-            Plan::CteScan { alias, schema, .. } => {
-                let cols = schema
-                    .columns()
-                    .iter()
-                    .map(|c| Column {
-                        name: format!("{alias}_{}", c.name),
-                        dtype: c.dtype,
-                        nullable: c.nullable,
-                    })
-                    .collect();
-                Schema::new(cols).map_err(Into::into)
-            }
+            Plan::Distinct { .. } => Ok(children[0].clone()),
         }
     }
 
     /// Visit every operator in the plan, parents before children.
     pub fn visit(&self, f: &mut impl FnMut(&Plan)) {
         f(self);
-        match self {
-            Plan::Scan { .. } | Plan::CteScan { .. } => {}
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Distinct { input } => input.visit(f),
-            Plan::Join { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            Plan::OuterUnion { inputs } => {
-                for i in inputs {
-                    i.visit(f);
-                }
-            }
-            Plan::With { ctes, body } => {
-                for (_, def) in ctes {
-                    def.visit(f);
-                }
-                body.visit(f);
-            }
+        for child in self.children() {
+            child.visit(f);
         }
     }
 
     /// Direct children in operand order: `[input]` for unary operators,
-    /// `[left, right]` for joins, one per branch for unions, and — for
-    /// `With` — every CTE definition in order followed by the body. This is
-    /// exactly the order [`Plan::visit`] and [`Plan::node_count`] recurse
-    /// in, so preorder node ids (node `i`'s first child is `i + 1`, each
-    /// next sibling is offset by the previous child's `node_count`) are
+    /// `[left, right]` for joins, one per branch for unions. This is exactly
+    /// the order [`Plan::visit`] and [`Plan::node_count`] recurse in, so
+    /// preorder node ids (node `i`'s first child is `i + 1`, each next
+    /// sibling is offset by the previous child's `node_count`) are
     /// consistent across the executor, the cost model, and EXPLAIN output.
     pub fn children(&self) -> Vec<&Plan> {
         match self {
-            Plan::Scan { .. } | Plan::CteScan { .. } => Vec::new(),
+            Plan::Scan { .. } => Vec::new(),
             Plan::Filter { input, .. }
             | Plan::Project { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Distinct { input } => vec![input],
             Plan::Join { left, right, .. } => vec![left, right],
             Plan::OuterUnion { inputs } => inputs.iter().collect(),
-            Plan::With { ctes, body } => {
-                let mut kids: Vec<&Plan> = ctes.iter().map(|(_, d)| d).collect();
-                kids.push(body);
-                kids
-            }
         }
     }
 
-    fn children_mut(&mut self) -> Vec<&mut Plan> {
+    /// [`Plan::children`], mutably: lets a rewriting pass recurse without
+    /// rebuilding every operator it passes through.
+    pub(crate) fn children_mut(&mut self) -> Vec<&mut Plan> {
         match self {
-            Plan::Scan { .. } | Plan::CteScan { .. } => Vec::new(),
+            Plan::Scan { .. } => Vec::new(),
             Plan::Filter { input, .. }
             | Plan::Project { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Distinct { input } => vec![input],
             Plan::Join { left, right, .. } => vec![left, right],
             Plan::OuterUnion { inputs } => inputs.iter_mut().collect(),
-            Plan::With { ctes, body } => ctes
-                .iter_mut()
-                .map(|(_, d)| d)
-                .chain(std::iter::once(&mut **body))
-                .collect(),
         }
+    }
+
+    /// Move the plan out, leaving an empty union in its place.
+    pub(crate) fn take(&mut self) -> Plan {
+        std::mem::replace(self, Plan::OuterUnion { inputs: Vec::new() })
     }
 
     /// Replace each parameter slot (they sit only in filters) with its value
@@ -434,18 +353,11 @@ impl Plan {
 
     /// Number of operators in the plan (for tests/metrics).
     pub fn node_count(&self) -> usize {
-        1 + match self {
-            Plan::Scan { .. } | Plan::CteScan { .. } => 0,
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Distinct { input } => input.node_count(),
-            Plan::Join { left, right, .. } => left.node_count() + right.node_count(),
-            Plan::OuterUnion { inputs } => inputs.iter().map(Plan::node_count).sum(),
-            Plan::With { ctes, body } => {
-                ctes.iter().map(|(_, d)| d.node_count()).sum::<usize>() + body.node_count()
-            }
-        }
+        1 + self
+            .children()
+            .into_iter()
+            .map(Plan::node_count)
+            .sum::<usize>()
     }
 
     /// All base tables scanned by the plan (with duplicates, in scan order).
@@ -456,28 +368,11 @@ impl Plan {
     }
 
     fn collect_tables<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Plan::Scan { table, .. } => out.push(table),
-            Plan::CteScan { .. } => {}
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Distinct { input } => input.collect_tables(out),
-            Plan::Join { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
-            }
-            Plan::OuterUnion { inputs } => {
-                for i in inputs {
-                    i.collect_tables(out);
-                }
-            }
-            Plan::With { ctes, body } => {
-                for (_, d) in ctes {
-                    d.collect_tables(out);
-                }
-                body.collect_tables(out);
-            }
+        if let Plan::Scan { table, .. } = self {
+            out.push(table);
+        }
+        for child in self.children() {
+            child.collect_tables(out);
         }
     }
 }
@@ -525,16 +420,6 @@ impl fmt::Display for Plan {
                 Plan::Distinct { input } => {
                     writeln!(f, "{pad}Distinct")?;
                     go(input, f, depth + 1)
-                }
-                Plan::With { ctes, body } => {
-                    for (name, def) in ctes {
-                        writeln!(f, "{pad}With {name} :=")?;
-                        go(def, f, depth + 1)?;
-                    }
-                    go(body, f, depth)
-                }
-                Plan::CteScan { cte, alias, .. } => {
-                    writeln!(f, "{pad}CteScan {cte} AS {alias}")
                 }
             }
         }
@@ -669,18 +554,17 @@ mod tests {
         // Preorder: join=0, left=1, right=1+left.node_count()=2.
         assert_eq!(kids[0].node_count(), 1);
 
-        let with = Plan::With {
-            ctes: vec![("c".into(), Plan::scan("A", "a"))],
-            body: Box::new(Plan::scan("B", "b")),
+        let union = Plan::OuterUnion {
+            inputs: vec![Plan::scan("A", "a"), Plan::scan("B", "b")],
         };
-        let kids = with.children();
+        let kids = union.children();
         assert_eq!(kids.len(), 2);
         assert!(matches!(kids[0], Plan::Scan { table, .. } if table == "A"));
         assert!(matches!(kids[1], Plan::Scan { table, .. } if table == "B"));
 
         // children() order agrees with visit() order.
         let mut visited = Vec::new();
-        with.visit(&mut |p| visited.push(p.clone()));
+        union.visit(&mut |p| visited.push(p.clone()));
         assert_eq!(&visited[1], kids[0]);
         assert_eq!(&visited[2], kids[1]);
     }

@@ -49,22 +49,20 @@ fn run(
         faults: None,
         ticks: 0,
     };
-    let rs = execute_env(plan, db, &HashMap::new(), &mut ctx, 0)?;
+    let rs = execute_node(plan, db, &mut ctx, 0)?;
     Ok((rs, profile))
 }
 
-/// Execute with a CTE environment (each definition's materialized result,
-/// computed exactly once by the enclosing [`Plan::With`]). `id` is the
-/// node's preorder id, meaningful only when `ctx.nodes` is set.
-fn execute_env(
+/// Execute one node, timing it into `ctx`. `id` is the node's preorder id,
+/// meaningful only when `ctx.nodes` is set.
+fn execute_node(
     plan: &Plan,
     db: &Database,
-    env: &HashMap<String, ResultSet>,
     ctx: &mut ExecCtx<'_>,
     id: usize,
 ) -> Result<ResultSet, EngineError> {
     let start = ctx.node_start();
-    let rs = execute_op(plan, db, env, ctx, id)?;
+    let rs = execute_op(plan, db, ctx, id)?;
     ctx.node_done(plan, id, start, rs.len(), 0);
     Ok(rs)
 }
@@ -72,7 +70,6 @@ fn execute_env(
 fn execute_op(
     plan: &Plan,
     db: &Database,
-    env: &HashMap<String, ResultSet>,
     ctx: &mut ExecCtx<'_>,
     id: usize,
 ) -> Result<ResultSet, EngineError> {
@@ -82,7 +79,7 @@ fn execute_op(
             rows: db.table(table)?.rows(),
         }),
         Plan::Filter { input, predicates } => {
-            let mut rs = execute_env(input, db, env, ctx, id + 1)?;
+            let mut rs = execute_node(input, db, ctx, id + 1)?;
             let bound = predicates
                 .iter()
                 .map(|p| p.bind(&rs.schema))
@@ -91,7 +88,7 @@ fn execute_op(
             Ok(rs)
         }
         Plan::Project { input, items } => {
-            let rs = execute_env(input, db, env, ctx, id + 1)?;
+            let rs = execute_node(input, db, ctx, id + 1)?;
             let bound = items
                 .iter()
                 .map(|(_, e)| e.bind(&rs.schema))
@@ -112,8 +109,8 @@ fn execute_op(
             kind,
             on,
         } => {
-            let lrs = execute_env(left, db, env, ctx, id + 1)?;
-            let rrs = execute_env(right, db, env, ctx, id + 1 + left.node_count())?;
+            let lrs = execute_node(left, db, ctx, id + 1)?;
+            let rrs = execute_node(right, db, ctx, id + 1 + left.node_count())?;
             Ok(ResultSet {
                 schema: plan.schema(db)?,
                 rows: hash_join(&lrs, &rrs, *kind, on)?,
@@ -124,7 +121,7 @@ fn execute_op(
             let mut rows = Vec::new();
             let mut child_id = id + 1;
             for input in inputs {
-                let rs = execute_env(input, db, env, ctx, child_id)?;
+                let rs = execute_node(input, db, ctx, child_id)?;
                 child_id += input.node_count();
                 // Map union position -> branch position (None = NULL pad).
                 let mapping: Vec<Option<usize>> =
@@ -141,7 +138,7 @@ fn execute_op(
             Ok(ResultSet { schema, rows })
         }
         Plan::Sort { input, keys } => {
-            let mut rs = execute_env(input, db, env, ctx, id + 1)?;
+            let mut rs = execute_node(input, db, ctx, id + 1)?;
             let idx: Vec<usize> = keys
                 .iter()
                 .map(|k| rs.schema.require(k).map_err(EngineError::from))
@@ -156,7 +153,7 @@ fn execute_op(
             Ok(rs)
         }
         Plan::Distinct { input } => {
-            let mut rs = execute_env(input, db, env, ctx, id + 1)?;
+            let mut rs = execute_node(input, db, ctx, id + 1)?;
             // Dedup on row hashes with bucket verification, first
             // occurrence wins (preserving input order).
             let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -173,25 +170,6 @@ fn execute_op(
             }
             retain_by_mask(&mut rs.rows, &keep)?;
             Ok(rs)
-        }
-        Plan::With { ctes, body } => {
-            let mut local = env.clone();
-            let mut child_id = id + 1;
-            for (name, def) in ctes {
-                let rs = execute_env(def, db, &local, ctx, child_id)?;
-                child_id += def.node_count();
-                local.insert(name.clone(), rs);
-            }
-            execute_env(body, db, &local, ctx, child_id)
-        }
-        Plan::CteScan { cte, .. } => {
-            let rs = env.get(cte).ok_or_else(|| {
-                EngineError::InvalidPlan(format!("CTE {cte} referenced outside WITH"))
-            })?;
-            Ok(ResultSet {
-                schema: plan.schema(db)?,
-                rows: rs.rows.clone(),
-            })
         }
     }
 }

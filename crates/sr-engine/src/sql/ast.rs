@@ -236,13 +236,9 @@ impl fmt::Display for SelectStmt {
     }
 }
 
-/// A full query: optional top-level CTEs, union of selects, optional
-/// ORDER BY.
+/// A full query: union of selects, optional ORDER BY.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
-    /// Top-level `WITH name AS (…)` definitions (statement level only;
-    /// empty for subqueries and union branches).
-    pub ctes: Vec<(String, Query)>,
     /// `UNION ALL` branches; a plain select has exactly one.
     pub branches: Vec<SelectStmt>,
     /// `ORDER BY` output-column names.
@@ -253,7 +249,6 @@ impl Query {
     /// A single-select query.
     pub fn select(stmt: SelectStmt) -> Query {
         Query {
-            ctes: Vec::new(),
             branches: vec![stmt],
             order_by: Vec::new(),
         }
@@ -262,16 +257,6 @@ impl Query {
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.ctes.is_empty() {
-            write!(f, "WITH ")?;
-            for (i, (name, def)) in self.ctes.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{name} AS ({def})")?;
-            }
-            write!(f, " ")?;
-        }
         for (i, b) in self.branches.iter().enumerate() {
             if i > 0 {
                 write!(f, " UNION ALL ")?;
@@ -330,7 +315,6 @@ mod tests {
     #[test]
     fn print_union_and_order_by() {
         let q = Query {
-            ctes: Vec::new(),
             branches: vec![simple_select(), simple_select()],
             order_by: vec!["s_suppkey".into()],
         };

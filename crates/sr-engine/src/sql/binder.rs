@@ -14,44 +14,18 @@ use crate::expr::{CmpOp, Expr, Predicate};
 use crate::plan::{JoinKind, Plan};
 use crate::sql::ast::{FromItem, Query, SelectStmt, SqlCond, SqlExpr};
 
-/// Schemas of the CTEs visible while binding.
-type CteReg = std::collections::HashMap<String, sr_data::Schema>;
-
 /// Bind a parsed query to a plan.
 pub fn bind(query: &Query, db: &Database) -> Result<Plan, EngineError> {
-    // Bind statement-level CTE definitions in order; later definitions see
-    // earlier ones.
-    let mut reg = CteReg::new();
-    let mut bound_ctes = Vec::with_capacity(query.ctes.len());
-    for (name, def) in &query.ctes {
-        if !def.ctes.is_empty() {
-            return Err(EngineError::Bind("nested WITH is not supported".into()));
-        }
-        let plan = bind_inner(def, db, &reg)?;
-        let schema = plan.schema(db)?;
-        if reg.insert(name.clone(), schema).is_some() {
-            return Err(EngineError::Bind(format!("duplicate CTE name {name}")));
-        }
-        bound_ctes.push((name.clone(), plan));
-    }
-    let body = bind_inner(query, db, &reg)?;
-    let plan = if bound_ctes.is_empty() {
-        body
-    } else {
-        Plan::With {
-            ctes: bound_ctes,
-            body: Box::new(body),
-        }
-    };
+    let plan = bind_query(query, db)?;
     // Validate eagerly so errors surface at bind time, not execution time.
     plan.schema(db)?;
     Ok(plan)
 }
 
-fn bind_inner(query: &Query, db: &Database, reg: &CteReg) -> Result<Plan, EngineError> {
+fn bind_query(query: &Query, db: &Database) -> Result<Plan, EngineError> {
     let mut branches = Vec::with_capacity(query.branches.len());
     for b in &query.branches {
-        branches.push(bind_select(b, db, reg)?);
+        branches.push(bind_select(b, db)?);
     }
     let plan = if branches.len() == 1 {
         branches.pop().expect("one branch")
@@ -154,27 +128,9 @@ fn bind_cond(c: &SqlCond, scope: &Scope) -> Result<Predicate, EngineError> {
 }
 
 /// Bind a FROM item to a plan and its scope contribution.
-fn bind_from_item(
-    item: &FromItem,
-    db: &Database,
-    reg: &CteReg,
-) -> Result<(Plan, Scope), EngineError> {
+fn bind_from_item(item: &FromItem, db: &Database) -> Result<(Plan, Scope), EngineError> {
     match item {
         FromItem::Table { name, alias } => {
-            // CTE names shadow base tables.
-            if let Some(schema) = reg.get(name) {
-                let cols: Vec<String> = schema.names().map(str::to_string).collect();
-                let mut scope = Scope::default();
-                scope.add(alias, cols)?;
-                return Ok((
-                    Plan::CteScan {
-                        cte: name.clone(),
-                        alias: alias.clone(),
-                        schema: schema.clone(),
-                    },
-                    scope,
-                ));
-            }
             let t = db.table(name)?;
             let cols: Vec<String> = t.schema().names().map(str::to_string).collect();
             let mut scope = Scope::default();
@@ -182,12 +138,7 @@ fn bind_from_item(
             Ok((Plan::scan(name.clone(), alias.clone()), scope))
         }
         FromItem::Subquery { query, alias } => {
-            if !query.ctes.is_empty() {
-                return Err(EngineError::Bind(
-                    "WITH inside a subquery is not supported".into(),
-                ));
-            }
-            let inner = bind_inner(query, db, reg)?;
+            let inner = bind_query(query, db)?;
             let inner_schema = inner.schema(db)?;
             let cols: Vec<String> = inner_schema.names().map(str::to_string).collect();
             // Re-qualify: output column `c` becomes `alias_c`.
@@ -232,12 +183,12 @@ fn as_join_keys(c: &SqlCond, left: &Scope, right: &Scope) -> Option<(String, Str
     }
 }
 
-fn bind_select(stmt: &SelectStmt, db: &Database, reg: &CteReg) -> Result<Plan, EngineError> {
+fn bind_select(stmt: &SelectStmt, db: &Database) -> Result<Plan, EngineError> {
     // Bind every comma-FROM item.
     let mut pending: Vec<(Plan, Scope)> = stmt
         .from
         .iter()
-        .map(|f| bind_from_item(f, db, reg))
+        .map(|f| bind_from_item(f, db))
         .collect::<Result<_, _>>()?;
     if pending.is_empty() {
         return Err(EngineError::Bind("empty FROM".into()));
@@ -272,7 +223,7 @@ fn bind_select(stmt: &SelectStmt, db: &Database, reg: &CteReg) -> Result<Plan, E
 
     // Explicit JOIN clauses, in order.
     for j in &stmt.joins {
-        let (rplan, rscope) = bind_from_item(&j.item, db, reg)?;
+        let (rplan, rscope) = bind_from_item(&j.item, db)?;
         let mut keys = Vec::new();
         let mut residual: Vec<Predicate> = Vec::new();
         let mut combined = acc_scope.clone();
@@ -484,66 +435,6 @@ mod tests {
         let plan = plan_sql("SELECT DISTINCT s.nationkey AS nk FROM Supplier s", &db).unwrap();
         let rs = execute(&plan, &db).unwrap();
         assert_eq!(rs.len(), 2);
-    }
-
-    #[test]
-    fn with_clause_binds_and_executes() {
-        let db = db();
-        let plan = plan_sql(
-            "WITH sn AS (SELECT s.suppkey AS k, n.name AS nn FROM Supplier s, Nation n              WHERE s.nationkey = n.nationkey)              SELECT a.k AS k1, b.k AS k2 FROM sn a, sn b WHERE a.k = b.k ORDER BY k1",
-            &db,
-        )
-        .unwrap();
-        assert!(matches!(plan, Plan::With { .. }));
-        let rs = execute(&plan, &db).unwrap();
-        assert_eq!(rs.len(), 3, "self-join of the CTE on its key");
-    }
-
-    #[test]
-    fn with_roundtrips_through_sql_text() {
-        let db = db();
-        let sql = "WITH sn AS (SELECT s.suppkey AS k, s.name AS nm FROM Supplier s)                    SELECT x.nm AS nm FROM sn x ORDER BY nm";
-        let plan = plan_sql(sql, &db).unwrap();
-        let printed = crate::sql::to_sql(&plan, &db).unwrap();
-        assert!(printed.starts_with("WITH sn AS ("), "{printed}");
-        let again = plan_sql(&printed, &db).unwrap();
-        let a = execute(&plan, &db).unwrap();
-        let b = execute(&again, &db).unwrap();
-        assert_eq!(a.rows, b.rows);
-    }
-
-    #[test]
-    fn later_cte_sees_earlier_cte() {
-        let db = db();
-        let plan = plan_sql(
-            "WITH a AS (SELECT s.suppkey AS k FROM Supplier s),                   b AS (SELECT x.k AS k FROM a x WHERE x.k > 1)              SELECT y.k AS k FROM b y ORDER BY k",
-            &db,
-        )
-        .unwrap();
-        let rs = execute(&plan, &db).unwrap();
-        assert_eq!(rs.len(), 2);
-    }
-
-    #[test]
-    fn duplicate_cte_name_rejected() {
-        let db = db();
-        let err = plan_sql(
-            "WITH a AS (SELECT s.suppkey AS k FROM Supplier s),                   a AS (SELECT s.suppkey AS k FROM Supplier s)              SELECT x.k AS k FROM a x",
-            &db,
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::Bind(m) if m.contains("duplicate CTE")));
-    }
-
-    #[test]
-    fn unreferenced_cte_is_harmless() {
-        let db = db();
-        let plan = plan_sql(
-            "WITH unused AS (SELECT s.suppkey AS k FROM Supplier s)              SELECT s.suppkey AS k FROM Supplier s ORDER BY k",
-            &db,
-        )
-        .unwrap();
-        assert_eq!(execute(&plan, &db).unwrap().len(), 3);
     }
 
     #[test]

@@ -25,17 +25,7 @@ pub fn to_sql(plan: &Plan, db: &Database) -> Result<String, EngineError> {
         next_alias: 0,
         schemas: HashMap::new(),
     };
-    match plan {
-        Plan::With { ctes, body } => {
-            let mut q = to_query(body, db, &mut ctx)?;
-            q.ctes = ctes
-                .iter()
-                .map(|(name, def)| Ok((name.clone(), to_query(def, db, &mut ctx)?)))
-                .collect::<Result<Vec<_>, EngineError>>()?;
-            Ok(q.to_string())
-        }
-        other => Ok(to_query(other, db, &mut ctx)?.to_string()),
-    }
+    Ok(to_query(plan, db, &mut ctx)?.to_string())
 }
 
 struct Ctx {
@@ -58,17 +48,12 @@ impl Ctx {
         if let Some(s) = self.schemas.get(&key) {
             return Ok(s.clone());
         }
-        let schema = match plan {
-            Plan::With { .. } => plan.schema(db)?,
-            _ => {
-                let kids = plan
-                    .children()
-                    .into_iter()
-                    .map(|c| self.schema(c, db))
-                    .collect::<Result<Vec<_>, _>>()?;
-                plan.output_schema(db, &kids)?
-            }
-        };
+        let kids = plan
+            .children()
+            .into_iter()
+            .map(|c| self.schema(c, db))
+            .collect::<Result<Vec<_>, _>>()?;
+        let schema = plan.output_schema(db, &kids)?;
         self.schemas.insert(key, schema.clone());
         Ok(schema)
     }
@@ -131,14 +116,10 @@ fn to_query(plan: &Plan, db: &Database, ctx: &mut Ctx) -> Result<Query, EngineEr
                 branches.push(SelectStmt { items, ..stmt });
             }
             Ok(Query {
-                ctes: Vec::new(),
                 branches,
                 order_by: Vec::new(),
             })
         }
-        Plan::With { .. } => Err(EngineError::InvalidPlan(
-            "WITH is only supported at the top level of a query".into(),
-        )),
         other => Ok(Query::select(to_select(other, db, ctx)?)),
     }
 }
@@ -225,21 +206,6 @@ fn to_select(plan: &Plan, db: &Database, ctx: &mut Ctx) -> Result<SelectStmt, En
 /// Flatten scans/filters/joins into one block.
 fn gather(plan: &Plan, db: &Database, ctx: &mut Ctx) -> Result<Block, EngineError> {
     match plan {
-        Plan::CteScan { cte, alias, schema } => {
-            let scope = schema
-                .names()
-                .map(|c| (format!("{alias}_{c}"), SqlExpr::qcol(alias.clone(), c)))
-                .collect();
-            Ok(Block {
-                from: vec![FromItem::Table {
-                    name: cte.clone(),
-                    alias: alias.clone(),
-                }],
-                joins: vec![],
-                where_: vec![],
-                scope,
-            })
-        }
         Plan::Scan { table, alias } => {
             let t = db.table(table)?;
             let scope = t
@@ -272,19 +238,6 @@ fn gather(plan: &Plan, db: &Database, ctx: &mut Ctx) -> Result<Block, EngineErro
         } => {
             let mut b = gather(left, db, ctx)?;
             let (item, rscope) = match right.as_ref() {
-                Plan::CteScan { cte, alias, schema } => {
-                    let scope: SqlScope = schema
-                        .names()
-                        .map(|c| (format!("{alias}_{c}"), SqlExpr::qcol(alias.clone(), c)))
-                        .collect();
-                    (
-                        FromItem::Table {
-                            name: cte.clone(),
-                            alias: alias.clone(),
-                        },
-                        scope,
-                    )
-                }
                 Plan::Scan { table, alias } => {
                     let t = db.table(table)?;
                     let scope: SqlScope = t

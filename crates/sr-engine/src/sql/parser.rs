@@ -35,26 +35,8 @@ pub fn parse(src: &str) -> Result<Query, EngineError> {
 /// Parse lexed tokens; a parameter slot parses as [`SqlExpr::Param`].
 pub(crate) fn parse_tokens(tokens: Vec<Spanned>) -> Result<Query, EngineError> {
     let mut p = Parser { tokens, pos: 0 };
-    // Statement-level WITH clause.
-    let mut ctes = Vec::new();
-    if p.eat_kw("WITH") {
-        loop {
-            let name = p.ident()?;
-            p.expect_kw("AS")?;
-            p.expect(Token::LParen)?;
-            let def = p.query()?;
-            p.expect(Token::RParen)?;
-            ctes.push((name, def));
-            if *p.peek() == Token::Comma {
-                p.bump();
-            } else {
-                break;
-            }
-        }
-    }
-    let mut q = p.query()?;
+    let q = p.query()?;
     p.expect_eof()?;
-    q.ctes = ctes;
     Ok(q)
 }
 
@@ -130,7 +112,7 @@ impl Parser {
     fn ident(&mut self) -> Result<String, EngineError> {
         const RESERVED: &[&str] = &[
             "SELECT", "FROM", "WHERE", "JOIN", "LEFT", "OUTER", "INNER", "ON", "UNION", "ALL",
-            "ORDER", "BY", "AS", "AND", "DISTINCT", "CAST", "NULL", "WITH",
+            "ORDER", "BY", "AS", "AND", "DISTINCT", "CAST", "NULL",
         ];
         match self.peek() {
             Token::Ident(s) if !RESERVED.iter().any(|r| s.eq_ignore_ascii_case(r)) => {
@@ -158,11 +140,7 @@ impl Parser {
                 order_by.push(self.ident()?);
             }
         }
-        Ok(Query {
-            ctes: Vec::new(),
-            branches,
-            order_by,
-        })
+        Ok(Query { branches, order_by })
     }
 
     /// One union branch; parenthesized sub-queries flatten their branches

@@ -247,20 +247,18 @@ fn join_eq_cells(a: CellRef<'_>, b: CellRef<'_>) -> bool {
     }
 }
 
-/// Execute with a CTE environment (each definition's result, computed
-/// exactly once by the enclosing [`Plan::With`]), recording per-operator
-/// rows and batch counts into the shared [`ExecProfile`]. `id` is the
+/// Execute `plan`, recording per-operator rows and batch counts into the
+/// shared [`ExecProfile`]. `id` is the
 /// node's preorder id (see [`Plan::children`]), under which its per-node
 /// stat is kept when `ctx.nodes` is set.
-pub(crate) fn vexec_env(
+pub(crate) fn vexec(
     plan: &Plan,
     db: &Database,
-    env: &HashMap<String, VecResultSet>,
     ctx: &mut ExecCtx<'_>,
     id: usize,
 ) -> Result<VecResultSet, EngineError> {
     let start = ctx.node_start();
-    let rs = vexec_op(plan, db, env, ctx, id)?;
+    let rs = vexec_op(plan, db, ctx, id)?;
     ctx.node_done(plan, id, start, rs.len(), rs.batches.len());
     Ok(rs)
 }
@@ -268,7 +266,6 @@ pub(crate) fn vexec_env(
 fn vexec_op(
     plan: &Plan,
     db: &Database,
-    env: &HashMap<String, VecResultSet>,
     ctx: &mut ExecCtx<'_>,
     id: usize,
 ) -> Result<VecResultSet, EngineError> {
@@ -292,7 +289,7 @@ fn vexec_op(
             Ok(VecResultSet { schema, batches })
         }
         Plan::Filter { input, predicates } => {
-            let rs = vexec_env(input, db, env, ctx, id + 1)?;
+            let rs = vexec(input, db, ctx, id + 1)?;
             let bound = predicates
                 .iter()
                 .map(|p| p.bind(&rs.schema))
@@ -310,7 +307,7 @@ fn vexec_op(
             })
         }
         Plan::Project { input, items } => {
-            let rs = vexec_env(input, db, env, ctx, id + 1)?;
+            let rs = vexec(input, db, ctx, id + 1)?;
             let bound = items
                 .iter()
                 .map(|(_, e)| e.bind(&rs.schema))
@@ -344,8 +341,8 @@ fn vexec_op(
             kind,
             on,
         } => {
-            let lrs = vexec_env(left, db, env, ctx, id + 1)?;
-            let rrs = vexec_env(right, db, env, ctx, id + 1 + left.node_count())?;
+            let lrs = vexec(left, db, ctx, id + 1)?;
+            let rrs = vexec(right, db, ctx, id + 1 + left.node_count())?;
             let schema = plan.schema(db)?;
             let batches = vec_hash_join(&lrs, &rrs, *kind, on, &schema, ctx)?;
             Ok(VecResultSet { schema, batches })
@@ -355,7 +352,7 @@ fn vexec_op(
             let mut batches = Vec::new();
             let mut child_id = id + 1;
             for input in inputs {
-                let rs = vexec_env(input, db, env, ctx, child_id)?;
+                let rs = vexec(input, db, ctx, child_id)?;
                 child_id += input.node_count();
                 // Union position -> branch position (None = NULL pad), one
                 // mapping per branch; each output column is either an Arc
@@ -378,7 +375,7 @@ fn vexec_op(
             Ok(VecResultSet { schema, batches })
         }
         Plan::Sort { input, keys } => {
-            let rs = vexec_env(input, db, env, ctx, id + 1)?;
+            let rs = vexec(input, db, ctx, id + 1)?;
             let idx: Vec<usize> = keys
                 .iter()
                 .map(|k| rs.schema.require(k).map_err(EngineError::from))
@@ -416,7 +413,7 @@ fn vexec_op(
             })
         }
         Plan::Distinct { input } => {
-            let rs = vexec_env(input, db, env, ctx, id + 1)?;
+            let rs = vexec(input, db, ctx, id + 1)?;
             // Global dedup across batches: hash buckets with cell-wise
             // verification, first occurrence wins (input order preserved).
             let mut seen: FxMap<u64, Vec<(usize, u32)>> = FxMap::default();
@@ -452,35 +449,6 @@ fn vexec_op(
                 schema: rs.schema,
                 batches,
             })
-        }
-        Plan::With { ctes, body } => {
-            // Materialize each definition once, visible to later
-            // definitions and the body — the sharing the paper's
-            // with-clause footnote is after.
-            let mut local = env.clone();
-            let mut child_id = id + 1;
-            for (name, def) in ctes {
-                let rs = vexec_env(def, db, &local, ctx, child_id)?;
-                child_id += def.node_count();
-                local.insert(name.clone(), rs);
-            }
-            vexec_env(body, db, &local, ctx, child_id)
-        }
-        Plan::CteScan {
-            cte,
-            alias: _,
-            schema: _,
-        } => {
-            let rs = env.get(cte).ok_or_else(|| {
-                EngineError::InvalidPlan(format!("CTE {cte} referenced outside WITH"))
-            })?;
-            let schema = plan.schema(db)?;
-            let batches = rs
-                .batches
-                .iter()
-                .map(|b| b.renamed(schema.clone()).map_err(EngineError::from))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(VecResultSet { schema, batches })
         }
     }
 }
@@ -856,31 +824,6 @@ mod tests {
             ),
         };
         assert_paths_agree(&d, &db);
-    }
-
-    #[test]
-    fn cte_plans_agree() {
-        let db = db();
-        let schema = Schema::of(&[("suppkey", DataType::Int), ("name", DataType::Str)]);
-        let body = Plan::CteScan {
-            cte: "c".into(),
-            alias: "x".into(),
-            schema: schema.clone(),
-        }
-        .join(
-            Plan::CteScan {
-                cte: "c".into(),
-                alias: "y".into(),
-                schema,
-            },
-            JoinKind::Inner,
-            vec![("x_suppkey".into(), "y_suppkey".into())],
-        );
-        let p = Plan::With {
-            ctes: vec![("c".into(), Plan::scan("Supplier", "s"))],
-            body: Box::new(body),
-        };
-        assert_paths_agree(&p, &db);
     }
 
     #[test]

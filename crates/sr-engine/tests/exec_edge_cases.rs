@@ -1,5 +1,5 @@
 //! Executor edge cases: empty inputs, degenerate joins, sort stability,
-//! and CTE corner cases.
+//! and statements outside the SQL subset.
 
 use std::sync::Arc;
 
@@ -240,60 +240,17 @@ fn distinct_of_constant_rows() {
 }
 
 #[test]
-fn cte_referenced_twice_returns_same_rows() {
-    let db = db();
-    let def = Plan::scan("A", "a").project(vec![
-        ("id".into(), Expr::col("a_id")),
-        ("g".into(), Expr::col("a_g")),
-    ]);
-    let schema = def.schema(&db).unwrap();
-    let body = Plan::CteScan {
-        cte: "c".into(),
-        alias: "x".into(),
-        schema: schema.clone(),
-    }
-    .join(
-        Plan::CteScan {
-            cte: "c".into(),
-            alias: "y".into(),
-            schema: schema.clone(),
-        },
-        JoinKind::Inner,
-        vec![("x_id".into(), "y_id".into())],
+fn with_clause_is_a_typed_parse_error() {
+    // The SQL subset is what the generator emits, and it emits no WITH.
+    let server = Server::new(Arc::new(db()));
+    let sql = "WITH c AS (SELECT a.id AS id FROM A a) SELECT x.id AS id FROM c x";
+    let Err(err) = server.execute_sql(sql) else {
+        panic!("WITH is not in the subset");
+    };
+    assert!(
+        matches!(err, sr_engine::EngineError::Parse { offset: 0, .. }),
+        "{err:?}"
     );
-    let with = Plan::With {
-        ctes: vec![("c".into(), def)],
-        body: Box::new(body),
-    };
-    let rs = execute(&with, &db).unwrap();
-    assert_eq!(rs.len(), 3, "self-join on the key");
-}
-
-#[test]
-fn cte_scan_outside_with_errors() {
-    let db = db();
-    let orphan = Plan::CteScan {
-        cte: "nope".into(),
-        alias: "x".into(),
-        schema: Schema::of(&[("id", DataType::Int)]),
-    };
-    assert!(execute(&orphan, &db).is_err());
-}
-
-#[test]
-fn empty_cte_definition() {
-    let db = db();
-    let def = Plan::scan("Empty", "e");
-    let schema = def.schema(&db).unwrap();
-    let with = Plan::With {
-        ctes: vec![("c".into(), def)],
-        body: Box::new(Plan::CteScan {
-            cte: "c".into(),
-            alias: "x".into(),
-            schema,
-        }),
-    };
-    assert!(execute(&with, &db).unwrap().is_empty());
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Rolling-window aggregation over the log-scale histograms.
 //!
-//! The registry's [`Counter`]/[`Histogram`] instruments are cumulative:
-//! perfect for end-of-run reports, useless for asking a live server "what
-//! is p99 *right now*". This module adds windowed variants built from the
+//! The registry's [`Counter`](crate::Counter)/[`Histogram`](crate::Histogram)
+//! instruments are cumulative: perfect for end-of-run reports, useless for
+//! asking a live server "what is p99 *right now*". This module adds windowed variants built from the
 //! same base-2 log buckets: a ring of fixed-duration time slots, each an
 //! independent sub-histogram, merged on demand into "the last W seconds".
 //! Memory is bounded by the ring (`RING_SLOTS` slots regardless of

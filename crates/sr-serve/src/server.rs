@@ -303,7 +303,6 @@ fn accept_loop(
         // Nagle waiting on the peer's delayed ACK (~40 ms per exchange).
         let _ = sock.set_nodelay(true);
         shared.active.fetch_add(1, Ordering::SeqCst);
-        shared.metrics.counter("serve.connections").inc();
         let client_id = shared.next_client.fetch_add(1, Ordering::SeqCst);
         lock_recover(&shared.clients).insert(
             client_id,
@@ -317,13 +316,33 @@ fn accept_loop(
             },
         );
         let shared2 = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name(format!("serve-conn-{client_id}"))
             .spawn(move || {
                 handle_connection(sock, shared2, client_id);
-            })
-            .expect("spawn connection thread");
-        lock_recover(&conns).push(handle);
+            });
+        let mut conns = lock_recover(&conns);
+        // Join the connections that have ended, so the server holds one
+        // handle per open connection rather than one per connection ever.
+        let mut i = 0;
+        while i < conns.len() {
+            if conns[i].is_finished() {
+                let _ = conns.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        match spawned {
+            Ok(handle) => {
+                shared.metrics.counter("serve.connections").inc();
+                conns.push(handle);
+            }
+            Err(_) => {
+                // The dropped closure closed the socket; keep accepting.
+                lock_recover(&shared.clients).remove(&client_id);
+                shared.active.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
     }
 }
 
@@ -722,4 +741,48 @@ fn handle_query(
         cancels.reset();
     }
     alive
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Waits until `done` holds, for at most five seconds.
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn ended_connections_are_joined_on_the_next_accept() {
+        let engine = Arc::new(Engine::new(Arc::new(sr_data::Database::new())));
+        let handle = serve(engine, ViewCatalog::new(), ServeConfig::default()).expect("bind");
+        let accepted = || {
+            handle
+                .shared
+                .metrics
+                .snapshot()
+                .counter("serve.connections")
+        };
+        for n in 1..=50 {
+            drop(TcpStream::connect(handle.local_addr()).expect("connect"));
+            wait_for("the connection to end", || {
+                accepted() == n
+                    && handle.shared.active.load(Ordering::SeqCst) == 0
+                    && lock_recover(&handle.conns).iter().all(|h| h.is_finished())
+            });
+        }
+        let open = TcpStream::connect(handle.local_addr()).expect("connect");
+        wait_for("the last accept", || accepted() == 51);
+        assert_eq!(
+            lock_recover(&handle.conns).len(),
+            1,
+            "one connection is open"
+        );
+        drop(open);
+        handle.shutdown();
+    }
 }

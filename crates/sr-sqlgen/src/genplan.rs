@@ -22,10 +22,6 @@ pub enum QueryStyle {
     OuterJoin,
     /// `(R ⟕ S) ∪ (R ⟕ T)` — the sorted outer-union of \[9\].
     OuterUnion,
-    /// Outer-join structure over per-class `WITH` CTEs (§3.4, footnote 1):
-    /// each class's rule body is materialized once as a CTE that joins its
-    /// parent's CTE, sharing ancestor work across branches.
-    OuterJoinWith,
 }
 
 /// A complete plan specification.
@@ -155,9 +151,6 @@ pub fn generate_queries_filtered(
         let mut plan = match spec.style {
             QueryStyle::OuterJoin => outer_join_plan(tree, &reduced, db)?,
             QueryStyle::OuterUnion => outer_union_plan(tree, &reduced, db)?,
-            QueryStyle::OuterJoinWith => {
-                crate::outer_join_with::outer_join_with_plan(tree, &reduced, db)?
-            }
         };
         if !root_filter.is_empty() {
             // Insert the filter below the final sort so the stream stays
@@ -172,17 +165,10 @@ pub fn generate_queries_filtered(
                     )
                 })
                 .collect();
-            fn inject(plan: Plan, preds: Vec<sr_engine::Predicate>) -> Plan {
-                match plan {
-                    Plan::Sort { input, keys } => input.filter(preds).sort(keys),
-                    Plan::With { ctes, body } => Plan::With {
-                        ctes,
-                        body: Box::new(inject(*body, preds)),
-                    },
-                    other => other.filter(preds),
-                }
-            }
-            plan = inject(plan, preds);
+            plan = match plan {
+                Plan::Sort { input, keys } => input.filter(preds).sort(keys),
+                other => other.filter(preds),
+            };
         }
         let sql = to_sql(&plan, db)?;
         let columns = component_columns(tree, &reduced);

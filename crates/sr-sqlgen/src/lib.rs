@@ -19,7 +19,6 @@
 pub mod body;
 pub mod genplan;
 pub mod outer_join;
-pub mod outer_join_with;
 pub mod outer_union;
 pub mod relation;
 
@@ -28,6 +27,5 @@ pub use genplan::{
     generate_queries, generate_queries_filtered, GeneratedQuery, PlanSpec, QueryStyle,
 };
 pub use outer_join::outer_join_plan;
-pub use outer_join_with::outer_join_with_plan;
 pub use outer_union::outer_union_plan;
 pub use relation::{component_columns, global_columns, var_dtype, ColumnSpec};

@@ -22,12 +22,6 @@ use crate::relation::{component_columns, var_dtype, ColumnSpec};
 /// Prefix for join-only duplicate columns on the union side.
 const JK: &str = "jk_";
 
-/// Builder for one class's base query, given `(class index, parent depth)`.
-pub(crate) type BaseFn<'a> = &'a dyn Fn(usize, u16) -> Result<Plan, EngineError>;
-
-/// Builder for a class's keys-only identity rows (emission-order repair).
-pub(crate) type IdentityFn<'a> = &'a dyn Fn(usize) -> Result<Plan, EngineError>;
-
 /// Build the outer-join plan for one reduced component, including the final
 /// projection to the §3.2 relation layout and the trailing sort.
 pub fn outer_join_plan(
@@ -35,36 +29,7 @@ pub fn outer_join_plan(
     rc: &ReducedComponent,
     db: &Database,
 ) -> Result<Plan, EngineError> {
-    let base: BaseFn = &|idx, parent_depth| class_base(tree, rc, idx, parent_depth);
-    let identity: IdentityFn = &|idx| {
-        let class = &rc.nodes[idx];
-        let root = tree.node(class.root);
-        Ok(body_plan(&class.body)?.project(
-            root.key_args
-                .iter()
-                .map(|&v| {
-                    let var = tree.var(v);
-                    (
-                        var.plan_name(),
-                        sr_engine::Expr::col(field_col(&var.alias, &var.column)),
-                    )
-                })
-                .collect(),
-        ))
-    };
-    assemble(tree, rc, db, base, identity)
-}
-
-/// Assemble a component plan from per-class base builders: the recursive
-/// §3.4 join/union structure, the layout projection, and the trailing sort.
-pub(crate) fn assemble(
-    tree: &ViewTree,
-    rc: &ReducedComponent,
-    db: &Database,
-    base: BaseFn<'_>,
-    identity: IdentityFn<'_>,
-) -> Result<Plan, EngineError> {
-    let plan = subtree(tree, rc, 0, 0, db, base, identity)?;
+    let plan = subtree(tree, rc, 0, 0, db)?;
     finalize(tree, rc, plan, db)
 }
 
@@ -143,18 +108,35 @@ pub fn class_base(
     Ok(base.project(items))
 }
 
+/// A class's keys-only identity rows (emission-order repair): its rule body
+/// projected to the class root's key variables.
+fn identity_rows(tree: &ViewTree, rc: &ReducedComponent, idx: usize) -> Result<Plan, EngineError> {
+    let class = &rc.nodes[idx];
+    let root = tree.node(class.root);
+    Ok(body_plan(&class.body)?.project(
+        root.key_args
+            .iter()
+            .map(|&v| {
+                let var = tree.var(v);
+                (
+                    var.plan_name(),
+                    Expr::col(field_col(&var.alias, &var.column)),
+                )
+            })
+            .collect(),
+    ))
+}
+
 fn subtree(
     tree: &ViewTree,
     rc: &ReducedComponent,
     idx: usize,
     parent_depth: u16,
     db: &Database,
-    base_fn: BaseFn<'_>,
-    identity_fn: IdentityFn<'_>,
 ) -> Result<Plan, EngineError> {
     let class = &rc.nodes[idx];
     let depth = tree.node(class.root).sfi.len() as u16;
-    let base = base_fn(idx, parent_depth)?;
+    let base = class_base(tree, rc, idx, parent_depth)?;
     if class.children.is_empty() {
         return Ok(base);
     }
@@ -162,7 +144,7 @@ fn subtree(
     let mut children = class
         .children
         .iter()
-        .map(|&c| subtree(tree, rc, c, depth, db, base_fn, identity_fn))
+        .map(|&c| subtree(tree, rc, c, depth, db))
         .collect::<Result<Vec<_>, _>>()?;
 
     // Identity branch (emission-order repair): if this class carries
@@ -177,7 +159,7 @@ fn subtree(
     let mut identity_added = false;
     if class_has_payload(tree, rc, idx) && has_external_descendant(tree, rc, idx) {
         identity_added = true;
-        children.push(identity_fn(idx)?);
+        children.push(identity_rows(tree, rc, idx)?);
     }
     // "Plans with no branches do not require the union operator" (§3.4).
     let union = if children.len() == 1 {

@@ -10,7 +10,7 @@
 //! have grown to the view tree's size the loop allocates nothing
 //! (`tests/constant_space.rs`).
 //!
-//! Mechanics: every stream's head tuple is reduced to its [`PathKey`]; a
+//! Mechanics: every stream's head tuple is reduced to its `PathKey`; a
 //! k-way merge takes tuples in key order, which is document order; a
 //! tuple's non-NULL `L` prefix names a root-to-node path whose instances
 //! are opened/closed against the stack. Merged (`1`-labeled) class members

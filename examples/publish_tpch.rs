@@ -70,23 +70,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The §3.4 footnote-1 WITH-clause variant of the chosen plan.
-    let with_spec = PlanSpec {
-        edges: chosen,
-        reduce: true,
-        style: QueryStyle::OuterJoinWith,
-    };
-    let t = Instant::now();
-    let (info, _) = materialize(&tree, &server, with_spec, std::io::sink())?;
-    println!(
-        "{:>20}: {} stream(s), {:>8} tuples, {:>9} XML bytes, {:>8.1?} total",
-        "greedy (WITH ctes)",
-        info.streams,
-        info.stats.tuples,
-        info.stats.bytes,
-        t.elapsed()
-    );
-
     // Fragment export (§7): a single supplier subtree.
     let suppkey_var = tree.node(tree.root()).key_args[0];
     let t = Instant::now();

@@ -13,6 +13,10 @@
 //!   cannot linger in the doc;
 //! * every registered literal appears backticked somewhere in
 //!   `docs/*.md`, so a new metric cannot ship undocumented.
+//!
+//! The CLI's flags get the same treatment: every `"--flag" =>` arm of the
+//! `silkroute` binary's `parse_args` is listed both in its module doc's
+//! `OPTS:` block and in `usage()`, and every flag those two list is parsed.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -171,4 +175,58 @@ fn registered_metrics_are_documented() {
         undocumented.is_empty(),
         "metrics registered but never backticked in docs/*.md: {undocumented:?}"
     );
+}
+
+/// Every `--flag` token in `text`.
+fn flags_in(text: &str) -> BTreeSet<String> {
+    text.match_indices("--")
+        .filter(|(at, _)| !text[..*at].ends_with('-'))
+        .map(|(at, _)| {
+            let rest = &text[at + 2..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .unwrap_or(rest.len());
+            format!("--{}", &rest[..end])
+        })
+        .filter(|f| f.len() > 2)
+        .collect()
+}
+
+#[test]
+fn cli_flags_agree_with_doc_and_usage() {
+    let src = fs::read_to_string(repo().join("crates/silkroute/src/bin/silkroute.rs"))
+        .expect("read the silkroute binary");
+    let parsed: BTreeSet<String> = src
+        .match_indices("\" =>")
+        .filter_map(|(at, _)| {
+            let open = src[..at].rfind('"')?;
+            let flag = &src[open + 1..at];
+            flag.starts_with("--").then(|| flag.to_string())
+        })
+        .collect();
+    assert!(parsed.contains("--mb") && parsed.len() >= 20, "{parsed:?}");
+    let opts = src
+        .lines()
+        .take_while(|l| l.starts_with("//!"))
+        .skip_while(|l| !l.contains("OPTS:"))
+        .take_while(|l| l.trim() != "//!")
+        .collect::<Vec<_>>()
+        .join("\n");
+    let usage_at = src.find("fn usage()").expect("usage()");
+    let usage_end = usage_at + src[usage_at..].find("\n}").expect("end of usage()");
+    for (what, listed) in [
+        ("the module doc's OPTS block", flags_in(&opts)),
+        ("usage()", flags_in(&src[usage_at..usage_end])),
+    ] {
+        let unlisted: Vec<_> = parsed.difference(&listed).collect();
+        assert!(
+            unlisted.is_empty(),
+            "flags parsed but not in {what}: {unlisted:?}"
+        );
+        let unparsed: Vec<_> = listed.difference(&parsed).collect();
+        assert!(
+            unparsed.is_empty(),
+            "flags in {what} but never parsed: {unparsed:?}"
+        );
+    }
 }

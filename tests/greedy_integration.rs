@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use silkroute::{
-    calibrated_params, gen_plan, materialize_to_string, query1_tree, query2_tree, run_plan, Oracle,
-    PlanSpec, QueryStyle, Server,
+    calibrated_params, gen_plan, materialize_to_string, query1_tree, query2_tree, Oracle, PlanSpec,
+    QueryStyle, Server,
 };
 use sr_tpch::{generate, Scale};
 use sr_viewtree::Mult;
@@ -63,53 +63,6 @@ fn greedy_plans_execute_and_match_reference() {
         let (_, xml) = materialize_to_string(&tree, &server, spec).unwrap();
         assert_eq!(xml, reference, "greedy plan {edges} output");
     }
-}
-
-#[test]
-fn greedy_recommended_plan_beats_the_defaults() {
-    let scale = Scale::mb(0.5);
-    let server = server(0.5);
-    let tree = query1_tree(server.database());
-    let oracle = Oracle::new(&server, calibrated_params(scale));
-    let r = gen_plan(&tree, server.database(), &oracle, true).unwrap();
-    let best = r.recommended();
-
-    let specs = [
-        PlanSpec {
-            edges: best,
-            reduce: true,
-            style: QueryStyle::OuterJoin,
-        },
-        PlanSpec::unified(&tree),
-        PlanSpec::fully_partitioned(),
-        PlanSpec::sorted_outer_union(&tree),
-    ];
-    // Fastest of five interleaved rounds: scheduler noise (this binary's
-    // other tests run alongside) only ever adds time, and interleaving
-    // spreads a slow stretch over every plan instead of one.
-    let mut fastest = [f64::INFINITY; 4];
-    for _ in 0..5 {
-        for (ms, &spec) in fastest.iter_mut().zip(&specs) {
-            *ms = ms.min(run_plan(&tree, &server, spec, None).unwrap().total_ms);
-        }
-    }
-    let [greedy_ms, unified_ms, partitioned_ms, union_ms] = fastest;
-
-    // Debug-build timings are noisy; require the paper's *shape* robustly:
-    // the greedy plan clearly beats the fully partitioned default and is at
-    // least competitive with (never much worse than) the unified plans.
-    assert!(
-        greedy_ms < partitioned_ms,
-        "greedy {greedy_ms:.1}ms should beat fully partitioned {partitioned_ms:.1}ms"
-    );
-    assert!(
-        greedy_ms < unified_ms * 1.10,
-        "greedy {greedy_ms:.1}ms should not lose to unified {unified_ms:.1}ms"
-    );
-    assert!(
-        greedy_ms < union_ms * 1.25,
-        "greedy {greedy_ms:.1}ms far worse than sorted outer-union {union_ms:.1}ms"
-    );
 }
 
 #[test]

@@ -57,21 +57,6 @@ fn query1_outer_union_plans_agree_sampled() {
 }
 
 #[test]
-fn query1_with_clause_plans_agree_sampled() {
-    let server = server();
-    let tree = query1_tree(server.database());
-    // WITH-style sampled every 5th plan (plus unified).
-    check_all(&tree, &server, &[QueryStyle::OuterJoinWith], 5);
-}
-
-#[test]
-fn query2_with_clause_plans_agree_sampled() {
-    let server = server();
-    let tree = query2_tree(server.database());
-    check_all(&tree, &server, &[QueryStyle::OuterJoinWith], 5);
-}
-
-#[test]
 fn query2_all_512_outer_join_plans_agree() {
     let server = server();
     let tree = query2_tree(server.database());
