@@ -259,6 +259,25 @@ fn sink(opts: &Opts, discard: bool) -> Result<Box<dyn std::io::Write>, String> {
     })
 }
 
+/// A failed write as `run`'s error. A reader that went away (`silkroute
+/// sql … | head`) is no fault of the run: the message is empty, so the
+/// process exits non-zero and says nothing. (`println!` panics instead.)
+fn write_err(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        String::new()
+    } else {
+        format!("cannot write output: {e}")
+    }
+}
+
+/// [`write_err`] for a document the tagger writes into a sink.
+fn tag_err(e: sr_tagger::TagError) -> String {
+    match e {
+        sr_tagger::TagError::Io(e) => write_err(e),
+        other => other.to_string(),
+    }
+}
+
 /// The named views: the paper's `query1` and `query2`.
 fn catalog(db: &sr_data::Database) -> ViewCatalog {
     let mut catalog = ViewCatalog::new();
@@ -343,11 +362,8 @@ fn run_serve(opts: &Opts, server: Server) -> Result<(), String> {
     if opts.metrics_json {
         // Same shape as materialize's `metrics` section: the end-state
         // counters a soak run would otherwise lose at shutdown.
-        println!(
-            "{}",
-            sr_obs::Json::obj(vec![("metrics", metrics.snapshot().to_json_value())])
-                .render_pretty()
-        );
+        let snapshot = sr_obs::Json::obj(vec![("metrics", metrics.snapshot().to_json_value())]);
+        writeln!(std::io::stdout().lock(), "{}", snapshot.render_pretty()).map_err(write_err)?;
     }
     eprintln!("server drained, exiting");
     Ok(())
@@ -358,12 +374,13 @@ fn run_stats(opts: &Opts) -> Result<(), String> {
         .map_err(|e| format!("cannot connect to {}: {e}", opts.connect))?;
     let text = client.stats().map_err(|e| e.to_string())?;
     let json = sr_obs::Json::parse(&text).map_err(|e| format!("bad STATS payload: {e}"))?;
+    let mut out = std::io::stdout().lock();
     if opts.prom {
-        print!("{}", sr_serve::prometheus_text(&json));
+        write!(out, "{}", sr_serve::prometheus_text(&json)).map_err(write_err)?;
     } else {
-        println!("{}", json.render_pretty());
+        writeln!(out, "{}", json.render_pretty()).map_err(write_err)?;
     }
-    Ok(())
+    out.flush().map_err(write_err)
 }
 
 /// `f64` at a dotted path inside the snapshot, or 0.
@@ -456,10 +473,11 @@ fn run_top(opts: &Opts) -> Result<(), String> {
         if shown > 0 {
             // Clear and home between refreshes; a single --iters 1 poll
             // stays free of control sequences for scripts.
-            let _ = out.write_all(b"\x1b[2J\x1b[H");
+            out.write_all(b"\x1b[2J\x1b[H").map_err(write_err)?;
         }
-        let _ = out.write_all(render_top(&json, &opts.connect).as_bytes());
-        let _ = out.flush();
+        out.write_all(render_top(&json, &opts.connect).as_bytes())
+            .map_err(write_err)?;
+        out.flush().map_err(write_err)?;
         drop(out);
         shown += 1;
         if let Some(n) = opts.iters {
@@ -499,7 +517,8 @@ fn run_client(opts: &Opts) -> Result<(), String> {
             }
             None => {
                 let mut out = std::io::stdout().lock();
-                out.write_all(&result.document).map_err(|e| e.to_string())?;
+                out.write_all(&result.document).map_err(write_err)?;
+                out.flush().map_err(write_err)?;
             }
         },
         sr_serve::Format::Tuples => {
@@ -592,43 +611,55 @@ fn run() -> Result<(), String> {
 
     match opts.command.as_str() {
         "tree" => {
-            println!(
+            let mut out = std::io::stdout().lock();
+            writeln!(
+                out,
                 "view tree: {} nodes, {} edges, {} possible plans\n",
                 tree.nodes.len(),
                 tree.edge_count(),
                 1u64 << tree.edge_count()
-            );
-            print!("{}", tree.render());
-            println!("\nderived DTD:\n{}", sr_viewtree::to_dtd(&tree));
+            )
+            .map_err(write_err)?;
+            write!(out, "{}", tree.render()).map_err(write_err)?;
+            writeln!(out, "\nderived DTD:\n{}", sr_viewtree::to_dtd(&tree)).map_err(write_err)?;
+            out.flush().map_err(write_err)?;
         }
         "sql" => {
             let spec = resolve_plan(&opts.plan, &opts, &tree, &server)?;
             let queries =
                 generate_queries(&tree, server.database(), spec).map_err(|e| e.to_string())?;
-            println!(
+            let mut out = std::io::stdout().lock();
+            writeln!(
+                out,
                 "plan edges={} reduce={} → {} SQL quer{}:\n",
                 spec.edges,
                 spec.reduce,
                 queries.len(),
                 if queries.len() == 1 { "y" } else { "ies" }
-            );
+            )
+            .map_err(write_err)?;
             for (i, q) in queries.iter().enumerate() {
-                println!(
+                writeln!(
+                    out,
                     "-- stream {} (component {}):\n{}",
                     i + 1,
                     tree.node(q.component.root).skolem_name(),
                     q.sql
-                );
+                )
+                .map_err(write_err)?;
                 match server.estimate_sql(&q.sql) {
-                    Ok(est) => println!(
+                    Ok(est) => writeln!(
+                        out,
                         "-- estimate: {:.0} rows, {:.0} eval units, {:.0} bytes\n",
                         est.cardinality,
                         est.eval_cost,
                         est.data_size()
                     ),
-                    Err(e) => println!("-- estimate unavailable: {e}\n"),
+                    Err(e) => writeln!(out, "-- estimate unavailable: {e}\n"),
                 }
+                .map_err(write_err)?;
             }
+            out.flush().map_err(write_err)?;
         }
         "materialize" => {
             let spec = resolve_plan(&opts.plan, &opts, &tree, &server)?;
@@ -640,8 +671,8 @@ fn run() -> Result<(), String> {
             } else {
                 silkroute::materialize(&tree, &server, spec, sink)
             }
-            .map_err(|e| e.to_string())?;
-            let _ = sink.flush();
+            .map_err(tag_err)?;
+            sink.flush().map_err(write_err)?;
             // EXPLAIN ANALYZE runs before any metrics snapshot so the
             // `oracle.qerror` feedback it records is part of the report.
             let mut analyses = Vec::new();
@@ -672,12 +703,16 @@ fn run() -> Result<(), String> {
                         server.metrics().snapshot().to_json_value(),
                     ));
                 }
-                println!("{}", json.render_pretty());
+                let mut out = std::io::stdout().lock();
+                writeln!(out, "{}", json.render_pretty()).map_err(write_err)?;
+                out.flush().map_err(write_err)?;
             }
             if let (Some(path), Some(t)) = (&opts.trace, &tracer) {
                 let rendered = t.to_chrome_json().render();
                 if path == "-" {
-                    println!("{rendered}");
+                    let mut out = std::io::stdout().lock();
+                    writeln!(out, "{rendered}").map_err(write_err)?;
+                    out.flush().map_err(write_err)?;
                 } else {
                     std::fs::write(path, rendered + "\n").map_err(|e| e.to_string())?;
                 }
@@ -717,8 +752,11 @@ fn run() -> Result<(), String> {
                 },
                 sink(&opts, false)?,
             )
-            .map_err(|e| e.to_string())?;
-            sink.flush().map_err(|e| e.to_string())?;
+            .map_err(|e| match e {
+                sr_serve::pipeline::QueryError::Tag(e) => tag_err(e),
+                other => other.to_string(),
+            })?;
+            sink.flush().map_err(write_err)?;
             match &outcome.materialization {
                 Some(m) => {
                     if opts.explain {
@@ -746,32 +784,40 @@ fn run() -> Result<(), String> {
             let oracle = Oracle::new(&server, calibrated_params(Scale::mb(opts.mb)));
             let r = gen_plan(&tree, server.database(), &oracle, opts.reduce)
                 .map_err(|e| e.to_string())?;
-            println!("genPlan (reduce={}):", opts.reduce);
+            let mut out = std::io::stdout().lock();
+            writeln!(out, "genPlan (reduce={}):", opts.reduce).map_err(write_err)?;
             for c in &r.trace {
-                println!(
+                writeln!(
+                    out,
                     "  picked edge {} ({} → <{}>): relative cost {:.0} [{}]",
                     c.edge,
                     tree.node(c.edge).skolem_name(),
                     tree.node(c.edge).tag,
                     c.relative_cost,
                     if c.mandatory { "mandatory" } else { "optional" }
-                );
+                )
+                .map_err(write_err)?;
             }
-            println!(
+            writeln!(
+                out,
                 "\nmandatory={} optional={} → {} plans; recommended edges={}",
                 r.mandatory,
                 r.optional,
                 r.plans().len(),
                 r.recommended()
-            );
-            println!(
+            )
+            .map_err(write_err)?;
+            writeln!(
+                out,
                 "oracle requests: {} distinct of {} evaluations (worst case |E|² = {}), \
                  {:.2} ms estimating",
                 r.oracle_requests,
                 r.oracle_evaluations,
                 tree.edge_count() * tree.edge_count(),
                 r.oracle_time.as_secs_f64() * 1e3
-            );
+            )
+            .map_err(write_err)?;
+            out.flush().map_err(write_err)?;
         }
         "bench" => {
             let labels = [opts.plan.as_str(), "unified", "outer-union", "partitioned"];
@@ -779,17 +825,23 @@ fn run() -> Result<(), String> {
                 .iter()
                 .map(|label| resolve_plan(label, &opts, &tree, &server))
                 .collect::<Result<Vec<_>, _>>()?;
-            println!(
+            let mut out = std::io::stdout().lock();
+            writeln!(
+                out,
                 "{:>14} {:>8} {:>12} {:>11} {:>10} {:>12} {:>10}",
                 "plan", "streams", "query (ms)", "xfer (ms)", "tag (ms)", "total (ms)", "tuples"
-            );
+            )
+            .map_err(write_err)?;
             for (label, spec) in labels.into_iter().zip(specs) {
                 let m = run_plan(&tree, &server, spec, None).map_err(|e| e.to_string())?;
-                println!(
+                writeln!(
+                    out,
                     "{label:>14} {:>8} {:>12.1} {:>11.1} {:>10.1} {:>12.1} {:>10}",
                     m.streams, m.query_ms, m.transfer_ms, m.tag_ms, m.total_ms, m.tuples
-                );
+                )
+                .map_err(write_err)?;
             }
+            out.flush().map_err(write_err)?;
         }
         other => {
             return Err(format!("unknown command: {other}"));

@@ -1,7 +1,8 @@
 //! The CLI's machine-readable outputs, end to end: run the `silkroute`
 //! binary and check every emitted JSON document against the structure the
 //! docs promise — the `--metrics-json` report (with its `--analyze`
-//! section and reliability counters) and the `--trace` Chrome timeline.
+//! section and reliability counters) and the `--trace` Chrome timeline —
+//! and how the CLI ends when the reader of its stdout goes away early.
 
 use std::collections::{BTreeSet, HashMap};
 use std::process::Command;
@@ -244,4 +245,82 @@ fn transient_fault_reports_count_the_retry() {
         counter(metrics, "server.retries") >= 1,
         "the transient fault was never retried"
     );
+}
+
+/// A reader that goes away before the output ends (`silkroute sql … |
+/// head -c 200`) ends the run with a failure status and nothing on
+/// stderr: no panic, no error line. The pipe's read end is closed before
+/// the binary starts, so its first write fails.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    for args in [
+        &["sql", "--mb", "0.1", "--plan", "unified", "query1"][..],
+        &["materialize", "--mb", "0.1", "query1"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_silkroute"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn silkroute");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "silkroute {args:?}: {stderr}");
+        assert!(stderr.trim().is_empty(), "silkroute {args:?}: {stderr}");
+        assert!(!out.status.success(), "silkroute {args:?} reported success");
+    }
+}
+
+/// `top` polls until its server goes away, so a reader that left must
+/// end it: the first failed refresh stops the loop, quietly.
+#[test]
+fn a_closed_stdout_stops_top() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let bin = env!("CARGO_BIN_EXE_silkroute");
+    let mut serve = Command::new(bin)
+        .args(["serve", "--mb", "0.05", "--listen", "127.0.0.1:0"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    // Held open until serve exits: its last stderr line must not fail.
+    let mut serve_stderr = BufReader::new(serve.stderr.take().expect("serve stderr"));
+    let mut banner = String::new();
+    serve_stderr.read_line(&mut banner).expect("serve banner");
+    let addr = banner
+        .split_whitespace()
+        .find(|w| w.starts_with("127.0.0.1:"))
+        .unwrap_or_else(|| panic!("no address in {banner:?}"))
+        .to_string();
+
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let mut top = Command::new(bin)
+        .args(["top", "--connect", &addr, "--interval-ms", "50"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn top");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = top.try_wait().expect("poll top") {
+            break Some(status);
+        }
+        if Instant::now() > deadline {
+            let _ = top.kill();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let stderr = top.wait_with_output().expect("top output").stderr;
+    silkroute(&["client", "--connect", &addr, "--shutdown"]);
+    assert!(serve.wait().expect("serve exits").success());
+    drop(serve_stderr);
+
+    let status = status.expect("top kept polling after its reader left");
+    assert!(!status.success(), "top reported success");
+    let stderr = String::from_utf8_lossy(&stderr);
+    assert!(stderr.trim().is_empty(), "top: {stderr}");
 }

@@ -10,8 +10,9 @@
 //! * **SQL execution** — [`Server::execute_sql`] parses a SQL string
 //!   (the subset the paper's generated queries need: comma inner joins,
 //!   `LEFT OUTER JOIN … ON`, derived tables, `UNION ALL`, `ORDER BY`,
-//!   `CAST(NULL AS t)`), plans it with predicate push-down, executes it,
-//!   and returns a wire-encoded, sorted [`TupleStream`].
+//!   `CAST(NULL AS t)`), plans it with predicate push-down, sort elision
+//!   and column pruning, executes it, and returns a wire-encoded, sorted
+//!   [`TupleStream`].
 //! * **Cost estimation** — [`Server::estimate_sql`] answers the
 //!   greedy planner's oracle requests (`evaluation_cost`, `cardinality`)
 //!   from catalog statistics, System-R style.

@@ -1,9 +1,11 @@
-//! Predicate pushdown — the rewriting half of the "RDBMS optimizer".
+//! The rewriting half of the "RDBMS optimizer": predicate push-down and
+//! column pruning.
 //!
-//! The binder leaves residual `WHERE` predicates as filters above join
-//! trees; this pass pushes each predicate as deep as semantics allow, so
-//! selective predicates (RXL literal conditions, fragment-export key
-//! filters) restrict base relations before joins materialize.
+//! [`push_filters`] — the binder leaves residual `WHERE` predicates as
+//! filters above join trees; this pass pushes each predicate as deep as
+//! semantics allow, so selective predicates (RXL literal conditions,
+//! fragment-export key filters) restrict base relations before joins
+//! materialize.
 //!
 //! Rules, per operator the filter sits on:
 //!
@@ -21,6 +23,30 @@
 //!   predicate is false — so the filter must stay above to kill those
 //!   branch rows).
 //! * `Sort` / `Distinct` — commute below.
+//!
+//! [`prune_columns`] — a join gathers every column of both inputs for
+//! each output row, so a scan's unread columns (addresses, phone numbers,
+//! dates) cost a gather at every join above it. This pass walks
+//! top-down with the set of column names the operators above read:
+//!
+//! * `Scan` — a `Project` of the read columns goes above it, unless it
+//!   reads them all; it keeps at least one column, because a batch without
+//!   columns has no rows.
+//! * `Filter` / `Sort` / `Join` — add the columns they reference.
+//! * `Project` — drops the items nobody reads (at least one stays, as for
+//!   a scan); its input need only supply what the kept items reference.
+//!   At the root every item is read.
+//! * `OuterUnion` — every branch gets the set; a branch keeps the part of
+//!   it that it has.
+//! * `Distinct` — a barrier: its input keeps every column, since every
+//!   column decides which rows are duplicates.
+//!
+//! Names are unique within a schema and only a `Project` renames, so a
+//! name in the set that matches a scan's column is that column. The
+//! pruned plan has the input's schema and rows, byte for byte (a property
+//! test in `vexec.rs` checks it on random plans).
+
+use std::collections::HashSet;
 
 use sr_data::Database;
 
@@ -153,6 +179,91 @@ fn push_preds_into(
             input: Box::new(push_preds_into(*input, predicates, db)?),
         }),
         leaf @ Plan::Scan { .. } => Ok(leaf.filter(predicates)),
+    }
+}
+
+/// Prune every operator's output to the columns some operator above it
+/// reads (rules in the module doc). The result has the same schema and
+/// computes the same rows in the same order.
+pub fn prune_columns(plan: Plan, db: &Database) -> Result<Plan, EngineError> {
+    let read = names(&plan, db)?;
+    prune(plan, read, db)
+}
+
+/// Every column name of `plan`'s output.
+fn names(plan: &Plan, db: &Database) -> Result<HashSet<String>, EngineError> {
+    Ok(plan.schema(db)?.names().map(str::to_string).collect())
+}
+
+/// `plan` narrowed to the columns in `read` and those its own operators
+/// reference on the way down.
+fn prune(plan: Plan, mut read: HashSet<String>, db: &Database) -> Result<Plan, EngineError> {
+    match plan {
+        Plan::Scan { .. } => {
+            let schema = plan.schema(db)?;
+            if schema.names().all(|n| read.contains(n)) {
+                return Ok(plan);
+            }
+            let mut keep: Vec<&str> = schema.names().filter(|n| read.contains(*n)).collect();
+            if keep.is_empty() {
+                keep.extend(schema.names().take(1));
+            }
+            let items = keep
+                .into_iter()
+                .map(|n| (n.to_string(), Expr::col(n)))
+                .collect();
+            Ok(plan.project(items))
+        }
+        Plan::Filter { input, predicates } => {
+            read.extend(predicates.iter().flat_map(pred_cols).map(str::to_string));
+            Ok(prune(*input, read, db)?.filter(predicates))
+        }
+        Plan::Sort { input, keys } => {
+            read.extend(keys.iter().cloned());
+            Ok(prune(*input, read, db)?.sort(keys))
+        }
+        Plan::Join {
+            left,
+            right,
+            kind,
+            on,
+        } => {
+            for (l, r) in &on {
+                read.insert(l.clone());
+                read.insert(r.clone());
+            }
+            let left = prune(*left, read.clone(), db)?;
+            let right = prune(*right, read, db)?;
+            Ok(left.join(right, kind, on))
+        }
+        Plan::Project { input, mut items } => {
+            if items.iter().any(|(n, _)| read.contains(n)) {
+                items.retain(|(n, _)| read.contains(n));
+            } else {
+                items.truncate(1);
+            }
+            let below = items
+                .iter()
+                .filter_map(|(_, e)| match e {
+                    Expr::Col(c) => Some(c.clone()),
+                    _ => None,
+                })
+                .collect();
+            Ok(prune(*input, below, db)?.project(items))
+        }
+        Plan::OuterUnion { inputs } => {
+            let inputs = inputs
+                .into_iter()
+                .map(|b| prune(b, read.clone(), db))
+                .collect::<Result<_, _>>()?;
+            Ok(Plan::OuterUnion { inputs })
+        }
+        Plan::Distinct { input } => {
+            let all = names(&input, db)?;
+            Ok(Plan::Distinct {
+                input: Box::new(prune(*input, all, db)?),
+            })
+        }
     }
 }
 

@@ -28,6 +28,7 @@ use crate::exec::PlanProfile;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::fragment::{CachedFragment, FragmentCache, FragmentCacheInfo, FragmentCapture};
 use crate::lru::Lru;
+use crate::optimize::{prune_columns, push_filters};
 use crate::ordering::elide_sorts;
 use crate::plan::Plan;
 use crate::run::{spawn_worker, Exec, ExecGate};
@@ -295,8 +296,9 @@ impl Server {
     }
 
     /// Parse, bind, and optimize a SQL string the way the execution paths
-    /// do — predicate push-down, then sort elision. Returns the plan and the
-    /// number of sorts elided (exposed for tests and plan inspection).
+    /// do — predicate push-down, sort elision, then column pruning. Returns
+    /// the plan and the number of sorts elided (exposed for tests and plan
+    /// inspection).
     pub fn optimized_plan(&self, sql: &str) -> Result<(Plan, usize), EngineError> {
         let (plan, _, elided) = self.plan_cached(sql)?;
         Ok((plan, elided))
@@ -344,23 +346,25 @@ impl Server {
         Ok((p, shape.params, Some(shape.key)))
     }
 
-    /// Parse → bind → push-down → estimate → elision → schema. Returns
-    /// whether the result is generic — its slots still unbound, everything
-    /// in it independent of their values; otherwise `params` are bound
-    /// before the estimate.
+    /// Parse → bind → push-down → estimate → elision → column pruning →
+    /// schema. Pruning runs last, so it moves no estimate and no sort
+    /// decision. Returns whether the result is generic — its slots still
+    /// unbound, everything in it independent of their values; otherwise
+    /// `params` are bound before the estimate.
     fn prepare(
         &self,
         tokens: Vec<Spanned>,
         params: &[Value],
     ) -> Result<(Prepared, bool), EngineError> {
         let mut plan = bind(&parse_tokens(tokens)?, &self.db)?;
-        plan = crate::optimize::push_filters(plan, &self.db)?;
+        plan = push_filters(plan, &self.db)?;
         let generic = plan.slots_face_columns();
         if !generic {
             plan.bind_params(params);
         }
         let estimate = estimate(&plan, &self.db);
         let (plan, elided) = elide_sorts(plan, &self.db);
+        let plan = prune_columns(plan, &self.db)?;
         let schema = plan.schema(&self.db)?;
         let p = Prepared {
             plan,

@@ -8,6 +8,12 @@
 //! min/max zone maps (so a range predicate over a clustered key reads
 //! only the batches it keeps), and values are only materialized at the wire
 //! encoder ([`crate::wire::encode_batch_into`]) — late materialization.
+//! Projections and union padding move column pointers; the copying
+//! operators are the gathers. A hash join gathers every column of both
+//! inputs for each output row, so a join's cost grows with the width of
+//! its inputs, and column pruning ([`crate::optimize::prune_columns`]) is
+//! what bounds that width: each join carries only the columns some
+//! operator above it reads.
 //!
 //! Semantics are SQL's as the row-at-a-time reference executor (tests
 //! only) spells them: the same total value order for sorts, the same NULL
@@ -710,6 +716,7 @@ mod tests {
     use crate::cancel::CancelToken;
     use crate::exec::{execute, execute_profiled, execute_profiled_with};
     use crate::expr::{Expr, Predicate};
+    use crate::optimize::prune_columns;
     use crate::reference;
     use proptest::prelude::*;
     use sr_data::{row, Table};
@@ -955,6 +962,8 @@ mod tests {
         ScanB,
         FilterFirstIntGt(Box<Gen>, i64),
         ProjectFirstTwo(Box<Gen>),
+        ProjectLast(Box<Gen>),
+        ProjectLit(Box<Gen>),
         Join(Box<Gen>, Box<Gen>, bool),
         UnionFirstInt(Box<Gen>, Box<Gen>),
         SortAll(Box<Gen>),
@@ -969,6 +978,8 @@ mod tests {
                 inner
                     .clone()
                     .prop_map(|p| Gen::ProjectFirstTwo(Box::new(p))),
+                inner.clone().prop_map(|p| Gen::ProjectLast(Box::new(p))),
+                inner.clone().prop_map(|p| Gen::ProjectLit(Box::new(p))),
                 (inner.clone(), inner.clone(), any::<bool>()).prop_map(|(l, r, outer)| Gen::Join(
                     Box::new(l),
                     Box::new(r),
@@ -1019,6 +1030,18 @@ mod tests {
                         .map(|(i, c)| (format!("p{n}_{i}"), Expr::col(c.to_string())))
                         .collect();
                     p.project(items)
+                }
+                Gen::ProjectLast(inner) => {
+                    let p = self.build(inner);
+                    let schema = p.schema(self.db).expect("schema");
+                    let last = schema.names().last().expect("a column").to_string();
+                    let n = self.fresh();
+                    p.project(vec![(format!("p{n}_last"), Expr::col(last))])
+                }
+                Gen::ProjectLit(inner) => {
+                    let p = self.build(inner);
+                    let n = self.fresh();
+                    p.project(vec![(format!("p{n}_lit"), Expr::lit(n as i64))])
                 }
                 Gen::Join(l, r, outer) => {
                     let lp = self.build(l);
@@ -1098,5 +1121,78 @@ mod tests {
                 "wire bytes diverge between executors"
             );
         }
+
+        /// Column pruning is invisible: the pruned plan has the plan's
+        /// schema and encodes to the same chunks, batch for batch.
+        #[test]
+        fn pruned_plans_encode_the_same_chunks(g in gen_strategy()) {
+            let db = random_db();
+            let plan = Builder { db: &db, counter: 0 }.build(&g);
+            let pruned = prune_columns(plan.clone(), &db).expect("prune");
+            let (full, _) = execute_profiled(&plan, &db).expect("plan");
+            let (narrow, _) = execute_profiled(&pruned, &db).expect("pruned plan");
+            prop_assert_eq!(&full.schema, &narrow.schema);
+            let chunks = |rs: &VecResultSet| -> Vec<Vec<u8>> {
+                rs.batches.iter().map(|b| crate::wire::encode_batch(b).to_vec()).collect()
+            };
+            prop_assert_eq!(chunks(&full), chunks(&narrow), "pruned:\n{}", pruned);
+        }
+    }
+
+    /// Row count of `plan` before and after pruning, which must agree.
+    fn pruned_rows(plan: Plan, db: &Database) -> (usize, usize, Plan) {
+        let pruned = prune_columns(plan.clone(), db).unwrap();
+        let before = execute(&plan, db).unwrap().len();
+        let after = execute(&pruned, db).unwrap().len();
+        (before, after, pruned)
+    }
+
+    #[test]
+    fn distinct_keeps_every_column_nobody_reads_above() {
+        // Above the Distinct only `k` is read, but `part` decides which
+        // rows are duplicates: pruning it would collapse three rows to two.
+        let db = db();
+        let plan = Plan::Distinct {
+            input: Box::new(Plan::scan("PartSupp", "ps").project(vec![
+                ("k".into(), Expr::col("ps_suppkey")),
+                ("part".into(), Expr::col("ps_partkey")),
+            ])),
+        }
+        .project(vec![("k".into(), Expr::col("k"))]);
+        let (before, after, pruned) = pruned_rows(plan, &db);
+        assert_eq!((before, after), (3, 3), "{pruned}");
+        assert!(
+            pruned.to_string().contains("ps_partkey AS part"),
+            "{pruned}"
+        );
+    }
+
+    #[test]
+    fn literal_project_over_a_join_keeps_its_rows() {
+        // Nothing above the join reads a column: each side keeps its key,
+        // and each scan keeps what the join reads.
+        let db = db();
+        let plan = Plan::scan("Supplier", "s")
+            .join(
+                Plan::scan("PartSupp", "ps"),
+                JoinKind::Inner,
+                vec![("s_suppkey".into(), "ps_suppkey".into())],
+            )
+            .project(vec![("one".into(), Expr::lit(1i64))]);
+        let (before, after, pruned) = pruned_rows(plan, &db);
+        assert_eq!((before, after), (3, 3), "{pruned}");
+        // A cross join reads no key: each scan keeps one column, which is
+        // all a row count needs.
+        let cross = Plan::scan("Supplier", "s")
+            .join(Plan::scan("PartSupp", "ps"), JoinKind::Inner, vec![])
+            .project(vec![("one".into(), Expr::lit(1i64))]);
+        let (before, after, pruned) = pruned_rows(cross, &db);
+        assert_eq!((before, after), (9, 9), "{pruned}");
+        assert!(
+            pruned
+                .to_string()
+                .contains("Project [s_suppkey AS s_suppkey]"),
+            "{pruned}"
+        );
     }
 }

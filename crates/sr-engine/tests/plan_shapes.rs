@@ -4,13 +4,14 @@
 //! the component queries of both paper views and of the benchmark's XPath
 //! shapes, under many literals, a default server and one built with
 //! `with_plan_cache(false)` agree on the optimized plan, bit for bit on the
-//! estimate, and byte for byte on the executed wire stream.
+//! estimate, and byte for byte on the executed wire stream. The last test
+//! pins what column pruning leaves of one greedy stream's scans.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use sr_data::{Database, Value};
-use sr_engine::{EngineError, Estimate, FaultPlan, Server};
+use sr_engine::{EngineError, Estimate, Expr, FaultPlan, Plan, Server};
 use sr_plan::{gen_plan, Oracle};
 use sr_sqlgen::{generate_queries, PlanSpec};
 use sr_viewtree::ViewTree;
@@ -447,4 +448,102 @@ fn faults_surface_typed_on_a_plan_from_a_named_hit() {
             }
         }
     }
+}
+
+/// Column names an operator reads from its input.
+fn reads(plan: &Plan, db: &Database) -> Vec<String> {
+    let col = |e: &Expr| match e {
+        Expr::Col(c) => Some(c.clone()),
+        _ => None,
+    };
+    match plan {
+        Plan::Scan { .. } | Plan::OuterUnion { .. } => Vec::new(),
+        Plan::Filter { predicates, .. } => predicates
+            .iter()
+            .flat_map(|p| [col(&p.left), col(&p.right)])
+            .flatten()
+            .collect(),
+        Plan::Project { items, .. } => items.iter().filter_map(|(_, e)| col(e)).collect(),
+        Plan::Join { on, .. } => on
+            .iter()
+            .flat_map(|(l, r)| [l.clone(), r.clone()])
+            .collect(),
+        Plan::Sort { keys, .. } => keys.clone(),
+        Plan::Distinct { input } => input
+            .schema(db)
+            .expect("schema")
+            .names()
+            .map(str::to_string)
+            .collect(),
+    }
+}
+
+/// Each scan's alias and the columns it exposes — through the `Project`
+/// right above it, if there is one — checking that some operator above
+/// reads every one of them (`above` is what the ancestors read).
+fn exposed_scans(
+    plan: &Plan,
+    db: &Database,
+    above: &BTreeSet<String>,
+    out: &mut BTreeMap<String, Vec<String>>,
+) {
+    let scan = match plan {
+        Plan::Scan { alias, .. } => Some((alias, plan.schema(db).expect("schema"))),
+        Plan::Project { input, .. } => match &**input {
+            Plan::Scan { alias, .. } => Some((alias, plan.schema(db).expect("schema"))),
+            _ => None,
+        },
+        _ => None,
+    };
+    if let Some((alias, schema)) = scan {
+        let names: Vec<String> = schema.names().map(str::to_string).collect();
+        for n in &names {
+            assert!(
+                above.contains(n),
+                "scan {alias} exposes {n}, read by nothing above"
+            );
+        }
+        out.insert(alias.clone(), names);
+        return;
+    }
+    let mut read = above.clone();
+    read.extend(reads(plan, db));
+    for child in plan.children() {
+        exposed_scans(child, db, &read, out);
+    }
+}
+
+#[test]
+fn a_greedy_stream_scans_only_the_columns_its_parents_read() {
+    let db = Arc::new(sr_tpch::generate(sr_tpch::Scale::mb(1.0)).expect("tpch"));
+    let server = Server::new(Arc::clone(&db));
+    let tree = silkroute::query1_tree(&db);
+    let params = silkroute::calibrated_params(sr_tpch::Scale::mb(1.0));
+    let greedy = gen_plan(&tree, &db, &Oracle::new(&server, params), true).expect("genPlan");
+    let spec = PlanSpec {
+        edges: greedy.recommended(),
+        ..PlanSpec::fully_partitioned()
+    };
+    let queries = generate_queries(&tree, &db, spec).expect("component queries");
+    let sql = &queries[2].sql;
+    let (plan, elided) = server.optimized_plan(sql).expect("plan");
+
+    let unpruned = sr_engine::push_filters(sr_engine::sql::plan_sql(sql, &db).unwrap(), &db);
+    assert_eq!(elided, sr_engine::elide_sorts(unpruned.unwrap(), &db).1);
+    assert_eq!(elided, 1, "{plan}");
+
+    let root: BTreeSet<String> = plan
+        .schema(&db)
+        .unwrap()
+        .names()
+        .map(str::to_string)
+        .collect();
+    let mut scans = BTreeMap::new();
+    exposed_scans(&plan, &db, &root, &mut scans);
+    assert_eq!(scans.len(), 8, "{plan}");
+    assert_eq!(
+        scans["l"],
+        ["l_orderkey", "l_partkey", "l_suppkey"],
+        "{plan}"
+    );
 }
