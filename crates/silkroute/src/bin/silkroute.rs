@@ -6,7 +6,7 @@
 //! silkroute materialize [OPTS] VIEW     write the XML document
 //! silkroute query       [OPTS] VIEW     run an XPath over the virtual view
 //! silkroute plan        [OPTS] VIEW     run the greedy planner (genPlan)
-//! silkroute bench       [OPTS] VIEW     time the canonical plans
+//! silkroute bench       [OPTS] VIEW     time plans out of the 2^|E| space
 //! silkroute serve       [OPTS]          run the multi-client TCP front-end
 //! silkroute client      [OPTS] VIEW     materialize a view over the wire
 //! silkroute stats       [OPTS]          fetch a live telemetry snapshot
@@ -16,6 +16,10 @@
 //! OPTS: --mb <size>          TPC-H database size in MB   [default 0.5]
 //!       --plan <spec>        unified | partitioned | outer-union | greedy
 //!                            | edges:<bits>              [default greedy]
+//!                            bench also takes `all` (every edge set); its
+//!                            `greedy` is genPlan's whole plan family, the
+//!                            recommended plan marked `*`; any other plan is
+//!                            timed beside the three defaults
 //!       --style <s>          outer-join | outer-union    [default outer-join]
 //!       --no-reduce          disable view-tree reduction
 //!       --xpath PATH         XPath over the virtual view: prune the view
@@ -96,7 +100,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use silkroute::{calibrated_params, gen_plan, run_plan, Oracle, PlanSpec, QueryStyle, Server};
+use silkroute::{calibrated_params, gen_plan, Oracle, PlanSpec, QueryStyle, Server};
 use sr_serve::pipeline::resolve_view;
 use sr_serve::{ViewCatalog, ViewRef};
 use sr_sqlgen::generate_queries;
@@ -296,6 +300,14 @@ fn view_ref(view: &str) -> Result<ViewRef, String> {
     }
 }
 
+fn style(opts: &Opts) -> Result<QueryStyle, String> {
+    match opts.style.as_str() {
+        "outer-join" => Ok(QueryStyle::OuterJoin),
+        "outer-union" => Ok(QueryStyle::OuterUnion),
+        other => Err(format!("unknown style: {other}")),
+    }
+}
+
 /// Resolve a plan-spec string with the grammar the wire shares; `greedy`
 /// runs genPlan against a fresh oracle.
 fn resolve_plan(
@@ -304,11 +316,7 @@ fn resolve_plan(
     tree: &ViewTree,
     server: &Server,
 ) -> Result<PlanSpec, String> {
-    let style = match opts.style.as_str() {
-        "outer-join" => QueryStyle::OuterJoin,
-        "outer-union" => QueryStyle::OuterUnion,
-        other => return Err(format!("unknown style: {other}")),
-    };
+    let style = style(opts)?;
     if let Some(spec) = PlanSpec::parse(tree, plan, opts.reduce, style)? {
         return Ok(spec);
     }
@@ -320,6 +328,108 @@ fn resolve_plan(
         reduce: opts.reduce,
         style,
     })
+}
+
+/// Interleaved rounds `bench` takes the median of, after one warm-up round.
+const BENCH_ROUNDS: usize = 5;
+
+/// `bench`: time plans out of the `2^|E|` space, one table row per plan
+/// (stdout). Each round runs every plan once, so a slow stretch of the host
+/// spreads over all of them; the warm-up round fills the plan caches and
+/// the allocator before anything counts. Times are the paper's, as
+/// [`silkroute::MaterializeReport`] defines them.
+fn run_bench(opts: &Opts, tree: &ViewTree, server: &Server) -> Result<(), String> {
+    let oracle = Oracle::new(server, calibrated_params(Scale::mb(opts.mb)));
+    let style = style(opts)?;
+    let spec = |edges| PlanSpec {
+        edges,
+        reduce: opts.reduce,
+        style,
+    };
+    let mut plans = Vec::new();
+    match opts.plan.as_str() {
+        "all" => {
+            for edges in sr_viewtree::all_edge_sets(tree) {
+                plans.push((format!("edges:{}", edges.bits()), spec(edges)));
+            }
+        }
+        "greedy" => {
+            let r = gen_plan(tree, server.database(), &oracle, opts.reduce)
+                .map_err(|e| format!("genPlan failed: {e}"))?;
+            let recommended = r.recommended();
+            for edges in r.plans() {
+                let mark = if edges == recommended { "*" } else { "" };
+                plans.push((format!("edges:{}{mark}", edges.bits()), spec(edges)));
+            }
+        }
+        plan => plans.push((plan.to_string(), resolve_plan(plan, opts, tree, server)?)),
+    }
+    if opts.plan != "all" {
+        for label in ["unified", "outer-union", "partitioned"] {
+            plans.push((label.into(), resolve_plan(label, opts, tree, server)?));
+        }
+    }
+    eprintln!(
+        "timing {} plan(s): one warm-up round, then the median of {BENCH_ROUNDS}",
+        plans.len()
+    );
+    // Per plan: [query, transfer, tag, total] ms of each counted round, and
+    // the last round's report for the volumes, which every round repeats.
+    let mut times = vec![<[Vec<f64>; 4]>::default(); plans.len()];
+    let mut reports = vec![silkroute::MaterializeReport::default(); plans.len()];
+    for round in 0..=BENCH_ROUNDS {
+        for (i, (_, spec)) in plans.iter().enumerate() {
+            let (m, _) = silkroute::materialize(tree, server, *spec, std::io::sink())
+                .map_err(|e| e.to_string())?;
+            let r = m.report;
+            if round > 0 {
+                let sample = [r.server_ms(), r.transfer_ms(), r.tag_ms, r.run_ms()];
+                for (t, x) in times[i].iter_mut().zip(sample) {
+                    t.push(x);
+                }
+            }
+            reports[i] = r;
+        }
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let mut out = std::io::stdout().lock();
+    writeln!(
+        out,
+        "{:>14} {:>12} {:>7} {:>10} {:>10} {:>10} {:>10} {:>8} {:>10} {:>10}",
+        "plan",
+        "est. cost",
+        "streams",
+        "query ms",
+        "xfer ms",
+        "tag ms",
+        "total ms",
+        "tuples",
+        "wire B",
+        "xml B"
+    )
+    .map_err(write_err)?;
+    for (((label, spec), t), r) in plans.iter().zip(&mut times).zip(&reports) {
+        let cost = oracle
+            .plan_cost(tree, server.database(), spec.edges, spec.reduce, spec.style)
+            .map_err(|e| e.to_string())?;
+        writeln!(
+            out,
+            "{label:>14} {cost:>12.0} {:>7} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>8} {:>10} {:>10}",
+            r.streams.len(),
+            median(&mut t[0]),
+            median(&mut t[1]),
+            median(&mut t[2]),
+            median(&mut t[3]),
+            r.tuples,
+            r.streams.iter().map(|s| s.bytes).sum::<u64>(),
+            r.xml_bytes
+        )
+        .map_err(write_err)?;
+    }
+    out.flush().map_err(write_err)
 }
 
 fn run_serve(opts: &Opts, server: Server) -> Result<(), String> {
@@ -558,6 +668,13 @@ fn run() -> Result<(), String> {
              only to `materialize`, not `{}`",
             opts.command
         ));
+    }
+    if opts.command == "bench" && (opts.xpath.is_some() || opts.fragment_cache > 0) {
+        // A pruned view is not the plan space, and rounds past the first
+        // would time fragment-cache hits instead of the plans.
+        return Err("`bench` times whole documents without a fragment cache: \
+                    --xpath and --fragment-cache do not apply"
+            .into());
     }
     if opts.trace.as_deref() == Some("-") {
         // Stdout carries at most one machine-readable document.
@@ -819,30 +936,7 @@ fn run() -> Result<(), String> {
             .map_err(write_err)?;
             out.flush().map_err(write_err)?;
         }
-        "bench" => {
-            let labels = [opts.plan.as_str(), "unified", "outer-union", "partitioned"];
-            let specs = labels
-                .iter()
-                .map(|label| resolve_plan(label, &opts, &tree, &server))
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut out = std::io::stdout().lock();
-            writeln!(
-                out,
-                "{:>14} {:>8} {:>12} {:>11} {:>10} {:>12} {:>10}",
-                "plan", "streams", "query (ms)", "xfer (ms)", "tag (ms)", "total (ms)", "tuples"
-            )
-            .map_err(write_err)?;
-            for (label, spec) in labels.into_iter().zip(specs) {
-                let m = run_plan(&tree, &server, spec, None).map_err(|e| e.to_string())?;
-                writeln!(
-                    out,
-                    "{label:>14} {:>8} {:>12.1} {:>11.1} {:>10.1} {:>12.1} {:>10}",
-                    m.streams, m.query_ms, m.transfer_ms, m.tag_ms, m.total_ms, m.tuples
-                )
-                .map_err(write_err)?;
-            }
-            out.flush().map_err(write_err)?;
-        }
+        "bench" => run_bench(&opts, &tree, &server)?,
         other => {
             return Err(format!("unknown command: {other}"));
         }

@@ -1,60 +1,7 @@
-//! Experimental configurations (paper Table 1).
-//!
-//! The paper ran Config A on a 1 MB TPC-H database (exhaustive 512-plan
-//! sweeps) and Config B on 100 MB (greedy-generated plans only). Our
-//! substitute engine is in-process and far faster than a 2001 RDBMS over
-//! JDBC, so Config B defaults to a CI-friendly 16 MB; set `SR_CONFIG_B_MB`
-//! to scale it up (e.g. `SR_CONFIG_B_MB=100` for the paper's size).
-
-use std::time::Duration;
+//! The cost model's parameters for this engine.
 
 use sr_plan::CostParams;
 use sr_tpch::Scale;
-
-/// One experimental configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Config {
-    /// Human-readable name ("A" / "B").
-    pub name: &'static str,
-    /// Data scale.
-    pub scale: Scale,
-    /// Per-query timeout (the paper used 5 minutes on Config A).
-    pub timeout: Duration,
-}
-
-impl Config {
-    /// Config A: 1 MB, exhaustive plan sweeps, 5-minute timeout.
-    pub fn a() -> Config {
-        Config {
-            name: "A",
-            scale: Scale::config_a(),
-            timeout: Duration::from_secs(300),
-        }
-    }
-
-    /// Config B: paper used 100 MB; defaults to 16 MB here (override with
-    /// `SR_CONFIG_B_MB`).
-    pub fn b() -> Config {
-        let mb = std::env::var("SR_CONFIG_B_MB")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(16.0);
-        Config {
-            name: "B",
-            scale: Scale::mb(mb),
-            timeout: Duration::from_secs(300),
-        }
-    }
-
-    /// A description line for harness headers (our Table 1 equivalent).
-    pub fn describe(&self) -> String {
-        format!(
-            "Config {}: TPC-H fragment at {:.1} MB (seed {:#x}), in-process sr-engine server, \
-             per-query timeout {:?}",
-            self.name, self.scale.mb, self.scale.seed, self.timeout
-        )
-    }
-}
 
 /// Cost-model parameters calibrated for `sr-engine` cost units.
 ///
@@ -77,23 +24,6 @@ pub fn calibrated_params(scale: Scale) -> CostParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_a_is_one_mb() {
-        let c = Config::a();
-        assert_eq!(c.scale.mb, 1.0);
-        assert_eq!(c.timeout, Duration::from_secs(300));
-        assert!(c.describe().contains("Config A"));
-    }
-
-    #[test]
-    fn config_b_respects_env() {
-        // Note: avoid mutating the environment in parallel tests; just check
-        // the default path when the variable is absent.
-        if std::env::var("SR_CONFIG_B_MB").is_err() {
-            assert_eq!(Config::b().scale.mb, 16.0);
-        }
-    }
 
     #[test]
     fn params_scale_with_size() {

@@ -34,16 +34,12 @@
 //! [`viewtree`], [`sqlgen`], [`tagger`], [`plan`], [`engine`], [`tpch`].
 
 pub mod config;
-pub mod experiment;
 pub mod materialize;
 pub mod queries;
 pub mod query;
 pub mod report;
 
-pub use config::{calibrated_params, Config};
-pub use experiment::{
-    bucket_by_streams, measure, run_plan, run_plan_buffered, sweep_all_plans, Measurement,
-};
+pub use config::calibrated_params;
 pub use materialize::{
     materialize, materialize_buffered, materialize_fragment, materialize_pretty,
     materialize_to_string, Materialization,

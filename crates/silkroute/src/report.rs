@@ -23,6 +23,15 @@ pub struct StreamReport {
 }
 
 /// Full cost report for one materialization.
+///
+/// The paper's two times (§4, Figs. 13–15) are defined here and nowhere
+/// else: its **query time** is the summed server time of the streams
+/// ([`server_ms`](Self::server_ms)), and its **total time** runs from
+/// submitting the first query until the tagger has consumed the last
+/// tuple, which is `total_ms − plan_ms` ([`run_ms`](Self::run_ms)): SQL
+/// generation is not part of it. Streams execute concurrently when
+/// `parallel` is set, so their server times overlap and the query time can
+/// exceed the total time.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MaterializeReport {
     /// Per-stream breakdowns, in stream order.
@@ -87,6 +96,12 @@ impl MaterializeReport {
     /// Summed server-side time across streams, milliseconds.
     pub fn server_ms(&self) -> f64 {
         self.streams.iter().map(|s| s.server_ms).sum()
+    }
+
+    /// The paper's total time: wall time from the first submitted query to
+    /// the last tagged tuple, milliseconds.
+    pub fn run_ms(&self) -> f64 {
+        self.total_ms - self.plan_ms
     }
 
     /// Summed client-side decode time across streams, milliseconds.
@@ -229,6 +244,8 @@ mod tests {
         assert_eq!(r.streams[1].bytes, 100);
         assert!((r.server_ms() - 6.0).abs() < 1e-9);
         assert!((r.transfer_ms() - 2.0).abs() < 1e-9);
+        // The paper's total time leaves SQL generation out: 12ms − 1ms.
+        assert!((r.run_ms() - 11.0).abs() < 1e-9);
         // tag time = tagger wall (5ms) minus decode share (2ms) minus the
         // pipeline stall share (1ms).
         assert!((r.tag_ms - 2.0).abs() < 1e-9);

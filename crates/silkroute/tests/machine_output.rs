@@ -2,7 +2,8 @@
 //! binary and check every emitted JSON document against the structure the
 //! docs promise — the `--metrics-json` report (with its `--analyze`
 //! section and reliability counters) and the `--trace` Chrome timeline —
-//! and how the CLI ends when the reader of its stdout goes away early.
+//! the `bench` table of a whole plan-space sweep, and how the CLI ends when
+//! the reader of its stdout goes away early.
 
 use std::collections::{BTreeSet, HashMap};
 use std::process::Command;
@@ -244,6 +245,56 @@ fn transient_fault_reports_count_the_retry() {
     assert!(
         counter(metrics, "server.retries") >= 1,
         "the transient fault was never retried"
+    );
+}
+
+/// `bench --plan all` times every plan of the view's `2^|E|` space: one row
+/// per edge set, each with one stream per component the set leaves, and
+/// all of them writing the same document, which the view tree defines.
+#[test]
+fn bench_sweeps_the_whole_plan_space() {
+    const VIEW: &str = "from Supplier $s construct <supplier><name>$s.name</name>\
+        { from PartSupp $ps where $s.suppkey = $ps.suppkey construct <part>$ps.partkey</part> }\
+        { from Nation $n where $s.nationkey = $n.nationkey construct <nation>$n.name</nation> }\
+        </supplier>";
+    let path = std::env::temp_dir().join(format!("sr-bench-sweep-{}.rxl", std::process::id()));
+    std::fs::write(&path, VIEW).expect("write view");
+    let table = silkroute(&[
+        "bench",
+        "--mb",
+        "0.02",
+        "--plan",
+        "all",
+        path.to_str().expect("utf-8 temp path"),
+    ]);
+    let _ = std::fs::remove_file(&path);
+
+    let db = silkroute::tpch::generate(silkroute::tpch::Scale::mb(0.02)).expect("tpch");
+    let view = silkroute::rxl::parse(VIEW).expect("view parses");
+    let tree = silkroute::viewtree::build(&view, &db).expect("view tree");
+    assert_eq!(tree.edge_count(), 3);
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .skip(1)
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert_eq!(rows.len(), 8, "{table}");
+    let mut xml_bytes = BTreeSet::new();
+    for row in &rows {
+        let [plan, _cost, streams, _query, _xfer, _tag, _total, _tuples, _wire, xml] = row[..]
+        else {
+            panic!("not a bench row: {row:?}");
+        };
+        let bits = plan.strip_prefix("edges:").expect("an edge-set label");
+        let edges = silkroute::EdgeSet::from_bits(bits.parse().expect("edge bits"));
+        let components = silkroute::viewtree::components(&tree, edges).len();
+        assert_eq!(streams, components.to_string(), "{plan}: {table}");
+        xml_bytes.insert(xml);
+    }
+    assert_eq!(
+        xml_bytes.len(),
+        1,
+        "one document whatever the plan: {table}"
     );
 }
 

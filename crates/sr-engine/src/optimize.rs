@@ -35,7 +35,10 @@
 //! * `Filter` / `Sort` / `Join` — add the columns they reference.
 //! * `Project` — drops the items nobody reads (at least one stays, as for
 //!   a scan); its input need only supply what the kept items reference.
-//!   At the root every item is read.
+//!   At the root every item is read. A `Project` the pruned input starts
+//!   with is folded into it, so a chain of renames (a derived table's
+//!   `x AS t_x` under `t_x AS x`) costs one pass over each batch, and a
+//!   scan under a `Project` gets no pruning `Project` of its own.
 //! * `OuterUnion` — every branch gets the set; a branch keeps the part of
 //!   it that it has.
 //! * `Distinct` — a barrier: its input keeps every column, since every
@@ -249,7 +252,27 @@ fn prune(plan: Plan, mut read: HashSet<String>, db: &Database) -> Result<Plan, E
                     _ => None,
                 })
                 .collect();
-            Ok(prune(*input, below, db)?.project(items))
+            let input = match prune(*input, below, db)? {
+                // Fold the `Project` below into this one: each column this
+                // one reads is an item of it, so that item's expression
+                // stands in. A pruned `Project` never sits on another, so
+                // one level is the whole chain.
+                Plan::Project {
+                    input,
+                    items: inner,
+                } => {
+                    for (_, e) in &mut items {
+                        if let Expr::Col(c) = e {
+                            if let Some((_, x)) = inner.iter().find(|(n, _)| n == c) {
+                                *e = x.clone();
+                            }
+                        }
+                    }
+                    *input
+                }
+                other => other,
+            };
+            Ok(input.project(items))
         }
         Plan::OuterUnion { inputs } => {
             let inputs = inputs

@@ -964,6 +964,7 @@ mod tests {
         ProjectFirstTwo(Box<Gen>),
         ProjectLast(Box<Gen>),
         ProjectLit(Box<Gen>),
+        RenameAll(Box<Gen>),
         Join(Box<Gen>, Box<Gen>, bool),
         UnionFirstInt(Box<Gen>, Box<Gen>),
         SortAll(Box<Gen>),
@@ -980,6 +981,7 @@ mod tests {
                     .prop_map(|p| Gen::ProjectFirstTwo(Box::new(p))),
                 inner.clone().prop_map(|p| Gen::ProjectLast(Box::new(p))),
                 inner.clone().prop_map(|p| Gen::ProjectLit(Box::new(p))),
+                inner.clone().prop_map(|p| Gen::RenameAll(Box::new(p))),
                 (inner.clone(), inner.clone(), any::<bool>()).prop_map(|(l, r, outer)| Gen::Join(
                     Box::new(l),
                     Box::new(r),
@@ -1042,6 +1044,19 @@ mod tests {
                     let p = self.build(inner);
                     let n = self.fresh();
                     p.project(vec![(format!("p{n}_lit"), Expr::lit(n as i64))])
+                }
+                // Every column under a new name: the rename chains a
+                // derived table leaves, which pruning folds into one.
+                Gen::RenameAll(inner) => {
+                    let p = self.build(inner);
+                    let schema = p.schema(self.db).expect("schema");
+                    let n = self.fresh();
+                    let items: Vec<(String, Expr)> = schema
+                        .names()
+                        .enumerate()
+                        .map(|(i, c)| (format!("r{n}_{i}"), Expr::col(c.to_string())))
+                        .collect();
+                    p.project(items)
                 }
                 Gen::Join(l, r, outer) => {
                     let lp = self.build(l);

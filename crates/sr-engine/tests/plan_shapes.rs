@@ -4,8 +4,9 @@
 //! the component queries of both paper views and of the benchmark's XPath
 //! shapes, under many literals, a default server and one built with
 //! `with_plan_cache(false)` agree on the optimized plan, bit for bit on the
-//! estimate, and byte for byte on the executed wire stream. The last test
-//! pins what column pruning leaves of one greedy stream's scans.
+//! estimate, and byte for byte on the executed wire stream. The last two
+//! tests pin what column pruning leaves of one greedy stream's scans, and
+//! that it folds every chain of `Project`s into one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -546,4 +547,34 @@ fn a_greedy_stream_scans_only_the_columns_its_parents_read() {
         ["l_orderkey", "l_partkey", "l_suppkey"],
         "{plan}"
     );
+}
+
+/// Whether some `Project` in `plan` reads straight from another `Project`.
+fn project_over_project(plan: &Plan) -> bool {
+    let here =
+        matches!(plan, Plan::Project { input, .. } if matches!(**input, Plan::Project { .. }));
+    here || plan.children().into_iter().any(project_over_project)
+}
+
+#[test]
+fn no_prepared_stream_renames_twice() {
+    let db = Arc::new(sr_tpch::generate(sr_tpch::Scale::mb(1.0)).expect("tpch"));
+    let server = Server::new(Arc::clone(&db));
+    let params = silkroute::calibrated_params(sr_tpch::Scale::mb(1.0));
+    for tree in [silkroute::query1_tree(&db), silkroute::query2_tree(&db)] {
+        let greedy = gen_plan(&tree, &db, &Oracle::new(&server, params), true).expect("genPlan");
+        let specs = [
+            PlanSpec {
+                edges: greedy.recommended(),
+                ..PlanSpec::fully_partitioned()
+            },
+            PlanSpec::unified(&tree),
+            PlanSpec::sorted_outer_union(&tree),
+            PlanSpec::fully_partitioned(),
+        ];
+        for sql in component_sql(&tree, &db, &specs) {
+            let (plan, _) = server.optimized_plan(&sql).expect("plan");
+            assert!(!project_over_project(&plan), "{sql}\n{plan}");
+        }
+    }
 }

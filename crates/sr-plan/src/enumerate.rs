@@ -4,8 +4,7 @@
 //! and compare all possible execution plans for an RXL query." For a tree
 //! with `|E|` edges there are `2^|E|` plans; Config A's experiments run all
 //! of them. This module enumerates the plan space with *estimated* costs
-//! (no execution) — the experiment harness in `silkroute` does the timed
-//! runs.
+//! (no execution) — `silkroute bench --plan all` does the timed runs.
 
 use sr_data::Database;
 use sr_engine::EngineError;

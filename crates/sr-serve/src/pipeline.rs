@@ -5,10 +5,10 @@
 //! copy of it: submit one SQL string per component, read back the sorted
 //! tuple streams, and merge and tag them into the document. Every entry
 //! point runs it — the library's `materialize` family and `query_view`, the
-//! CLI, the experiment harness, and [`run_query`] for a connection, which
-//! points it at a chunking frame writer and registers every stream's cancel
-//! handle so a disconnect (or an explicit CANCEL frame) aborts the
-//! producers mid-query.
+//! CLI (its `bench` plan-space harness included), and [`run_query`] for a
+//! connection, which points it at a chunking frame writer and registers
+//! every stream's cancel handle so a disconnect (or an explicit CANCEL
+//! frame) aborts the producers mid-query.
 
 use std::collections::BTreeMap;
 use std::fmt;

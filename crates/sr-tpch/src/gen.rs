@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn cardinalities_match_scale() {
-        let s = Scale::config_a();
+        let s = Scale::mb(1.0);
         let db = generate(s).unwrap();
         assert_eq!(db.table("Supplier").unwrap().len(), s.suppliers());
         assert_eq!(db.table("Part").unwrap().len(), s.parts());
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn some_suppliers_have_no_parts() {
-        let db = generate(Scale::config_a()).unwrap();
+        let db = generate(Scale::mb(1.0)).unwrap();
         let with_parts: HashSet<i64> = db
             .table("PartSupp")
             .unwrap()
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn size_roughly_tracks_target() {
-        let db = generate(Scale::config_a()).unwrap();
+        let db = generate(Scale::mb(1.0)).unwrap();
         let bytes = db.byte_size();
         // Target 1 MB; accept a generous band (the wire format differs from
         // TPC-H's on-disk format).
@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn generated_data_honors_declared_clusterings() {
-        let db = generate(Scale::config_a()).unwrap();
+        let db = generate(Scale::mb(1.0)).unwrap();
         for name in db.table_names().map(str::to_string).collect::<Vec<_>>() {
             let cols: Vec<&str> = db.clustered_by(&name).iter().map(String::as_str).collect();
             assert!(!cols.is_empty(), "{name} has no clustering");

@@ -24,17 +24,6 @@ impl Scale {
         }
     }
 
-    /// The paper's Config A (1 MB).
-    pub fn config_a() -> Scale {
-        Scale::mb(1.0)
-    }
-
-    /// The paper's Config B (100 MB). See `silkroute::config` for the
-    /// CI-scaled default actually used by the harnesses.
-    pub fn config_b() -> Scale {
-        Scale::mb(100.0)
-    }
-
     fn scaled(&self, per_mb: f64, min: usize) -> usize {
         ((per_mb * self.mb).round() as usize).max(min)
     }
@@ -86,7 +75,7 @@ mod tests {
 
     #[test]
     fn config_a_matches_tpch_ratios() {
-        let s = Scale::config_a();
+        let s = Scale::mb(1.0);
         assert_eq!(s.suppliers(), 10);
         assert_eq!(s.parts(), 200);
         assert_eq!(s.partsupps(), 800);

@@ -17,6 +17,8 @@
 //! The CLI's flags get the same treatment: every `"--flag" =>` arm of the
 //! `silkroute` binary's `parse_args` is listed both in its module doc's
 //! `OPTS:` block and in `usage()`, and every flag those two list is parsed.
+//! Every `silkroute <command> …` line that README.md and EXPERIMENTS.md
+//! show in backticks or code blocks uses parsed flags only.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -192,10 +194,13 @@ fn flags_in(text: &str) -> BTreeSet<String> {
         .collect()
 }
 
-#[test]
-fn cli_flags_agree_with_doc_and_usage() {
-    let src = fs::read_to_string(repo().join("crates/silkroute/src/bin/silkroute.rs"))
-        .expect("read the silkroute binary");
+fn cli_source() -> String {
+    fs::read_to_string(repo().join("crates/silkroute/src/bin/silkroute.rs"))
+        .expect("read the silkroute binary")
+}
+
+/// The flags `parse_args` matches: every `"--flag" =>` arm.
+fn parsed_flags(src: &str) -> BTreeSet<String> {
     let parsed: BTreeSet<String> = src
         .match_indices("\" =>")
         .filter_map(|(at, _)| {
@@ -205,6 +210,13 @@ fn cli_flags_agree_with_doc_and_usage() {
         })
         .collect();
     assert!(parsed.contains("--mb") && parsed.len() >= 20, "{parsed:?}");
+    parsed
+}
+
+#[test]
+fn cli_flags_agree_with_doc_and_usage() {
+    let src = cli_source();
+    let parsed = parsed_flags(&src);
     let opts = src
         .lines()
         .take_while(|l| l.starts_with("//!"))
@@ -229,4 +241,80 @@ fn cli_flags_agree_with_doc_and_usage() {
             "flags in {what} but never parsed: {unparsed:?}"
         );
     }
+}
+
+/// The command lines of a Markdown text: each line of a fenced block
+/// (`\`-continued lines joined) and each inline backticked span.
+fn command_lines(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut fenced = false;
+    let mut pending = String::new();
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        if fenced {
+            match line.trim_end().strip_suffix('\\') {
+                Some(head) => pending += head,
+                None => out.push(std::mem::take(&mut pending) + line),
+            }
+        } else {
+            out.extend(line.split('`').skip(1).step_by(2).map(str::to_string));
+        }
+    }
+    out
+}
+
+#[test]
+fn documented_cli_commands_use_parsed_flags() {
+    const COMMANDS: [&str; 10] = [
+        "tree",
+        "sql",
+        "materialize",
+        "query",
+        "plan",
+        "bench",
+        "serve",
+        "client",
+        "stats",
+        "top",
+    ];
+    let parsed = parsed_flags(&cli_source());
+    let mut checked = 0;
+    for doc in ["README.md", "EXPERIMENTS.md"] {
+        let text = fs::read_to_string(repo().join(doc)).expect("read doc");
+        for line in command_lines(&text) {
+            // The command ends at a shell comment or pipe.
+            let line = line.split(" #").next().unwrap_or_default();
+            let line = line.split(" | ").next().unwrap_or_default().trim();
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let Some(at) = words
+                .iter()
+                .position(|w| *w == "silkroute" || w.ends_with("/silkroute"))
+            else {
+                continue;
+            };
+            // `cargo run --bin silkroute -- <command>` passes its own flags
+            // before the binary's name.
+            let rest = &words[at + 1..];
+            let rest = rest.strip_prefix(&["--"]).unwrap_or(rest);
+            if !rest.first().is_some_and(|c| COMMANDS.contains(c)) {
+                continue;
+            }
+            checked += 1;
+            let unknown: Vec<_> = flags_in(&rest.join(" "))
+                .into_iter()
+                .filter(|f| !parsed.contains(f))
+                .collect();
+            assert!(
+                unknown.is_empty(),
+                "{doc}: `{line}` uses flags the CLI does not parse: {unknown:?}"
+            );
+        }
+    }
+    assert!(
+        checked >= 10,
+        "only {checked} documented command lines found"
+    );
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use silkroute::{
-    calibrated_params, gen_plan, query1_tree, run_plan, Oracle, PlanSpec, QueryStyle, Server,
+    calibrated_params, gen_plan, materialize, query1_tree, Oracle, PlanSpec, QueryStyle, Server,
 };
 use sr_tpch::{generate, Scale};
 
@@ -39,7 +39,8 @@ fn greedy_recommended_plan_beats_the_defaults() {
     let mut fastest = [f64::INFINITY; 4];
     for _ in 0..5 {
         for (ms, &spec) in fastest.iter_mut().zip(&specs) {
-            *ms = ms.min(run_plan(&tree, &server, spec, None).unwrap().total_ms);
+            let (m, _) = materialize(&tree, &server, spec, std::io::sink()).unwrap();
+            *ms = ms.min(m.report.run_ms());
         }
     }
     let [greedy_ms, unified_ms, partitioned_ms, union_ms] = fastest;
