@@ -413,7 +413,7 @@ fn run_bench(opts: &Opts, tree: &ViewTree, server: &Server) -> Result<(), String
     .map_err(write_err)?;
     for (((label, spec), t), r) in plans.iter().zip(&mut times).zip(&reports) {
         let cost = oracle
-            .plan_cost(tree, server.database(), spec.edges, spec.reduce, spec.style)
+            .plan_cost(tree, server.database(), *spec)
             .map_err(|e| e.to_string())?;
         writeln!(
             out,
@@ -614,8 +614,8 @@ fn run_client(opts: &Opts) -> Result<(), String> {
         "tuples" => sr_serve::Format::Tuples,
         other => return Err(format!("unknown --format: {other}")),
     };
-    // `greedy` goes over the wire as-is: the server plans it through its
-    // shared re-coster, so repeated requests benefit from learned actuals.
+    // `greedy` goes over the wire as-is: the server plans it once per view
+    // and serves that plan to every later request for the view.
     // An --xpath rides along and is composed server-side against the view.
     let result = client
         .query_with_xpath(format, view, opts.plan.as_str(), opts.xpath.as_deref())

@@ -12,4 +12,3 @@ pub use ast::{FromItem, JoinClause, Query, SelectItem, SelectStmt, SqlCond, SqlE
 pub use binder::{bind, plan_sql};
 pub use lower::to_sql;
 pub use parser::parse;
-pub use shape::normalize;

@@ -8,7 +8,7 @@
 
 use sr_data::Database;
 use sr_engine::EngineError;
-use sr_sqlgen::QueryStyle;
+use sr_sqlgen::{PlanSpec, QueryStyle};
 use sr_viewtree::{all_edge_sets, components, EdgeSet, ViewTree};
 
 use crate::oracle::Oracle;
@@ -35,7 +35,12 @@ pub fn rank_all_plans(
 ) -> Result<Vec<RankedPlan>, EngineError> {
     let mut out = Vec::with_capacity(1usize << tree.edge_count());
     for edges in all_edge_sets(tree) {
-        let cost = oracle.plan_cost(tree, db, edges, reduce, QueryStyle::OuterJoin)?;
+        let spec = PlanSpec {
+            edges,
+            reduce,
+            style: QueryStyle::OuterJoin,
+        };
+        let cost = oracle.plan_cost(tree, db, spec)?;
         out.push(RankedPlan {
             edge_bits: edges.bits(),
             streams: components(tree, edges).len(),

@@ -12,7 +12,9 @@
 //! * [`greedy`] — the `genPlan` algorithm (Fig. 17) producing mandatory and
 //!   optional edge sets;
 //! * [`capabilities`] — permissible-plan filtering for engines lacking
-//!   outer joins or unions (§3.4).
+//!   outer joins or unions (§3.4);
+//! * [`recost`] — the server's `greedy` plans: one memoized `genPlan`
+//!   pick per view.
 
 pub mod capabilities;
 pub mod enumerate;
@@ -25,5 +27,5 @@ pub use capabilities::{
 };
 pub use enumerate::{estimated_best, rank_all_plans, RankedPlan};
 pub use greedy::{gen_plan, gen_plan_capable, EdgeChoice, GreedyResult};
-pub use oracle::{ActualStore, CostParams, Oracle};
+pub use oracle::{CostParams, Oracle};
 pub use recost::{RecostConfig, Recoster};

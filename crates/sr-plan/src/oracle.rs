@@ -20,82 +20,16 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sr_data::Database;
-use sr_engine::{lock_recover, EngineError, Estimate, Lru, Server};
-use sr_sqlgen::{outer_join_plan, QueryStyle};
+use sr_engine::{EngineError, Estimate, Server};
+use sr_sqlgen::{generate_queries, outer_join_plan, PlanSpec};
 use sr_viewtree::{
     reduce_component, Atom, BodyOperand, BodyPred, Component, EdgeSet, RuleBody, Var, ViewNode,
     ViewTree,
 };
-
-/// Learned actual cardinalities, keyed by normalized SQL text.
-///
-/// The store outlives any single [`Oracle`] (oracles borrow a server and
-/// are rebuilt per planning round), so it is shared: clones see the same
-/// map. Recorded counts are clamped to ≥ 1 row — the Q-error floor — so a
-/// zero-row observation can never divide a later estimate to zero. Peers
-/// choose the literals, so the store keeps at most [`ActualStore::CAP`]
-/// queries, evicting the least recently used.
-#[derive(Debug, Clone)]
-pub struct ActualStore {
-    inner: Arc<Mutex<Lru<u64>>>,
-}
-
-impl Default for ActualStore {
-    fn default() -> Self {
-        ActualStore {
-            inner: Arc::new(Mutex::new(Lru::new(Self::CAP))),
-        }
-    }
-}
-
-impl ActualStore {
-    /// Most queries a store remembers.
-    pub const CAP: usize = 2048;
-
-    /// An empty store.
-    pub fn new() -> ActualStore {
-        ActualStore::default()
-    }
-
-    /// The keying normalization: the engine's token text, so the same
-    /// query re-rendered with different spacing still hits while literals
-    /// that differ only in their inner whitespace stay apart.
-    pub fn normalize(sql: &str) -> String {
-        sr_engine::sql::normalize(sql)
-    }
-
-    /// Record an observed row count for a SQL query (clamped to ≥ 1).
-    /// Returns the number of queries evicted to make room (0 or 1).
-    pub fn record(&self, sql: &str, rows: u64) -> u64 {
-        lock_recover(&self.inner).insert(Self::normalize(sql), rows.max(1))
-    }
-
-    /// The recorded actual for a SQL query, if any.
-    pub fn get(&self, sql: &str) -> Option<u64> {
-        lock_recover(&self.inner)
-            .get(&Self::normalize(sql))
-            .copied()
-    }
-
-    /// Number of distinct queries with recorded actuals.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.inner).len()
-    }
-
-    /// `true` iff nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Forget everything (the database changed under us).
-    pub fn clear(&self) {
-        lock_recover(&self.inner).clear();
-    }
-}
 
 /// Cost-model parameters: coefficients and greedy thresholds.
 ///
@@ -223,8 +157,6 @@ pub struct Oracle<'a> {
     /// Worst observed `(sql, q_error)` reported via
     /// [`Oracle::record_actual`].
     worst: RefCell<Option<(String, f64)>>,
-    /// Learned actuals to blend over static stats, when attached.
-    actuals: Option<ActualStore>,
 }
 
 impl<'a> Oracle<'a> {
@@ -239,22 +171,7 @@ impl<'a> Oracle<'a> {
             evaluations: RefCell::new(0),
             estimate_time: RefCell::new(Duration::ZERO),
             worst: RefCell::new(None),
-            actuals: None,
         }
-    }
-
-    /// Attach a learned-actuals store: [`Oracle::estimate_sql`] then blends
-    /// recorded actual cardinalities over the server's static stats (exact
-    /// hit → actual; miss → static), and [`Oracle::record_actual`] persists
-    /// observations into the store for later planning rounds.
-    pub fn with_actuals(mut self, actuals: ActualStore) -> Self {
-        self.actuals = Some(actuals);
-        self
-    }
-
-    /// The attached learned-actuals store, if any.
-    pub fn actuals(&self) -> Option<&ActualStore> {
-        self.actuals.as_ref()
     }
 
     /// The model parameters.
@@ -281,18 +198,14 @@ impl<'a> Oracle<'a> {
         *self.estimate_time.borrow()
     }
 
-    /// Estimate for a SQL string (cached). With an attached
-    /// [`ActualStore`], an exact (normalized) hit replaces the static
-    /// cardinality with the recorded actual; the cache keeps the *static*
-    /// estimate so Q-error accounting keeps measuring the server's stats,
-    /// not our own corrections.
+    /// Estimate for a SQL string (cached).
     pub fn estimate_sql(&self, sql: &str) -> Result<Estimate, EngineError> {
         *self.evaluations.borrow_mut() += 1;
         let metrics = self.server.metrics();
         metrics.counter("oracle.evaluations").inc();
         if let Some(e) = self.cache.borrow().get(sql) {
             metrics.counter("oracle.cache_hits").inc();
-            return Ok(self.blend(sql, e.clone()));
+            return Ok(e.clone());
         }
         *self.requests.borrow_mut() += 1;
         metrics.counter("oracle.requests").inc();
@@ -300,29 +213,11 @@ impl<'a> Oracle<'a> {
         let e = self.server.estimate_sql(sql)?;
         *self.estimate_time.borrow_mut() += start.elapsed();
         self.cache.borrow_mut().insert(sql.to_string(), e.clone());
-        Ok(self.blend(sql, e))
+        Ok(e)
     }
 
-    /// Overlay a recorded actual onto a static estimate. The evaluation
-    /// cost is scaled by the actual/static output ratio — a crude proxy
-    /// (eval cost also covers input rows), but it moves the linear model
-    /// in the right direction for the queries we have truth for.
-    fn blend(&self, sql: &str, e: Estimate) -> Estimate {
-        let Some(actual) = self.actuals.as_ref().and_then(|s| s.get(sql)) else {
-            return e;
-        };
-        self.server.metrics().counter("oracle.actual_hits").inc();
-        let actual = actual as f64;
-        let ratio = actual / e.cardinality.max(1.0);
-        Estimate {
-            cardinality: actual,
-            eval_cost: e.eval_cost * ratio,
-            columns: e.columns,
-        }
-    }
-
-    /// Close the feedback loop on a cached estimate: once a query the
-    /// oracle costed has actually run, report its real row count. Returns
+    /// Once a query the oracle costed has actually run, report its real
+    /// row count. Returns
     /// the Q-error of the cached cardinality estimate (`None` if this SQL
     /// was never estimated), records it into the server registry's
     /// `oracle.qerror` histogram (×1000 fixed point), and tracks the worst
@@ -330,11 +225,6 @@ impl<'a> Oracle<'a> {
     /// accounting: the greedy planner is only as good as these estimates,
     /// and the histogram shows how far off they run in practice (Fig. 18).
     pub fn record_actual(&self, sql: &str, actual_rows: u64) -> Option<f64> {
-        // Persist first: an actual is worth keeping even for SQL this
-        // oracle instance never estimated (a later planning round will).
-        if let Some(store) = &self.actuals {
-            store.record(sql, actual_rows);
-        }
         let est = self.cache.borrow().get(sql)?.cardinality;
         let q = sr_engine::q_error(est, actual_rows as f64);
         self.server
@@ -361,12 +251,11 @@ impl<'a> Oracle<'a> {
 
     /// The name scope for costing `tree`'s components as named statements
     /// ([`Oracle::named_component_cost`]), or `None` when every costing
-    /// must render its SQL: an attached [`ActualStore`] blends actuals by
-    /// the literal SQL text, and a `db` other than the server's would make
-    /// the server's names unsound.
+    /// must render its SQL: a `db` other than the server's would make the
+    /// server's names unsound.
     pub(crate) fn view_shape(&self, tree: &ViewTree, db: &Database) -> Option<ViewShape> {
         let own_db = std::ptr::eq(db, &**self.server.database());
-        (self.actuals.is_none() && own_db).then(|| ViewShape::of(tree))
+        own_db.then(|| ViewShape::of(tree))
     }
 
     /// [`Oracle::component_cost`] through a named prepared statement of
@@ -447,20 +336,20 @@ impl<'a> Oracle<'a> {
         self.cost_sql(&sql)
     }
 
-    /// Total combined cost of a full plan: the sum over its components.
+    /// Total combined cost of a full plan: the sum over the SQL it runs,
+    /// in the plan's own style (`oracle.sql_rendered` per query).
     pub fn plan_cost(
         &self,
         tree: &ViewTree,
         db: &Database,
-        edges: EdgeSet,
-        reduce: bool,
-        style: QueryStyle,
+        spec: PlanSpec,
     ) -> Result<f64, EngineError> {
-        let _ = style; // planning always costs the outer-join structure
-        let comps = sr_viewtree::components(tree, edges);
+        let queries = generate_queries(tree, db, spec)?;
+        let rendered = self.server.metrics().counter("oracle.sql_rendered");
         let mut total = 0.0;
-        for c in &comps {
-            total += self.component_cost(tree, db, c, edges, reduce)?;
+        for q in &queries {
+            rendered.inc();
+            total += self.cost_sql(&q.sql)?;
         }
         Ok(total)
     }
@@ -492,14 +381,10 @@ mod tests {
         let (tree, server) = setup();
         let oracle = Oracle::new(&server, CostParams::default());
         let db = server.database();
-        let full = EdgeSet::full(&tree);
-        let c1 = oracle
-            .plan_cost(&tree, db, full, true, QueryStyle::OuterJoin)
-            .unwrap();
+        let unified = PlanSpec::unified(&tree);
+        let c1 = oracle.plan_cost(&tree, db, unified).unwrap();
         let r1 = oracle.requests();
-        let c2 = oracle
-            .plan_cost(&tree, db, full, true, QueryStyle::OuterJoin)
-            .unwrap();
+        let c2 = oracle.plan_cost(&tree, db, unified).unwrap();
         assert_eq!(c1, c2);
         assert_eq!(oracle.requests(), r1, "second evaluation fully cached");
         assert!(oracle.evaluations() > r1);
@@ -525,13 +410,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let full = EdgeSet::full(&tree);
-        let c1 = cheap
-            .plan_cost(&tree, db, full, true, QueryStyle::OuterJoin)
-            .unwrap();
-        let c2 = heavy
-            .plan_cost(&tree, db, full, true, QueryStyle::OuterJoin)
-            .unwrap();
+        let unified = PlanSpec::unified(&tree);
+        let c1 = cheap.plan_cost(&tree, db, unified).unwrap();
+        let c2 = heavy.plan_cost(&tree, db, unified).unwrap();
         assert!(c1 > 0.0);
         assert!(c2 > c1, "adding data-size weight increases cost");
     }
@@ -578,17 +459,13 @@ mod tests {
     #[test]
     fn record_actual_zero_rows_does_not_poison_worst() {
         let (_, server) = setup();
-        let actuals = ActualStore::new();
-        let oracle = Oracle::new(&server, CostParams::default()).with_actuals(actuals.clone());
+        let oracle = Oracle::new(&server, CostParams::default());
         let sql = "SELECT s.suppkey AS k FROM Supplier s";
         oracle.estimate_sql(sql).unwrap();
         let q = oracle.record_actual(sql, 0).unwrap();
         assert!(q.is_finite() && q >= 1.0, "q = {q}");
         let (_, wq) = oracle.worst_qerror().unwrap();
         assert!(wq.is_finite());
-        // The persisted actual is clamped to the 1-row floor, so a later
-        // blend can never zero out an estimate.
-        assert_eq!(actuals.get(sql), Some(1));
         // A huge-ratio observation stays finite too.
         let q = oracle.record_actual(sql, u64::MAX).unwrap();
         assert!(q.is_finite(), "q = {q}");
@@ -598,54 +475,42 @@ mod tests {
     }
 
     #[test]
-    fn estimate_blends_recorded_actuals_over_static_stats() {
-        let (_, server) = setup();
-        let actuals = ActualStore::new();
-        let oracle = Oracle::new(&server, CostParams::default()).with_actuals(actuals.clone());
-        let sql = "SELECT s.suppkey AS k FROM Supplier s";
-        let static_est = oracle.estimate_sql(sql).unwrap();
-        assert!(actuals.get(sql).is_none(), "miss → static stats");
-        let actual = (static_est.cardinality * 5.0).round() as u64;
-        oracle.record_actual(sql, actual).unwrap();
-        let blended = oracle.estimate_sql(sql).unwrap();
-        assert_eq!(blended.cardinality, actual as f64, "exact hit → actual");
-        assert!(blended.eval_cost > static_est.eval_cost);
-        // Whitespace variants key to the same record…
-        let spaced = "SELECT   s.suppkey AS k\n FROM Supplier s";
-        assert_eq!(actuals.get(spaced), Some(actual));
-        // …and a fresh oracle over the shared store sees it immediately.
-        let o2 = Oracle::new(&server, CostParams::default()).with_actuals(actuals.clone());
-        assert_eq!(o2.estimate_sql(sql).unwrap().cardinality, actual as f64);
-        assert!(server.metrics().counter("oracle.actual_hits").get() >= 2);
-        actuals.clear();
-        assert!(actuals.is_empty());
-        let back = oracle.estimate_sql(sql).unwrap();
-        assert_eq!(back.cardinality, static_est.cardinality);
-    }
-
-    #[test]
-    fn actuals_keep_literals_apart_and_survive_poison() {
-        let store = ActualStore::new();
-        let sql = |name: &str| format!("SELECT p.partkey AS k FROM Part p WHERE p.name = '{name}'");
-        store.record(&sql("a  b"), 7);
-        assert_eq!(
-            store.get(&sql("a b")),
-            None,
-            "inner whitespace is the literal's"
+    fn plan_cost_prices_the_sql_of_the_plan_it_is_given() {
+        let (tree, server) = setup();
+        let db = server.database();
+        let oracle = Oracle::new(&server, CostParams::default());
+        let own_sql = |spec: PlanSpec| -> f64 {
+            let queries = generate_queries(&tree, db, spec).unwrap();
+            queries
+                .iter()
+                .map(|q| oracle.cost_sql(&q.sql).unwrap())
+                .sum()
+        };
+        let outer_union = PlanSpec::sorted_outer_union(&tree);
+        let non_reduced_unified = PlanSpec {
+            style: sr_sqlgen::QueryStyle::OuterJoin,
+            ..outer_union
+        };
+        let cost = oracle.plan_cost(&tree, db, outer_union).unwrap();
+        assert_eq!(cost, own_sql(outer_union));
+        assert_ne!(
+            cost,
+            oracle.plan_cost(&tree, db, non_reduced_unified).unwrap(),
+            "the outer-union plan is priced as its own SQL"
         );
-        assert_eq!(
-            store.get(&sql("a  b").replace(" FROM", "\n  FROM")),
-            Some(7)
-        );
-        let held = store.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = held.inner.lock();
-            panic!("poison the store");
-        })
-        .join();
-        assert_eq!(store.get(&sql("a  b")), Some(7));
-        store.record(&sql("a b"), 3);
-        assert_eq!(store.len(), 2);
+        // An outer-join plan costs what genPlan's per-component costing
+        // says, so the ranking of the plan space does not move.
+        for edges in [EdgeSet::empty(), EdgeSet::full(&tree)] {
+            let spec = PlanSpec {
+                edges,
+                ..PlanSpec::unified(&tree)
+            };
+            let per_component: f64 = sr_viewtree::components(&tree, edges)
+                .iter()
+                .map(|c| oracle.component_cost(&tree, db, c, edges, true).unwrap())
+                .sum();
+            assert_eq!(oracle.plan_cost(&tree, db, spec).unwrap(), per_component);
+        }
     }
 
     #[test]

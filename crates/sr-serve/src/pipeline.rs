@@ -255,12 +255,12 @@ pub fn resolve_xpath(
 }
 
 /// The server-side context that makes `greedy` a servable plan spec: a
-/// shared [`Recoster`] (learned re-costing state), the view's feedback key,
-/// and the engine whose catalog and stats planning runs against.
+/// shared [`Recoster`] (one memoized `genPlan` pick per view), the view's
+/// key, and the engine whose catalog and stats planning runs against.
 pub struct RecostContext<'a> {
-    /// Shared learned-actuals + per-view plan state.
+    /// Shared per-view plans.
     pub recoster: &'a Recoster,
-    /// Feedback key identifying the view (name, or inline source).
+    /// Key identifying the view (name, or inline source, and the XPath).
     pub view_key: &'a str,
     /// The engine to plan against.
     pub engine: &'a Server,
@@ -268,10 +268,9 @@ pub struct RecostContext<'a> {
 
 /// Parse a wire plan-spec string with [`PlanSpec::parse`], reduced and
 /// outer-join style. `greedy` consults the cost oracle and is only servable
-/// when the caller supplies a [`RecostContext`] — the learned re-coster then
-/// plans the view (serving a cached spec until accumulated Q-error triggers
-/// a re-plan); without one, requesting it over the wire remains a typed
-/// error.
+/// when the caller supplies a [`RecostContext`], whose re-coster serves the
+/// view's memoized `genPlan` pick; without one, requesting it over the wire
+/// remains a typed error.
 pub fn resolve_plan(
     tree: &ViewTree,
     plan: &str,
@@ -505,9 +504,6 @@ pub struct RunStats {
     /// The generated component SQL, in stream order — what a slow-query
     /// capture re-runs under EXPLAIN ANALYZE.
     pub sqls: Vec<String>,
-    /// Actual rows each component stream produced, in stream order
-    /// (parallel to `sqls`) — the feedback the learned re-coster consumes.
-    pub per_stream_rows: Vec<u64>,
 }
 
 /// Execute one already-admitted query request end to end, writing chunk
@@ -547,43 +543,40 @@ pub fn run_query<W: Write>(
         tracer,
     };
 
-    let (sqls, per_stream_rows, elements) = match format {
+    let (sqls, tuples, elements) = match format {
         Format::Xml => {
             let (p, _) = publish(engine, tree, queries, &mut writer, args).map_err(tag_err)?;
             writer.flush().map_err(PipelineError::ClientGone)?;
-            let rows = p.stats.per_stream.iter().map(|s| s.tuples).collect();
-            (p.sqls, rows, p.stats.elements)
+            (p.sqls, p.stats.tuples, p.stats.elements)
         }
         Format::Tuples => {
             let mut sqls = Vec::with_capacity(queries.len());
-            let mut per_stream_rows = Vec::with_capacity(queries.len());
+            let mut tuples = 0u64;
             for (i, q) in queries.into_iter().enumerate() {
                 let mut stream = args.submit(engine, &q.sql, i).map_err(engine_err)?;
                 sqls.push(q.sql);
                 // The engine's chunks are already the response's bytes:
                 // forward them as they are, cut on row boundaries so that
                 // no frame carries more than `CHUNK_ROWS` rows.
-                let mut stream_rows = 0u64;
                 while let Some(chunk) = stream.next_chunk().map_err(engine_err)? {
                     let mut rest: &[u8] = &chunk;
                     while !rest.is_empty() {
                         let (len, rows) =
                             sr_engine::wire::row_prefix(rest, CHUNK_ROWS).map_err(engine_err)?;
-                        stream_rows += rows as u64;
+                        tuples += rows as u64;
                         writer.frame.extend(&rest[..len]);
                         writer.ship(i as u16).map_err(PipelineError::ClientGone)?;
                         rest = &rest[len..];
                     }
                 }
-                per_stream_rows.push(stream_rows);
             }
             writer.out.flush().map_err(PipelineError::ClientGone)?;
-            (sqls, per_stream_rows, 0)
+            (sqls, tuples, 0)
         }
     };
     Ok(RunStats {
         done: DoneStats {
-            tuples: per_stream_rows.iter().sum(),
+            tuples,
             elements,
             bytes: writer.shipped,
             streams,
@@ -593,7 +586,6 @@ pub fn run_query<W: Write>(
         encode_ms: writer.write_ns as f64 / 1e6,
         cache_hit: streams > 0 && plan_cache_hits.get() - cache_hits_before >= streams,
         sqls,
-        per_stream_rows,
     })
 }
 
@@ -617,7 +609,7 @@ mod tests {
         assert!(resolve_plan(&tree, "outer-union", None).is_ok());
         assert!(resolve_plan(&tree, "edges:0", None).is_ok());
         // Without a re-coster, `greedy` stays a typed error; with one it
-        // plans the view (and caches the spec under the feedback key).
+        // plans the view (and memoizes the spec under the view's key).
         for bad in ["greedy", "edges:x", "bogus"] {
             match resolve_plan(&tree, bad, None) {
                 Err(PipelineError::Typed { code, .. }) => assert_eq!(code, ErrorCode::BadPlan),
@@ -632,7 +624,7 @@ mod tests {
             engine: &engine,
         };
         assert!(resolve_plan(&tree, "greedy", Some(&ctx)).is_ok());
-        assert_eq!(recoster.plan_count("v"), 1);
+        assert_eq!(recoster.view_count(), 1);
     }
 
     #[test]
@@ -706,53 +698,6 @@ mod tests {
             sqls.len() as u64,
             "the primed engine served from its cache"
         );
-    }
-
-    /// A tuple-format request feeds the re-coster exactly what the same XML
-    /// request does: one actual row count per component query, in order.
-    #[test]
-    fn tuple_requests_feed_the_recoster_like_xml_requests() {
-        let db = Arc::new(sr_tpch::generate(sr_tpch::Scale::mb(0.1)).expect("tpch"));
-        let tree = silkroute::query1_tree(&db);
-        let engine = Server::new(Arc::clone(&db));
-        let mut observed = Vec::new();
-        for format in [Format::Xml, Format::Tuples] {
-            let recoster = Recoster::new(sr_plan::RecostConfig::default());
-            let ctx = RecostContext {
-                recoster: &recoster,
-                view_key: "query1",
-                engine: &engine,
-            };
-            let spec = resolve_plan(&tree, "greedy", Some(&ctx)).expect("greedy plan");
-            let cancels = CancelRegistry::new();
-            let stats = run_query(
-                &engine,
-                &tree,
-                format,
-                spec,
-                &cancels,
-                &mut Vec::new(),
-                None,
-            )
-            .expect("request");
-            assert_eq!(stats.sqls.len() as u64, stats.done.streams);
-            assert_eq!(stats.per_stream_rows.len(), stats.sqls.len(), "{format:?}");
-            // What the serve loop does with a finished request.
-            let accum: Vec<f64> = stats
-                .sqls
-                .iter()
-                .zip(&stats.per_stream_rows)
-                .map(|(sql, &rows)| recoster.observe("query1", sql, rows))
-                .collect();
-            let actuals: Vec<Option<u64>> = stats
-                .sqls
-                .iter()
-                .map(|sql| recoster.actuals().get(sql))
-                .collect();
-            assert_eq!(recoster.actuals().len(), stats.sqls.len());
-            observed.push((stats.sqls, stats.per_stream_rows, accum, actuals));
-        }
-        assert_eq!(observed[0], observed[1], "tuple and XML requests diverge");
     }
 
     #[test]

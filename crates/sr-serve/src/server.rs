@@ -109,9 +109,7 @@ struct Shared {
     request_seq: AtomicU64,
     qlog: Option<QueryLog>,
     slow_ms: Option<u64>,
-    /// Learned re-costing state for `greedy` plan requests: per-view plan
-    /// cache plus the shared actual-cardinality store the cost oracle
-    /// blends over static stats.
+    /// `greedy` plan requests: `genPlan`'s pick, memoized per view.
     recoster: Recoster,
 }
 
@@ -207,7 +205,9 @@ impl ServeHandle {
     }
 }
 
-/// Bind and start serving. Returns once the listener is accepting.
+/// Bind and start serving. Returns once the listener is accepting, or the
+/// error that kept it from starting: binding the address, opening the
+/// query log, or spawning the accept thread.
 pub fn serve(
     engine: Arc<Engine>,
     catalog: ViewCatalog,
@@ -245,8 +245,7 @@ pub fn serve(
         let max_connections = cfg.max_connections.max(1);
         std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_loop(listener, shared, conns, max_connections))
-            .expect("spawn accept thread")
+            .spawn(move || accept_loop(listener, shared, conns, max_connections))?
     };
 
     Ok(ServeHandle {
@@ -613,15 +612,15 @@ fn handle_query(
         t.name_current_thread(format!("serve-conn-{client_id}"));
         t
     });
-    // The re-coster's feedback key: named views key by name, inline RXL by
-    // its full source (a length-based key would alias distinct views).
+    // The re-coster's key: named views key by name, inline RXL by its full
+    // source (a length-based key would alias distinct views).
     let view_key = match &view {
         ViewRef::Named(n) => n.clone(),
         ViewRef::Rxl(src) => format!("rxl:{src}"),
     };
-    // An XPath query plans (and feeds back) against the *pruned* tree — a
-    // different shape with its own edge set, so it must not share a greedy
-    // plan-cache entry with the full view.
+    // An XPath query plans against the *pruned* tree — a different shape
+    // with its own edge set, so it must not share a greedy plan with the
+    // full view.
     let view_key = match &xpath {
         Some(p) => format!("{view_key}#xpath:{p}"),
         None => view_key,
@@ -685,11 +684,6 @@ fn handle_query(
             record.bytes = run.done.bytes;
             m.windowed_counter("serve.rows").add(run.done.tuples);
             m.windowed_counter("serve.bytes").add(run.done.bytes);
-            // Close the cost-feedback loop: report each component stream's
-            // actual cardinality so a later `greedy` request can re-plan.
-            for (sql, &rows) in run.sqls.iter().zip(&run.per_stream_rows) {
-                shared.recoster.observe(&view_key, sql, rows);
-            }
             m.counter("recost.evictions")
                 .set(shared.recoster.evictions());
             (send(sock, &Response::Done(run.done)), run.sqls)

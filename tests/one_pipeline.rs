@@ -1,7 +1,7 @@
 //! One request pipeline, one output: every entry point runs the same
 //! components the same way. The library (`materialize`, `query_view`) and
 //! the socket's request function (`run_query`) publish byte-identical
-//! documents from identical component SQL and per-stream row counts, the
+//! documents from identical component SQL and row counts, the
 //! CLI and the wire accept and reject the same plan-spec strings, and an
 //! XPath moves the `query.*` counters alike in process and over the wire.
 
@@ -91,11 +91,7 @@ fn library_and_socket_publish_identical_documents() {
                     "{what}: library and socket documents differ"
                 );
                 assert_eq!(served.sqls, m.sql, "{what}: component SQL differs");
-                let rows: Vec<u64> = m.stats.per_stream.iter().map(|s| s.tuples).collect();
-                assert_eq!(
-                    served.per_stream_rows, rows,
-                    "{what}: per-stream rows differ"
-                );
+                assert_eq!(served.done.tuples, m.stats.tuples, "{what}: rows differ");
             }
         }
     }
