@@ -11,12 +11,15 @@
 //! (`tests/constant_space.rs`).
 //!
 //! Mechanics: every stream's head tuple is reduced to its `PathKey`; a
-//! k-way merge takes tuples in key order, which is document order; a
-//! tuple's non-NULL `L` prefix names a root-to-node path whose instances
-//! are opened/closed against the stack. Merged (`1`-labeled) class members
-//! and literal/variable text are emitted by a per-element cursor over the
-//! element's content layout, so interleaved text and out-of-order sibling
-//! branches come out in document order.
+//! tree of losers takes tuples in key order, which is document order. Each
+//! head carries an offset-value code — how many leading cells it shares
+//! with the head it last lost to — so most matches are decided without
+//! reading a cell, and the winner's code is exactly how much of the open
+//! path it keeps. A tuple's non-NULL `L` prefix names a root-to-node path
+//! whose instances are opened/closed against the stack. Merged
+//! (`1`-labeled) class members and literal/variable text are emitted by a
+//! per-element cursor over the element's content layout, so interleaved
+//! text and out-of-order sibling branches come out in document order.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -180,12 +183,12 @@ fn retain(cell: Cell<'_>, store: &mut Vec<u8>) -> Result<Slot, TagError> {
 }
 
 impl PathKey {
-    /// Compare with `other`: how many leading cells agree, and the order
-    /// from there on.
+    /// Compare with `other`, whose first `from` cells are known to agree:
+    /// how many leading cells agree, and the order from there on.
     #[inline]
-    fn diverge(&self, other: &PathKey) -> (usize, Ordering) {
+    fn diverge(&self, other: &PathKey, from: usize) -> (usize, Ordering) {
         let n = self.cells.len().min(other.cells.len());
-        for i in 0..n {
+        for i in from..n {
             let ord = self.cells[i].order(&self.bytes, other.cells[i], &other.bytes);
             if ord != Ordering::Equal {
                 return (i, ord);
@@ -259,8 +262,9 @@ struct Cursor {
     arena: CellArena,
     at: usize,
     cols: StreamColumns,
-    /// The head tuple's key.
+    /// The head tuple's key, and the key of the tuple before it.
     key: PathKey,
+    prev: PathKey,
 }
 
 /// A materialized row's cell at `col`; NULL past its arity.
@@ -270,14 +274,17 @@ fn cell_of(row: &Row, col: usize) -> Cell<'_> {
 }
 
 impl Cursor {
-    /// Move to the next tuple and work out its key; `false` once the
-    /// stream is exhausted.
-    fn advance(&mut self, prog: &Program<'_>) -> Result<bool, TagError> {
+    /// Move to the next tuple and work out its key. Returns how many leading
+    /// cells the key shares with the tuple before it — the head's code in
+    /// the merge — or `None` once the stream is exhausted. That one walk is
+    /// also the sortedness guard: stream `si` may not regress.
+    fn advance(&mut self, prog: &Program<'_>, si: usize) -> Result<Option<usize>, TagError> {
+        std::mem::swap(&mut self.key, &mut self.prev);
         match &mut self.rows {
             RowSource::Materialized(it) => {
                 self.row = it.next();
                 let Some(row) = &self.row else {
-                    return Ok(false);
+                    return Ok(None);
                 };
                 self.key.rebuild(prog, &self.cols, |c| cell_of(row, c))?;
             }
@@ -286,14 +293,17 @@ impl Cursor {
                 if self.at >= self.arena.rows() {
                     self.at = 0;
                     if !stream.bind_next(&mut self.arena)? {
-                        return Ok(false);
+                        return Ok(None);
                     }
                 }
                 let (arena, at) = (&self.arena, self.at);
                 self.key.rebuild(prog, &self.cols, |c| arena.cell(at, c))?;
             }
         }
-        Ok(true)
+        match self.key.diverge(&self.prev, 0) {
+            (_, Ordering::Less) => Err(order_violation(si)),
+            (shared, _) => Ok(Some(shared)),
+        }
     }
 
     /// The head tuple's cell at `col`; NULL for a column the stream lacks
@@ -308,81 +318,118 @@ impl Cursor {
     }
 }
 
-/// The k-way merge's binary min-heap, over stream indices. The caller owns
-/// the keys (the streams' heads) and passes the strict order in; the heap
-/// only remembers positions. A tuple costs one sift-down from the top, not
-/// a pop and a push, and the sift stops at once while the stream that just
-/// advanced still precedes the runner-up — the common case, a run of
-/// tuples from one stream.
-struct MergeHeap(Vec<usize>);
+/// The k-way merge: a tree of losers over stream indices (Knuth, TAOCP 3
+/// §5.4.1) with offset-value codes. The caller owns the keys (the streams'
+/// heads) and lends them to each call; equal keys go lowest stream first,
+/// which keeps them in component preorder.
+///
+/// Every loser is coded against the head that beat it, so all losers on
+/// the winner's leaf-to-root path are coded against the winner. Once it is
+/// tagged and its stream's next head is coded against it too, each match
+/// of the replay is between two codes with one base: the larger offset is
+/// the smaller key, and only equal offsets read cells, from that offset
+/// on. The winner's code is then its offset from the last tuple tagged.
+struct LoserTree {
+    /// `nodes[0]` is the winning stream; `nodes[n]`, `1 ≤ n < k`, the stream
+    /// that lost the match at node `n`. Stream `i` is leaf `k + i`, and node
+    /// `n`'s parent is `n / 2`, so a replay plays at most ⌈log₂ k⌉ matches.
+    nodes: Vec<usize>,
+    /// Per stream, how many leading cells its head shares with the head it
+    /// last lost to (for the winner: the last tuple tagged); `None` once
+    /// exhausted, which loses every match.
+    codes: Vec<Option<usize>>,
+}
 
-impl MergeHeap {
-    fn new(members: Vec<usize>, less: &impl Fn(usize, usize) -> bool) -> MergeHeap {
-        let mut heap = MergeHeap(members);
-        for i in (0..heap.0.len() / 2).rev() {
-            heap.sift_down(i, less);
+impl LoserTree {
+    /// Play the first tournament. The heads' codes are against the empty
+    /// key before the first tuple: `Some(0)`, or `None` for an empty stream.
+    fn new<'k>(codes: Vec<Option<usize>>, key: impl Fn(usize) -> &'k PathKey) -> LoserTree {
+        let mut tree = LoserTree {
+            nodes: vec![0; codes.len()],
+            codes,
+        };
+        if !tree.nodes.is_empty() {
+            tree.nodes[0] = tree.build(1, &key);
         }
-        heap
+        tree
     }
 
-    /// The stream whose head is smallest.
-    fn top(&self) -> Option<usize> {
-        self.0.first().copied()
+    /// Play the matches under node `n`; returns their winner.
+    fn build<'k>(&mut self, n: usize, key: &impl Fn(usize) -> &'k PathKey) -> usize {
+        let k = self.codes.len();
+        if n >= k {
+            return n - k;
+        }
+        let (a, b) = (self.build(2 * n, key), self.build(2 * n + 1, key));
+        let (winner, loser) = self.play(a, b, key);
+        self.nodes[n] = loser;
+        winner
     }
 
-    /// The top stream ran dry: drop it.
-    fn remove_top(&mut self, less: &impl Fn(usize, usize) -> bool) {
-        self.0.swap_remove(0);
-        self.sift_down(0, less);
+    /// The winning stream and its offset from the last tuple tagged;
+    /// `None` once every stream is exhausted.
+    fn winner(&self) -> Option<(usize, usize)> {
+        let &si = self.nodes.first()?;
+        Some((si, self.codes[si]?))
     }
 
-    /// Restore the heap after the stream at position `i` moved to a later
-    /// tuple.
-    fn sift_down(&mut self, mut i: usize, less: &impl Fn(usize, usize) -> bool) {
-        let heap = &mut self.0;
-        loop {
-            let l = 2 * i + 1;
-            if l >= heap.len() {
-                break;
+    /// The winner's stream moved to a head coded `code` against the tuple
+    /// just tagged: replay its leaf-to-root path. Returns the matches played.
+    fn replay<'k>(&mut self, code: Option<usize>, key: impl Fn(usize) -> &'k PathKey) -> usize {
+        let mut winner = self.nodes[0];
+        self.codes[winner] = code;
+        let (mut node, mut played) = ((self.codes.len() + winner) / 2, 0);
+        while node > 0 {
+            (winner, self.nodes[node]) = self.play(winner, self.nodes[node], &key);
+            node /= 2;
+            played += 1;
+        }
+        self.nodes[0] = winner;
+        played
+    }
+
+    /// One match between heads coded against the same base: (winner,
+    /// loser), the loser re-coded against the winner.
+    fn play<'k>(
+        &mut self,
+        a: usize,
+        b: usize,
+        key: &impl Fn(usize) -> &'k PathKey,
+    ) -> (usize, usize) {
+        let a_wins = match (self.codes[a], self.codes[b]) {
+            (Some(from), Some(cb)) if from == cb => {
+                let (shared, order) = key(a).diverge(key(b), from);
+                let a_wins = order.then(a.cmp(&b)).is_lt();
+                self.codes[if a_wins { b } else { a }] = Some(shared);
+                a_wins
             }
-            let r = l + 1;
-            let child = if r < heap.len() && less(heap[r], heap[l]) {
-                r
-            } else {
-                l
-            };
-            if !less(heap[child], heap[i]) {
-                break;
-            }
-            heap.swap(i, child);
-            i = child;
+            // A larger offset is a smaller key; exhausted (`None`) is last.
+            (ca, cb) => ca > cb,
+        };
+        if a_wins {
+            (a, b)
+        } else {
+            (b, a)
         }
     }
 }
 
-/// The sortedness-contract error for a tuple whose key regressed behind
-/// the previously merged one. Two distinct contracts can break:
+/// The sortedness-contract error for stream `si`, whose new head sorts
+/// before its own predecessor: the server shipped it out of document order.
 ///
-/// * `si == prev_si` — the stream violated its **intra-stream order**
-///   contract: the server shipped it out of document order.
-/// * `si != prev_si` — each stream may well be sorted, but their keys
-///   disagree about document order: a **merge layout** mismatch between
-///   the streams' column mappings. Blaming only `si` would send people
-///   debugging the wrong stream's ORDER BY.
-fn order_violation(si: usize, prev_si: usize) -> TagError {
-    if si == prev_si {
-        TagError::Structure(format!(
-            "intra-stream order contract violated: stream {si} is not sorted \
-             in document order (tuple regressed behind its own predecessor)"
-        ))
-    } else {
-        TagError::Structure(format!(
-            "merge layout contract violated: a tuple from stream {si} regressed \
-             behind the last tuple merged from stream {prev_si}; each stream may \
-             be individually sorted, but their lift layouts disagree about \
-             document order"
-        ))
-    }
+/// This is the only way the merged sequence can regress. A key position
+/// always holds the same column in every stream that carries it — the same
+/// `L` prefix names the same nodes, hence the same key variables — and a
+/// column's type is fixed, so the cells compared at one position are of
+/// one type, where `Cell::order` is a total order. Key order is
+/// lexicographic over it, and a merge of sorted streams under a total
+/// order is sorted: checking each stream against its own predecessor when
+/// it advances checks the whole merge.
+fn order_violation(si: usize) -> TagError {
+    TagError::Structure(format!(
+        "intra-stream order contract violated: stream {si} is not sorted \
+         in document order (tuple regressed behind its own predecessor)"
+    ))
 }
 
 /// One open element. The stack keeps `max_level` of these for the whole
@@ -412,9 +459,6 @@ struct Tagger<'t, W: Write> {
     /// `stack[..depth]` are the open elements, outermost first.
     stack: Vec<Open>,
     depth: usize,
-    /// The key of the last tuple tagged. Its path is what `stack[..depth]`
-    /// holds open.
-    last: PathKey,
     writer: XmlWriter<W>,
     stats: TagStats,
     /// Trace sink and the driver's lane for merge-progress counters.
@@ -456,6 +500,7 @@ pub fn tag_streams_traced<W: Write>(
             row: None,
             at: 0,
             key: PathKey::default(),
+            prev: PathKey::default(),
         });
     }
 
@@ -468,7 +513,6 @@ pub fn tag_streams_traced<W: Write>(
         .take(prog.max_level)
         .collect(),
         depth: 0,
-        last: PathKey::default(),
         prog,
         streams,
         writer,
@@ -499,37 +543,15 @@ pub fn tag_streams_traced<W: Write>(
     Ok((stats, out))
 }
 
-/// The merge order over stream indices: by head key, ties broken by stream
-/// index, which keeps equal keys in component preorder.
-fn by_head(streams: &[Cursor]) -> impl Fn(usize, usize) -> bool + '_ {
-    |a, b| {
-        let by_key = streams[a].key.diverge(&streams[b].key).1;
-        by_key.then(a.cmp(&b)).is_lt()
-    }
-}
-
 impl<W: Write> Tagger<'_, W> {
     fn run(&mut self) -> Result<(), TagError> {
-        let mut live = Vec::with_capacity(self.streams.len());
+        let mut codes = Vec::with_capacity(self.streams.len());
         for (si, s) in self.streams.iter_mut().enumerate() {
-            if s.advance(&self.prog)? {
-                live.push(si);
-            }
+            codes.push(s.advance(&self.prog, si)?);
         }
-        let mut heap = MergeHeap::new(live, &by_head(&self.streams));
+        let mut tree = LoserTree::new(codes, |i| &self.streams[i].key);
 
-        // Which stream the last tuple tagged came from.
-        let mut prev = 0;
-        while let Some(si) = heap.top() {
-            // The sortedness guard: the merged sequence must be
-            // non-decreasing, otherwise the constant-space re-nesting would
-            // silently emit a corrupted document. The same walk says how
-            // much of the open path this tuple keeps.
-            let (shared, order) = self.streams[si].key.diverge(&self.last);
-            if order == Ordering::Less {
-                return Err(order_violation(si, prev));
-            }
-            prev = si;
+        while let Some((si, shared)) = tree.winner() {
             self.tag_tuple(si, shared)?;
             self.stats.tuples += 1;
             self.stats.per_stream[si].tuples += 1;
@@ -541,11 +563,8 @@ impl<W: Write> Tagger<'_, W> {
                     tr.counter(lane, "tagger.tuples", self.stats.tuples as f64);
                 }
             }
-            if self.streams[si].advance(&self.prog)? {
-                heap.sift_down(0, &by_head(&self.streams));
-            } else {
-                heap.remove_top(&by_head(&self.streams));
-            }
+            let code = self.streams[si].advance(&self.prog, si)?;
+            tree.replay(code, |i| &self.streams[i].key);
         }
 
         // Close everything left open.
@@ -553,8 +572,8 @@ impl<W: Write> Tagger<'_, W> {
     }
 
     /// Tag the head tuple of stream `si`, whose key agrees with the last
-    /// tuple's in its first `shared` cells: close the open elements its
-    /// path leaves, open the ones it enters.
+    /// tuple's in its first `shared` cells (its code in the merge): close
+    /// the open elements its path leaves, open the ones it enters.
     fn tag_tuple(&mut self, si: usize, shared: usize) -> Result<(), TagError> {
         // The open stack is the last tuple's path: the levels whose cells
         // all lie in the shared prefix stay open.
@@ -588,10 +607,6 @@ impl<W: Write> Tagger<'_, W> {
             }
             self.depth = d + 1;
         }
-
-        // The stream rebuilds its key when it advances, which is next; take
-        // this one instead of copying it.
-        std::mem::swap(&mut self.last, &mut self.streams[si].key);
         Ok(())
     }
 
@@ -684,61 +699,89 @@ impl<W: Write> Tagger<'_, W> {
 #[cfg(test)]
 mod merge_tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn intra_stream_violation_names_the_stream_and_contract() {
-        let msg = order_violation(3, 3).to_string();
+        let msg = order_violation(3).to_string();
         assert!(msg.contains("stream 3"), "{msg}");
         assert!(msg.contains("not sorted"), "{msg}");
         assert!(msg.contains("intra-stream order"), "{msg}");
         assert!(!msg.contains("merge layout"), "{msg}");
     }
 
-    #[test]
-    fn inter_stream_violation_names_both_streams_and_contract() {
-        let msg = order_violation(2, 0).to_string();
-        assert!(msg.contains("stream 2"), "{msg}");
-        assert!(msg.contains("stream 0"), "{msg}");
-        assert!(msg.contains("merge layout"), "{msg}");
-        assert!(!msg.contains("not sorted"), "{msg}");
-    }
-
-    /// Merge sorted runs of integers through the heap, as `run` does.
-    fn merge(runs: &[&[i64]]) -> Vec<(i64, usize)> {
-        let at = std::cell::RefCell::new(vec![0usize; runs.len()]);
-        let less = |a: usize, b: usize| {
-            let at = at.borrow();
-            (runs[a][at[a]], a) < (runs[b][at[b]], b)
-        };
-        let live = (0..runs.len()).filter(|&i| !runs[i].is_empty()).collect();
-        let mut heap = MergeHeap::new(live, &less);
-        let mut out = Vec::new();
-        while let Some(si) = heap.top() {
-            out.push((runs[si][at.borrow()[si]], si));
-            at.borrow_mut()[si] += 1;
-            if at.borrow()[si] < runs[si].len() {
-                heap.sift_down(0, &less);
-            } else {
-                heap.remove_top(&less);
-            }
+    fn key_of(path: &[i64]) -> PathKey {
+        let mut key = PathKey::default();
+        for &c in path {
+            key.push(Cell::Int(c)).unwrap();
         }
-        out
+        key
     }
 
-    #[test]
-    fn heap_merges_in_key_order_with_stream_index_tie_break() {
-        // Equal keys (2 in streams 1 and 2, 5 in 0 and 3) must come out
-        // lowest-stream-first; long runs from one stream stay in order.
-        let runs: [&[i64]; 6] = [&[5, 6, 7, 8, 40], &[2, 2, 9], &[2, 30], &[5], &[], &[1, 50]];
-        let got = merge(&runs);
-        let mut want: Vec<(i64, usize)> = runs
+    /// A winner: its path, stream and offset.
+    type Won = (Vec<i64>, usize, usize);
+
+    /// Merge sorted runs of integer paths through the tree, as `run` does:
+    /// every winner, and the matches each replay played.
+    fn merge(runs: &[Vec<Vec<i64>>]) -> (Vec<Won>, Vec<usize>) {
+        let mut at = vec![0; runs.len()];
+        let mut keys: Vec<PathKey> = runs
             .iter()
-            .enumerate()
-            .flat_map(|(si, r)| r.iter().map(move |&k| (k, si)))
+            .map(|r| r.first().map_or_else(PathKey::default, |p| key_of(p)))
             .collect();
-        want.sort();
-        assert_eq!(got, want);
-        assert_eq!(merge(&[&[1, 2, 3]]), [(1, 0), (2, 0), (3, 0)]);
-        assert!(merge(&[]).is_empty());
+        let codes = runs.iter().map(|r| (!r.is_empty()).then_some(0)).collect();
+        let mut tree = LoserTree::new(codes, |i| &keys[i]);
+        let (mut out, mut played) = (Vec::new(), Vec::new());
+        while let Some((si, offset)) = tree.winner() {
+            out.push((runs[si][at[si]].clone(), si, offset));
+            at[si] += 1;
+            let code = runs[si].get(at[si]).map(|p| {
+                let next = key_of(p);
+                let (shared, order) = next.diverge(&keys[si], 0);
+                assert_ne!(order, Ordering::Less, "runs are sorted");
+                keys[si] = next;
+                shared
+            });
+            played.push(tree.replay(code, |i| &keys[i]));
+        }
+        (out, played)
+    }
+
+    /// Short paths over a small alphabet: shared prefixes, keys that are
+    /// prefixes of others and duplicates are common.
+    fn runs() -> impl Strategy<Value = Vec<Vec<Vec<i64>>>> {
+        let path = proptest::collection::vec(0i64..3, 1..5);
+        let run = proptest::collection::vec(path, 0..9).prop_map(|mut r| {
+            r.sort();
+            r
+        });
+        proptest::collection::vec(run, 0..=12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn loser_tree_merges_like_a_stable_sort_with_offset_codes(runs in runs()) {
+            let (out, played) = merge(&runs);
+            let mut want: Vec<(Vec<i64>, usize)> = runs
+                .iter()
+                .enumerate()
+                .flat_map(|(si, r)| r.iter().map(move |p| (p.clone(), si)))
+                .collect();
+            want.sort();
+            let got: Vec<(Vec<i64>, usize)> = out.iter().map(|(p, si, _)| (p.clone(), *si)).collect();
+            prop_assert_eq!(got, want);
+
+            let mut last = PathKey::default();
+            for (path, _, offset) in &out {
+                let key = key_of(path);
+                prop_assert_eq!(*offset, key.diverge(&last, 0).0, "offset of {:?}", path);
+                last = key;
+            }
+
+            let depth = runs.len().next_power_of_two().trailing_zeros() as usize;
+            prop_assert!(played.iter().all(|&m| m <= depth), "{:?} with k = {}", played, runs.len());
+        }
     }
 }
